@@ -46,7 +46,8 @@ def nu(field_or_p: Union[PrimeField, int]) -> Fraction:
     """The irrationality measure 2 + 2*(p-1)/3 as an exact rational."""
     p = _p_of(field_or_p)
     value = Fraction(2) + Fraction(2 * (p - 1), 3)
-    assert Fraction(2) < value <= Fraction(p + 1)
+    if not Fraction(2) < value <= Fraction(p + 1):
+        raise RuntimeError(f"nu = {value} must lie in (2, p + 1]")
     return value
 
 

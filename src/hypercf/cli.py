@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import json
+import os
 import sys
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
@@ -51,6 +52,8 @@ class RunConfig:
         steps = getattr(args, "steps", None)
         if steps is not None and steps < 1:
             raise ValueError("steps must be >= 1")
+        if getattr(args, "jobs", 1) < 1:
+            raise ValueError("jobs must be >= 1")
         u = getattr(args, "u", None)
         if isinstance(u, list):  # verify accumulates triples; validate each
             for triple in u:
@@ -121,8 +124,7 @@ def parse_equation_file(field: PrimeField, path: str) -> BiPoly:
             coeffs[power] = Poly(field, values)
     if not coeffs:
         raise ValueError(f"{path}: no coefficients")
-    top = max(coeffs)
-    return BiPoly(field, [coeffs.get(i, Poly(field, ())) for i in range(top + 1)])
+    return BiPoly(field, coeffs)
 
 
 def _parse_triple(text: str) -> Tuple[int, int, int]:
@@ -217,8 +219,9 @@ def _cmd_verify(args) -> int:
     if not triples:
         raise ValueError("verify needs --u or --grid")
     jobs = [(args.p, u, args.steps, args.order, args.r_convention) for u in triples]
-    if args.jobs > 1 and len(jobs) > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    workers = min(args.jobs, len(jobs), os.cpu_count() or 1)
+    if workers > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_verify_one, jobs))
     else:
         results = [_verify_one(job) for job in jobs]

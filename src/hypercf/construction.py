@@ -93,20 +93,24 @@ class PatternSpec:
     R: Poly
 
 
+def _F_and_R(field: PrimeField) -> Tuple[Poly, Poly]:
+    """F = (T^2+4)^((p-1)/2) and R = T^p - T*F."""
+    T = field.T
+    F = (T * T + 4) ** ((field.p - 1) // 2)
+    return F, T ** field.p - T * F
+
+
 def build_spec(field: PrimeField, u: Union[Triple, Sequence[int]]) -> PatternSpec:
     if not isinstance(u, Triple):
         u = Triple.from_ints(field, tuple(u))
     if u.field != field:
         raise ValueError("triple is over a different field")
     p = field.p
-    T = field.T
-    F = (T * T + 4) ** ((p - 1) // 2)
-    R = T ** p - T * F
-    assert F.degree == p - 1
-    _, rem = divmod(T ** p, F)
-    assert R == rem, "R must equal the remainder of T^p by F"
-    assert R.degree <= p - 2
-    assert R == fibonacci_poly(field, p - 2) * 2
+    F, R = _F_and_R(field)
+    if F.degree != p - 1 or R != field.T ** p % F:
+        raise RuntimeError("F must have degree p-1, R be the remainder of T^p by F")
+    if R != fibonacci_poly(field, p - 2) * 2:
+        raise RuntimeError("R must equal 2*f_(p-2)")
     return PatternSpec(field=field, u=u, F=F, R=R)
 
 
@@ -118,7 +122,8 @@ def build_Pn(spec: PatternSpec, n: int) -> Poly:
     poly = spec.field.T
     for _ in range(n):
         poly = spec.F * poly ** p
-    assert poly.degree == 2 * p ** n - 1
+    if poly.degree != 2 * p ** n - 1:
+        raise RuntimeError(f"P_{n} must have degree 2*p^{n} - 1")
     return poly
 
 
@@ -155,9 +160,8 @@ def pattern(spec: PatternSpec, count: int) -> PartialQuotients:
         else:
             head = (odd_outer[0], odd_scale * p_n, odd_outer[1])
             pair = odd_pair
-        if n >= 1:
-            want = pattern_position(p, n)
-            assert len(out) + 2 == want, "block bookkeeping drifted"
+        if n >= 1 and len(out) + 2 != pattern_position(p, n):
+            raise RuntimeError("block bookkeeping drifted")
         out.extend(head)
         for _ in range(repeats):
             out.extend(pair)
@@ -184,12 +188,10 @@ def _eliminate_tail(
         y_n*a^{p+1} - x_n*a^p + (G*y_prev - H*y_n)*a + (H*x_n - G*x_prev) = 0
     """
     p = field.p
-    coeffs: List[Poly] = [Poly(field, ()) for _ in range(p + 2)]
-    coeffs[p + 1] = y_n
-    coeffs[p] = -x_n
-    coeffs[1] = G * y_prev - H * y_n
-    coeffs[0] = H * x_n - G * x_prev
-    return BiPoly(field, coeffs)
+    return BiPoly(
+        field,
+        {p + 1: y_n, p: -x_n, 1: G * y_prev - H * y_n, 0: H * x_n - G * x_prev},
+    )
 
 
 def pattern_equation(spec: PatternSpec, r_override: Optional[Poly] = None) -> BiPoly:
@@ -233,15 +235,13 @@ def mills_robbins_equation(field: PrimeField, u1: Union[int, FieldElement]) -> B
     u1 = field(u1)
     u2 = mills_robbins_u2(field, u1)
     T = field.T
-    spec = build_spec(field, Triple(u1, u2, field.one))
     pqs = PartialQuotients((u1 * T, u2 * T))
     conv = continuants(pqs)
     x1, y1 = conv[0].x, conv[0].y
     x2, y2 = conv[1].x, conv[1].y
-    half = field(2).inverse()
-    G = spec.F
-    H = -(spec.R * half)
-    return _eliminate_tail(field, G, H, x2, y2, x1, y1)
+    F, R = _F_and_R(field)
+    H = -(R * field(2).inverse())
+    return _eliminate_tail(field, F, H, x2, y2, x1, y1)
 
 
 def fibonacci_poly(field: PrimeField, n: int) -> Poly:
@@ -281,8 +281,7 @@ def check_identities(field: PrimeField, fib_cf_limit: int = 12) -> IdentityRepor
     polynomials, plus the all-T expansions of consecutive quotients."""
     p = field.p
     T = field.T
-    F = (T * T + 4) ** ((p - 1) // 2)
-    R = T ** p - T * F
+    F, R = _F_and_R(field)
     f = [fibonacci_poly(field, n) for n in range(max(p + 1, fib_cf_limit + 1))]
     cf_ok = True
     for n in range(1, fib_cf_limit + 1):
@@ -398,9 +397,9 @@ def verify_pattern(
             - LaurentSeries.from_poly(spec.R * spec.u.u1, floor_hint)
         )
         tail_res = ResidualSummary.of(residual)
-        eq_res = ResidualSummary.of(
-            eval_at_series(pattern_equation(spec), alpha)
-        )
+        if r_override is not None:
+            equation = pattern_equation(spec)
+        eq_res = ResidualSummary.of(eval_at_series(equation, alpha))
 
     return PatternVerification(
         p=p,

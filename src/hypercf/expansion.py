@@ -7,14 +7,18 @@ coefficient reversal.  Iterating yields the partial quotients one at a
 time.  The step carries no correctness theorem here: outputs are meant
 to be validated a posteriori through eval_at_series.
 
-The Taylor shift runs as repeated synthetic division (Horner passes),
-exact over F_p[T]; the first pass also delivers P(bar), which decides
-rational termination before any further work.
+Equations are stored sparsely, by x-exponent, and the Taylor shift
+expands each term by the binomial theorem, keeping only the binomials
+that are nonzero mod p.  For the hyperquadratic equations
+A*x^(p+1) + B*x^p + C*x + D this preserves the support {0, 1, p, p+1}
+at every step, with bar^p computed as a Frobenius.  The shifted x^0
+coefficient is P(bar), which decides rational termination.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+from math import comb
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .algebra import FieldElement, Poly, PrimeField
 from .cf import PartialQuotients
@@ -46,64 +50,65 @@ class NoAdmissibleQuotientError(RuntimeError):
 
 
 class BiPoly:
-    """A polynomial in x whose coefficients are polynomials in F_p[T]."""
+    """A polynomial in x whose coefficients are polynomials in F_p[T].
 
-    __slots__ = ("field", "coeffs")
+    Stored sparsely as `terms`, a read-only map from x-exponent to nonzero
+    coefficient: the hyperquadratic equations keep only the exponents
+    {0, 1, p, p+1} through every extraction step.  The constructor takes
+    either that map or a dense sequence indexed by exponent.
+    """
 
-    def __init__(self, field: PrimeField, coeffs: Sequence[Union[Poly, int, FieldElement]]):
-        items: List[Poly] = []
-        for c in coeffs:
-            if isinstance(c, Poly):
-                if c.field != field:
-                    raise ValueError("field mismatch")
-                items.append(c)
-            elif isinstance(c, FieldElement):
-                items.append(Poly(field, (c.value,)))
-            else:
-                items.append(Poly(field, (int(c),)))
-        while items and items[-1].is_zero:
-            items.pop()
-        if len(items) < 2:
+    __slots__ = ("field", "terms")
+
+    def __init__(self, field: PrimeField, coeffs: Union[Mapping, Sequence]):
+        items = coeffs.items() if isinstance(coeffs, Mapping) else enumerate(coeffs)
+        terms: Dict[int, Poly] = {}
+        for e, c in items:
+            if e < 0:
+                raise ValueError("x-exponents must be nonnegative")
+            if not isinstance(c, Poly):
+                c = Poly(field, (c,))
+            elif c.field != field:
+                raise ValueError("field mismatch")
+            if not c.is_zero:
+                terms[e] = c
+        if not terms or max(terms) < 1:
             raise ValueError("degree in x must be at least 1")
         self.field = field
-        self.coeffs = tuple(items)
+        self.terms = terms
 
     @property
     def degree_x(self) -> int:
-        return len(self.coeffs) - 1
+        return max(self.terms)
 
     def coefficient(self, i: int) -> Poly:
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
-        return Poly(self.field, ())
+        return self.terms.get(i) or Poly(self.field, ())
 
     def max_coeff_degree(self) -> int:
-        return max(int(c.degree) for c in self.coeffs if not c.is_zero)
+        return max(int(c.degree) for c in self.terms.values())
 
     def __call__(self, value: Poly) -> Poly:
-        acc = self.coeffs[-1]
-        for c in self.coeffs[-2::-1]:
-            acc = acc * value + c
+        n = self.degree_x
+        acc = self.terms[n]
+        for e in range(n - 1, -1, -1):
+            acc = acc * value + self.coefficient(e)
         return acc
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, BiPoly)
             and other.field == self.field
-            and other.coeffs == self.coeffs
+            and other.terms == self.terms
         )
 
     def __hash__(self) -> int:
-        return hash((self.field.p, self.coeffs))
+        return hash((self.field.p, tuple(sorted(self.terms.items()))))
 
     def __repr__(self) -> str:
         parts = []
-        for i in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[i]
-            if c.is_zero:
-                continue
+        for i in sorted(self.terms, reverse=True):
             xs = "" if i == 0 else ("*x" if i == 1 else f"*x^{i}")
-            parts.append(f"({c}){xs}")
+            parts.append(f"({self.terms[i]}){xs}")
         return " + ".join(parts)
 
 
@@ -125,20 +130,6 @@ class ExpansionResult:
     coeff_degree_bound: int
 
 
-def _extract_bar(P: BiPoly) -> Poly:
-    an = P.coeffs[-1]
-    an1 = P.coeffs[-2]
-    q, _ = divmod(an1, an)
-    return -q
-
-
-def _shift_pass(work: List[Poly], bar: Poly, start: int) -> None:
-    # one synthetic-division pass: work[start] becomes the next shifted
-    # coefficient, work[start+1:] the running quotient
-    for j in range(len(work) - 2, start - 1, -1):
-        work[j] = work[j] + bar * work[j + 1]
-
-
 def next_step(P: BiPoly) -> Tuple[Poly, Optional[BiPoly]]:
     """One extraction step.
 
@@ -146,16 +137,32 @@ def next_step(P: BiPoly) -> Tuple[Poly, Optional[BiPoly]]:
     i.e. the root is rational and bar is its final quotient.  Raises
     NoAdmissibleQuotientError when the extracted bar has degree < 1.
     """
-    bar = _extract_bar(P)
-    work = list(P.coeffs)
-    _shift_pass(work, bar, 0)
-    if work[0].is_zero:
+    p = P.field.p
+    n = P.degree_x
+    bar = -(P.coefficient(n - 1) // P.terms[n])
+    powers: Dict[int, Poly] = {}
+
+    def power(j: int) -> Poly:
+        # bar**p is a Frobenius; bar**(p+1) reuses it
+        if j not in powers:
+            powers[j] = bar ** j if j <= p else power(j - 1) * bar
+        return powers[j]
+
+    # c*(x + bar)^e = sum over k of comb(e, k)*c*bar^(e-k)*x^k; by Lucas's
+    # theorem comb(p+1, k) and comb(p, k) vanish mod p unless k is in
+    # {0, 1, p, p+1}, so the shift keeps the hyperquadratic support
+    shifted: Dict[int, Poly] = {}
+    for e, c in P.terms.items():
+        for k in range(e + 1):
+            binom = comb(e, k) % p
+            if binom:
+                term = c * binom * power(e - k)
+                shifted[k] = shifted[k] + term if k in shifted else term
+    if shifted[0].is_zero:  # the x^0 coefficient is P(bar)
         return bar, None
     if bar.degree < 1:
         raise NoAdmissibleQuotientError(1, bar, ())
-    for i in range(1, len(work) - 1):
-        _shift_pass(work, bar, i)
-    return bar, BiPoly(P.field, work[::-1])
+    return bar, BiPoly(P.field, {n - k: c for k, c in shifted.items()})
 
 
 def expand(P: BiPoly, m: int) -> ExpansionResult:
@@ -167,34 +174,25 @@ def expand(P: BiPoly, m: int) -> ExpansionResult:
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    field = P.field
     base_height = P.max_coeff_degree()
     emitted: List[Poly] = []
     degree_sum = 0
     max_seen = base_height
-    rational = False
     rational_value: Optional[Poly] = None
     current = P
     for step in range(1, m + 1):
-        bar = _extract_bar(current)
-        work = list(current.coeffs)
-        _shift_pass(work, bar, 0)
-        if work[0].is_zero:
-            rational = True
+        try:
+            bar, current = next_step(current)
+        except NoAdmissibleQuotientError as err:
+            raise NoAdmissibleQuotientError(step, err.bar, emitted) from None
+        if bar.degree >= 1:
+            emitted.append(bar)
+            degree_sum += int(bar.degree)
+        if current is None:
             rational_value = bar
-            if bar.degree >= 1:
-                emitted.append(bar)
-                degree_sum += int(bar.degree)
             break
-        if bar.degree < 1:
-            raise NoAdmissibleQuotientError(step, bar, emitted)
-        emitted.append(bar)
-        degree_sum += int(bar.degree)
         if step == m:
             break
-        for i in range(1, len(work) - 1):
-            _shift_pass(work, bar, i)
-        current = BiPoly(field, work[::-1])
         height = current.max_coeff_degree()
         max_seen = max(max_seen, height)
         bound = base_height + current.degree_x * degree_sum
@@ -205,7 +203,7 @@ def expand(P: BiPoly, m: int) -> ExpansionResult:
             )
     return ExpansionResult(
         quotients=PartialQuotients(emitted),
-        rational=rational,
+        rational=rational_value is not None,
         rational_value=rational_value,
         max_coeff_degree=max_seen,
         coeff_degree_bound=base_height + P.degree_x * degree_sum,
@@ -219,7 +217,7 @@ def eval_at_series(P: BiPoly, s: LaurentSeries) -> LaurentSeries:
     # exact coefficients; a floor far below anything the products can
     # reach, so the precision of s is the only binding constraint
     coeff_floor = (min(s.valid_order, -1) - 1) * (n + 1) - P.max_coeff_degree()
-    acc = LaurentSeries.from_poly(P.coeffs[-1], coeff_floor)
-    for c in P.coeffs[-2::-1]:
-        acc = acc * s + LaurentSeries.from_poly(c, coeff_floor)
+    acc = LaurentSeries.from_poly(P.coefficient(n), coeff_floor)
+    for e in range(n - 1, -1, -1):
+        acc = acc * s + LaurentSeries.from_poly(P.coefficient(e), coeff_floor)
     return acc

@@ -26,7 +26,7 @@ from typing import Dict, Iterable
 
 import numpy as np
 
-from .algebra import FieldElement, Poly, PrimeField, _mul_arrays
+from .algebra import FieldElement, Poly, PrimeField, _divmod_arrays, _mul_arrays
 
 __all__ = ["LaurentSeries", "series_from_rational", "InsufficientPrecisionError"]
 
@@ -215,7 +215,6 @@ class LaurentSeries:
             raise ZeroDivisionError(
                 "division by a series that is zero to its validity floor"
             )
-        p = self.field.p
         top_a, v_a = self._nominal_top, self.valid_order
         top_b, v_b = other._nominal_top, other.valid_order
         v_q = max(v_a - top_b, v_b + top_a - 2 * top_b)
@@ -228,14 +227,10 @@ class LaurentSeries:
         # below v_q, which are discarded anyway
         keep = min(self.coeffs.size, r.size)
         r[:keep] = self.coeffs[:keep]
-        q = np.zeros(nq, dtype=np.int64)
-        inv = pow(int(b[0]), p - 2, p)
-        for k in range(nq):
-            c = int(r[k]) * inv % p
-            if c:
-                q[k] = c
-                r[k : k + b.size] = (r[k : k + b.size] - c * b) % p
-        return LaurentSeries(self.field, top_a - top_b, q, v_q)
+        # polynomial long division on the reversed windows: ascending
+        # index i of the (trimmed) quotient is the exponent v_q + i
+        q, _ = _divmod_arrays(r[::-1], b[::-1], self.field.p)
+        return LaurentSeries(self.field, v_q + q.size - 1, q[::-1], v_q)
 
     def frobenius(self) -> "LaurentSeries":
         """self**p: exponents map to p*k, coefficients are Frobenius-fixed."""

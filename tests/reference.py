@@ -3,7 +3,9 @@
 Polynomials are sparse {exponent: coefficient} dicts over plain Python
 ints and every operation is schoolbook.  Nothing here touches the
 package under test; agreement between the two implementations is the
-point.
+point.  The one exception is `dense_expand`, the extraction engine in
+its original dense form: it runs on the package's Poly (checked against
+the dict arithmetic above) but shares no code with the engine.
 """
 from __future__ import annotations
 
@@ -110,3 +112,63 @@ def dict_coeffs(d: dict, p: int) -> list:
     for e, c in d.items():
         out[e] = c % p
     return out
+
+
+def _shift_pass(work: list, bar, start: int) -> None:
+    # one synthetic-division pass: work[start] becomes the next shifted
+    # coefficient, work[start+1:] the running quotient
+    for j in range(len(work) - 2, start - 1, -1):
+        work[j] = work[j] + bar * work[j + 1]
+
+
+def _height(coeffs: list) -> int:
+    return max(int(c.degree) for c in coeffs if not c.is_zero)
+
+
+def dense_expand(coeffs: list, m: int) -> tuple:
+    """First m partial quotients of the root of sum(coeffs[i] * x^i), by a
+    dense Taylor shift of p+1 Horner passes per step.  coeffs is a dense
+    ascending list of Poly with a nonzero last entry and at least two
+    entries.
+
+    Returns ("done", quotients, rational_value, max_coeff_degree,
+    coeff_degree_bound), ("abort", step, emitted, bar) when a quotient of
+    degree < 1 comes up, or ("guard", message) when the working equation
+    outgrows its degree bound.
+    """
+    base_height = _height(coeffs)
+    emitted: list = []
+    degree_sum = 0
+    max_seen = base_height
+    rational_value = None
+    current = list(coeffs)
+    for step in range(1, m + 1):
+        bar = -(current[-2] // current[-1])
+        work = list(current)
+        _shift_pass(work, bar, 0)
+        if work[0].is_zero:
+            rational_value = bar
+            if bar.degree >= 1:
+                emitted.append(bar)
+                degree_sum += int(bar.degree)
+            break
+        if bar.degree < 1:
+            return ("abort", step, emitted, bar)
+        emitted.append(bar)
+        degree_sum += int(bar.degree)
+        if step == m:
+            break
+        for i in range(1, len(work) - 1):
+            _shift_pass(work, bar, i)
+        current = work[::-1]
+        height = _height(current)
+        max_seen = max(max_seen, height)
+        bound = base_height + (len(current) - 1) * degree_sum
+        if height > bound:
+            return (
+                "guard",
+                f"coefficient degree {height} exceeded the bound {bound} "
+                f"after step {step}",
+            )
+    bound = base_height + (len(coeffs) - 1) * degree_sum
+    return ("done", emitted, rational_value, max_seen, bound)

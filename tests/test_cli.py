@@ -152,6 +152,39 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "--p", "3", "--steps", "5")
         assert code == 2
 
+    def test_jobs_capped_at_triples_and_cpus(self, capsys, monkeypatch):
+        requested = []
+
+        class FakePool:
+            # records the pool size and runs the jobs inline
+            def __init__(self, max_workers):
+                requested.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", FakePool)
+        for cpus, want in ((64, 5), (2, 2)):
+            monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+            code, out, _ = run(
+                capsys, "verify", "--p", "3", "--grid", "--steps", "10", "--jobs", "64"
+            )
+            assert code == 0 and len(out) == 5
+            assert requested.pop() == want
+
+    def test_jobs_below_one_rejected(self, capsys):
+        code, _, err = run(
+            capsys, "verify", "--p", "3", "--u", "1,1,1", "--steps", "5", "--jobs", "0"
+        )
+        assert code == 2
+        assert "jobs must be >= 1" in err
+
 
 class TestIdentities:
     @pytest.mark.parametrize("p", ("3", "13"))

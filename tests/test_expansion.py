@@ -18,10 +18,12 @@ from hypercf import (
     next_step,
     pattern,
     pattern_equation,
+    pattern_position,
     rational_to_cf,
 )
 
 from conftest import FIELDS, polys
+from reference import dense_expand
 
 
 def _linear_equation(num: Poly, den: Poly) -> BiPoly:
@@ -30,6 +32,15 @@ def _linear_equation(num: Poly, den: Poly) -> BiPoly:
 
 
 class TestBiPoly:
+    def test_dense_and_sparse_construction_agree(self):
+        K = FIELDS[5]
+        T = K.T
+        dense = BiPoly(K, [T, Poly(K, ()), Poly(K, ()), 2 * T])
+        sparse = BiPoly(K, {3: 2 * T, 0: T, 1: Poly(K, ())})
+        assert dense == sparse and hash(dense) == hash(sparse)
+        assert dense.coefficient(1) == Poly(K, ()) and dense.coefficient(7) == Poly(K, ())
+        assert repr(sparse) == "(2*t)*x^3 + (t)"
+
     def test_trims_leading_zeros(self):
         K = FIELDS[5]
         eq = BiPoly(K, [K.T, Poly(K, (1,)), Poly(K, ()), Poly(K, ())])
@@ -83,6 +94,60 @@ class TestNextStep:
             bar, eq = next_step(eq)
             collected.append(bar)
         assert PartialQuotients(collected) == expand(pattern_equation(spec), 9).quotients
+
+    def test_p11_step_keeps_hyperquadratic_support(self):
+        K = FIELDS[11]
+        eq = pattern_equation(build_spec(K, (3, 5, 7)))
+        for _ in range(pattern_position(11, 1) + 1):
+            _, eq = next_step(eq)
+            assert sorted(eq.terms) == [0, 1, 11, 12]
+
+
+def _engine_outcome(equation: BiPoly, m: int) -> tuple:
+    """expand's result in the shape returned by reference.dense_expand."""
+    try:
+        run = expand(equation, m)
+    except NoAdmissibleQuotientError as err:
+        return ("abort", err.step, list(err.emitted), err.bar)
+    except RuntimeError as err:
+        return ("guard", str(err))
+    assert run.rational == (run.rational_value is not None)
+    return (
+        "done",
+        list(run.quotients),
+        run.rational_value,
+        run.max_coeff_degree,
+        run.coeff_degree_bound,
+    )
+
+
+def _dense_outcome(equation: BiPoly, m: int) -> tuple:
+    dense = [equation.coefficient(i) for i in range(equation.degree_x + 1)]
+    return dense_expand(dense, m)
+
+
+class TestAgainstDenseEngine:
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_pattern_equations(self, data):
+        p = data.draw(st.sampled_from((3, 5, 7, 11, 13)))
+        u = data.draw(st.tuples(*[st.integers(1, p - 1)] * 3))
+        steps = data.draw(st.integers(1, pattern_position(p, 1) + 6))
+        eq = pattern_equation(build_spec(FIELDS[p], u))
+        assert _engine_outcome(eq, steps) == _dense_outcome(eq, steps)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_random_dense_equations(self, data):
+        p = data.draw(st.sampled_from((3, 5, 7, 11)))
+        deg_x = data.draw(st.integers(1, 6))
+        zero = Poly(FIELDS[p], ())
+        lower = data.draw(
+            st.lists(st.one_of(st.just(zero), polys(p, 0, 3)),
+                     min_size=deg_x, max_size=deg_x)
+        )
+        eq = BiPoly(FIELDS[p], lower + [data.draw(polys(p, 0, 3))])
+        assert _engine_outcome(eq, 15) == _dense_outcome(eq, 15)
 
 
 class TestExpand:
