@@ -4,7 +4,6 @@ series, continuant machinery, a partial-quotient extraction engine, the
 block-pattern builders, and degree analytics.
 """
 from .algebra import (
-    KARATSUBA_THRESHOLD,
     NEG_INFINITY,
     FieldElement,
     Poly,
@@ -61,7 +60,6 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     "NEG_INFINITY",
-    "KARATSUBA_THRESHOLD",
     "is_prime",
     "PrimeField",
     "FieldElement",

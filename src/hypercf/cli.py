@@ -54,6 +54,14 @@ class RunConfig:
             raise ValueError("steps must be >= 1")
         if getattr(args, "jobs", 1) < 1:
             raise ValueError("jobs must be >= 1")
+        # requests that would check nothing and still report success
+        if getattr(args, "k", 1) < 1:
+            raise ValueError("k must be >= 1")
+        if getattr(args, "fib_count", 1) < 1:
+            raise ValueError("fib-count must be >= 1")
+        order = getattr(args, "order", None)
+        if order is not None and order >= 0:
+            raise ValueError("order must be < 0: residuals are certified below t^0")
         u = getattr(args, "u", None)
         if isinstance(u, list):  # verify accumulates triples; validate each
             for triple in u:
@@ -71,7 +79,7 @@ class RunConfig:
             u=u,
             u1=u1,
             steps=steps,
-            order=getattr(args, "order", None),
+            order=order,
             equation_file=getattr(args, "equation_file", None),
         )
 

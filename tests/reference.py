@@ -3,11 +3,15 @@
 Polynomials are sparse {exponent: coefficient} dicts over plain Python
 ints and every operation is schoolbook.  Nothing here touches the
 package under test; agreement between the two implementations is the
-point.  The one exception is `dense_expand`, the extraction engine in
-its original dense form: it runs on the package's Poly (checked against
-the dict arithmetic above) but shares no code with the engine.
+point.  The exceptions are `dense_expand`, the extraction engine in
+its original dense form, which runs on the package's Poly (checked
+against the dict arithmetic above) but shares no code with the engine,
+and `schoolbook_divmod`, the package's former coefficient-by-coefficient
+division loop on numpy arrays, kept as the oracle for Newton division.
 """
 from __future__ import annotations
+
+import numpy as np
 
 
 def rnorm(d: dict, p: int) -> dict:
@@ -53,6 +57,28 @@ def rdivmod(a: dict, b: dict, p: int):
         q[dr - db] = c
         r = rsub(r, rmul({dr - db: c}, b, p), p)
     return rnorm(q, p), r
+
+
+def schoolbook_divmod(a: np.ndarray, b: np.ndarray, p: int):
+    """Long division of ascending int64 coefficient arrays, one quotient
+    coefficient per pass; b's last entry must be nonzero.  Returns (q, r)
+    without trailing zeros."""
+    def trim(arr):
+        nz = np.nonzero(arr)[0]
+        return arr[: nz[-1] + 1] if nz.size else arr[:0]
+
+    if a.size < b.size:
+        return a[:0], trim(a)
+    inv = pow(int(b[-1]), p - 2, p)
+    r = a.astype(np.int64) % p
+    qlen = a.size - b.size + 1
+    q = np.zeros(qlen, dtype=np.int64)
+    for i in range(qlen - 1, -1, -1):
+        c = int(r[i + b.size - 1]) * inv % p
+        if c:
+            q[i] = c
+            r[i : i + b.size] = (r[i : i + b.size] - c * b) % p
+    return trim(q), trim(r[: b.size - 1])
 
 
 def rpow(a: dict, k: int, p: int) -> dict:

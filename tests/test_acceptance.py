@@ -96,14 +96,14 @@ def test_criterion_3_tail_relation_residual():
         K = PrimeField(p)
         steps = verification_steps(p)
         for u in VERIFICATION_TRIPLES[p]:
-            rep = verify_pattern(build_spec(K, u), steps, order=-60)
+            rep = verify_pattern(build_spec(K, u), steps)
             res = rep.tail_relation_residual
             assert res.zero_to_floor, f"p={p} u={u}: nonzero residual"
-            assert res.floor <= -50, f"p={p} u={u}: floor {res.floor}"
+            assert res.floor <= -170, f"p={p} u={u}: floor {res.floor}"
             worst = max(worst, res.floor)
     report(
         f"ACCEPTANCE 3: PASS - alpha^p - 4*u1*u3*F*alpha_4 - u1*R vanishes "
-        f"to its floor (<= -50, worst {worst}) for p in 3,5,7"
+        f"to its floor (<= -170, worst {worst}) for p in 3,5,7"
     )
 
 
@@ -113,10 +113,10 @@ def test_criterion_4_equation_root_residual():
         K = PrimeField(p)
         steps = verification_steps(p)
         for u in VERIFICATION_TRIPLES[p]:
-            rep = verify_pattern(build_spec(K, u), steps, order=-60)
+            rep = verify_pattern(build_spec(K, u), steps)
             res = rep.equation_residual
             assert res.zero_to_floor, f"p={p} u={u}: nonzero residual"
-            assert res.floor <= -50, f"p={p} u={u}: floor {res.floor}"
+            assert res.floor <= -170, f"p={p} u={u}: floor {res.floor}"
             worst = max(worst, res.floor)
     report(
         f"ACCEPTANCE 4: PASS - the degree-(p+1) equation vanishes at the "

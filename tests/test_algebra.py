@@ -2,14 +2,14 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hypercf import NEG_INFINITY, Poly, PrimeField, is_prime
-from hypercf.algebra import _convolve, _karatsuba
+from hypercf import NEG_INFINITY, Poly, PrimeField, algebra, is_prime
+from hypercf.algebra import _convolve, _divmod_arrays, _fft_product, _mul_arrays, _trim
 
 from conftest import FIELDS, polys
-from reference import poly_dict, rdivmod, rmul
+from reference import poly_dict, rdivmod, rmul, schoolbook_divmod
 
 
 class TestPrimeField:
@@ -173,14 +173,78 @@ class TestRendering:
 
 
 class TestMultiplicationPaths:
-    def test_karatsuba_matches_convolution(self):
-        rng = np.random.default_rng(7)
-        p = 7
-        for n, m in ((600, 600), (1200, 37), (700, 1500), (513, 514)):
+    @pytest.mark.parametrize("p", (3, 5, 7, 11, 13))
+    def test_fft_matches_convolution(self, p):
+        rng = np.random.default_rng(p)
+        t = algebra._FFT_MIN_LEN
+        for n, m in ((t - 1, t - 1), (t - 1, 900), (t, t), (t, 5 * t + 3),
+                     (1200, 37), (700, 1500), (3001, 3001)):
             a = rng.integers(0, p, n).astype(np.int64)
             b = rng.integers(0, p, m).astype(np.int64)
             a[-1] = b[-1] = 1
-            assert np.array_equal(_karatsuba(a, b, p), _convolve(a, b, p))
+            exact = _trim(_convolve(a, b, p))
+            assert np.array_equal(_fft_product(a, b, p), exact)
+            assert np.array_equal(_mul_arrays(a, b, p), exact)
+            square = _trim(_convolve(a, a, p))
+            assert np.array_equal(_mul_arrays(a, a, p), square)
+
+    @pytest.mark.parametrize("p", (3, 5, 7, 11, 13))
+    def test_fft_long_constant_operands(self, p):
+        # all-(p-1) operands of length n: coefficient k of the product is
+        # (p-1)^2 * (number of pairs i + j = k), known in closed form
+        n = 1 << 15
+        a = np.full(n, p - 1, dtype=np.int64)
+        k = np.arange(2 * n - 1)
+        expected = (np.minimum(k, 2 * n - 2 - k) + 1) % p * ((p - 1) ** 2 % p) % p
+        assert np.array_equal(_fft_product(a, a.copy(), p), expected)
+        assert np.array_equal(_mul_arrays(a, a, p), _trim(expected))
+
+    def test_fft_at_exactness_bound(self):
+        # (p-1)^2 * len at 0.998 of the bound, operands at the largest
+        # residue and at the largest balanced magnitude
+        p, n = 4093, 4096
+        assert 0.99 * algebra._FFT_EXACT_BOUND < (p - 1) ** 2 * n <= algebra._FFT_EXACT_BOUND
+        for value in (p - 1, (p - 1) // 2):
+            a = np.full(n, value, dtype=np.int64)
+            out = _fft_product(a, a.copy(), p)
+            assert out is not None
+            assert np.array_equal(out, _convolve(a, a, p))
+
+    def test_rounding_error_is_caught(self):
+        # far beyond the exactness bound (5e5 times) but with coefficients
+        # still below 2^53, the rounding residual reaches about 0.07: the
+        # check must refuse the product and the exact path must take over
+        p = 4194301
+        rng = np.random.default_rng(4)
+        a = rng.integers(0, p, 2000).astype(np.int64)
+        b = rng.integers(0, p, 2000).astype(np.int64)
+        assert _fft_product(a, b, p) is None
+        assert np.array_equal(_mul_arrays(a, b, p), _trim(_convolve(a, b, p)))
+
+    def test_residual_tripwire_falls_back_to_convolution(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        p = 7
+        a = rng.integers(1, p, 500).astype(np.int64)
+        b = rng.integers(1, p, 700).astype(np.int64)
+        exact = _trim(_convolve(a, b, p))
+        calls = []
+        monkeypatch.setattr(algebra, "_FFT_TRIPWIRE", -1.0)
+        monkeypatch.setattr(
+            algebra, "_convolve", lambda *args: calls.append(1) or _convolve(*args)
+        )
+        assert _fft_product(a, b, p) is None
+        assert np.array_equal(_mul_arrays(a, b, p), exact)
+        assert calls == [1]
+
+    def test_modulus_beyond_bound_skips_fft(self, monkeypatch):
+        p = 1_000_003
+        rng = np.random.default_rng(9)
+        a = rng.integers(0, p, 300).astype(np.int64)
+        b = rng.integers(0, p, 300).astype(np.int64)
+        a[-1] = b[-1] = 1
+        monkeypatch.setattr(algebra, "_fft_product", lambda *args: pytest.fail("FFT used"))
+        prod = Poly(PrimeField(p), a) * Poly(PrimeField(p), b)
+        assert np.array_equal(prod.coeffs, _trim(_convolve(a, b, p)))
 
     def test_large_modulus_stays_exact(self):
         K = PrimeField((1 << 61) - 1)
@@ -189,6 +253,41 @@ class TestMultiplicationPaths:
         b = Poly(K, rng.integers(0, K.p, 45, dtype=np.int64).tolist())
         prod = a * b
         assert poly_dict(prod) == rmul(poly_dict(a), poly_dict(b), K.p)
+
+
+class TestNewtonDivision:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        p=st.sampled_from((3, 5, 7, 11, 13)),
+        a=st.lists(st.integers(0, 12), max_size=90),
+        b=st.lists(st.integers(0, 12), min_size=1, max_size=40),
+        lead=st.integers(1, 12),
+    )
+    @example(p=7, a=[1, 2, 3], b=[4, 5, 6, 0, 1], lead=3)  # a.size < b.size
+    @example(p=5, a=[1, 2, 3, 4, 0, 1], b=[], lead=3)  # len(b) = 1
+    @example(p=11, a=list(range(11)), b=[3, 0, 9], lead=7)  # non-monic
+    @example(p=13, a=list(range(1, 60)), b=[2, 5], lead=4)  # qlen > len(b)
+    def test_matches_schoolbook(self, p, a, b, lead):
+        a = np.array(a, dtype=np.int64) % p
+        b = np.array(b + [lead], dtype=np.int64) % p
+        b[-1] = b[-1] or 1
+        q, r = _divmod_arrays(_trim(a), b, p)
+        rq, rr = schoolbook_divmod(_trim(a), b, p)
+        assert np.array_equal(q, rq) and np.array_equal(_trim(r), rr)
+
+    @pytest.mark.parametrize("p", (3, 13))
+    def test_long_operands_match_schoolbook(self, p):
+        # quotient and divisor long enough for the FFT inside every
+        # Newton step and the remainder product
+        rng = np.random.default_rng(p)
+        for n, m in ((4000, 300), (2500, 1900), (3000, 1)):
+            a = rng.integers(0, p, n).astype(np.int64)
+            b = rng.integers(0, p, m).astype(np.int64)
+            a[-1] = 1
+            b[-1] = p - 2
+            q, r = _divmod_arrays(a, b, p)
+            rq, rr = schoolbook_divmod(a, b, p)
+            assert np.array_equal(q, rq) and np.array_equal(r, rr)
 
 
 @pytest.mark.parametrize("p", (3, 5, 7))

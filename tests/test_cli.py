@@ -185,6 +185,22 @@ class TestVerify:
         assert code == 2
         assert "jobs must be >= 1" in err
 
+    @pytest.mark.parametrize("order", ("0", "100"))
+    def test_nonnegative_order_rejected(self, capsys, order):
+        code, out, err = run(
+            capsys, "verify", "--p", "3", "--u", "1,1,1", "--steps", "21",
+            "--order", order,
+        )
+        assert code == 2 and out == []
+        assert "order must be < 0" in err
+
+    def test_negative_order_accepted(self, capsys):
+        code, out, _ = run(
+            capsys, "verify", "--p", "3", "--u", "1,1,1", "--steps", "21",
+            "--order", "-1",
+        )
+        assert code == 0 and "verified" in out[0]
+
 
 class TestIdentities:
     @pytest.mark.parametrize("p", ("3", "13"))
@@ -198,6 +214,17 @@ class TestIdentities:
         assert code == 0
         payload = json.loads(out[0])
         assert payload["verified"] is True
+
+    @pytest.mark.parametrize("count", ("0", "-3"))
+    def test_vacuous_fib_count_rejected(self, capsys, count):
+        code, out, err = run(capsys, "identities", "--p", "5", "--fib-count", count)
+        assert code == 2 and out == []
+        assert "fib-count must be >= 1" in err
+
+    def test_fib_count_one_checked(self, capsys):
+        code, out, _ = run(capsys, "identities", "--p", "5", "--fib-count", "1")
+        assert code == 0
+        assert out[-1] == "cf(f_n/f_(n-1)) = [t]*n for n <= 1: ok"
 
 
 class TestMeasure:
@@ -218,3 +245,9 @@ class TestMeasure:
         assert payload["big_positions"] == [[1, 5, 5], [2, 10, 17], [3, 21, 53]]
         assert payload["verified"] is True
         assert cli.render_json(payload) == out[0]
+
+    @pytest.mark.parametrize("k", ("0", "-2"))
+    def test_vacuous_k_rejected(self, capsys, k):
+        code, out, err = run(capsys, "measure", "--p", "7", "--k", k)
+        assert code == 2 and out == []
+        assert "k must be >= 1" in err
