@@ -236,13 +236,7 @@ def _cmd_verify(args) -> int:
     all_ok = all(r["verified"] for r in results)
     if args.format == "json":
         for r in results:
-            out = {
-                "p": r["p"],
-                "u": r["u"],
-                "verified": r["verified"],
-                "residual_order": r["residual_order"],
-            }
-            print(render_json(out))
+            print(render_json(r))
     else:
         for r in results:
             u = tuple(r["u"])

@@ -194,14 +194,19 @@ class LaurentSeries:
                 self.valid_order,
             )
         self._check(other)
+        top = self._nominal_top + other._nominal_top
         v = max(
             self.valid_order + other._nominal_top,
             other.valid_order + self._nominal_top,
         )
         if self.coeffs.size == 0 or other.coeffs.size == 0:
             return LaurentSeries.zero(self.field, v)
-        full = _mul_arrays(self.coeffs[::-1], other.coeffs[::-1], self.field.p)[::-1]
-        top = self._nominal_top + other._nominal_top
+        # a term of exponent e reaches the floor v only if e >= v - (the
+        # other factor's top), which leaves top - v + 1 terms of each factor
+        keep = top - v + 1
+        full = _mul_arrays(
+            self.coeffs[:keep][::-1], other.coeffs[:keep][::-1], self.field.p
+        )[::-1]
         return LaurentSeries(self.field, top, full, v)
 
     __rmul__ = __mul__

@@ -6,8 +6,11 @@ package under test; agreement between the two implementations is the
 point.  The exceptions are `dense_expand`, the extraction engine in
 its original dense form, which runs on the package's Poly (checked
 against the dict arithmetic above) but shares no code with the engine,
-and `schoolbook_divmod`, the package's former coefficient-by-coefficient
-division loop on numpy arrays, kept as the oracle for Newton division.
+`schoolbook_divmod`, the package's former coefficient-by-coefficient
+division loop on numpy arrays, kept as the oracle for Newton division,
+and `untrimmed_series_mul`, the package's former series product, which
+multiplies whole windows on the package's kernel and is the oracle for
+the product that trims its factors first.
 """
 from __future__ import annotations
 
@@ -79,6 +82,20 @@ def schoolbook_divmod(a: np.ndarray, b: np.ndarray, p: int):
             q[i] = c
             r[i : i + b.size] = (r[i : i + b.size] - c * b) % p
     return trim(q), trim(r[: b.size - 1])
+
+
+def untrimmed_series_mul(a, b):
+    """a*b for two package LaurentSeries: both whole windows multiplied,
+    then cut at the floor max(V_a + top_b, V_b + top_a)."""
+    from hypercf.algebra import _mul_arrays
+
+    top_a = a.valid_order + a.coeffs.size - 1
+    top_b = b.valid_order + b.coeffs.size - 1
+    v = max(a.valid_order + top_b, b.valid_order + top_a)
+    if a.coeffs.size == 0 or b.coeffs.size == 0:
+        return type(a).zero(a.field, v)
+    full = _mul_arrays(a.coeffs[::-1], b.coeffs[::-1], a.field.p)[::-1]
+    return type(a)(a.field, top_a + top_b, full, v)
 
 
 def rpow(a: dict, k: int, p: int) -> dict:

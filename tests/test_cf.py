@@ -4,14 +4,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hypercf.algebra as algebra
 from hypercf import (
     InsufficientPrecisionError,
     PartialQuotients,
     Poly,
+    build_spec,
     cf_to_series,
     continuants,
     convergent_validity_floor,
     fibonacci_poly,
+    pattern,
+    pattern_position,
     rational_to_cf,
     series_from_rational,
 )
@@ -93,6 +97,66 @@ class TestContinuants:
         for pair, (rx, ry) in zip(ours, ref):
             assert poly_dict(pair.x) == rx
             assert poly_dict(pair.y) == ry
+
+
+class TestContinuantChecks:
+    # eight quotients: 14 products in the recurrence, 2 in the final check
+    QUOTIENTS = 8
+
+    def _stream(self):
+        K = FIELDS[7]
+        T = K.T
+        return PartialQuotients(
+            [(n % 6 + 1) * T ** (n % 3 + 1) + n for n in range(self.QUOTIENTS)]
+        )
+
+    @pytest.mark.parametrize("k", range(1, 2 * QUOTIENTS + 1))
+    def test_single_faulty_product_is_caught(self, monkeypatch, k):
+        pqs = self._stream()
+        exact = algebra._mul_arrays
+        calls = []
+
+        def faulty(a, b, p):
+            # the k-th product comes back off by one in its constant term
+            out = exact(a, b, p)
+            calls.append(1)
+            if len(calls) == k:
+                out = out.copy()
+                out[0] = (out[0] + 1) % p
+            return out
+
+        monkeypatch.setattr(algebra, "_mul_arrays", faulty)
+        with pytest.raises(RuntimeError, match=f"n={self.QUOTIENTS}"):
+            continuants(pqs)
+        assert len(calls) == 2 * self.QUOTIENTS
+
+    def test_two_products_per_quotient(self, monkeypatch):
+        # the recurrence needs two products per step and the final check two
+        # more; a determinant check at every step would double that
+        pqs = pattern(build_spec(FIELDS[7], (2, 4, 5)), 65)
+        exact = algebra._mul_arrays
+        calls = []
+
+        def counting(a, b, p):
+            calls.append(1)
+            return exact(a, b, p)
+
+        monkeypatch.setattr(algebra, "_mul_arrays", counting)
+        continuants(pqs)
+        assert len(calls) <= 2 * len(pqs)
+
+    @pytest.mark.parametrize("p, u, k", [(7, (2, 4, 5), 3), (11, (3, 10, 5), 2)])
+    def test_pattern_streams(self, p, u, k):
+        # the stream through its k-th large quotient, n_k
+        count = pattern_position(p, k)
+        pqs = pattern(build_spec(FIELDS[p], u), count)
+        assert len(pqs) == count
+        last = continuants(pqs)[-1]
+        rx, ry = rcontinuants([poly_dict(a) for a in pqs], p)[-1]
+        assert last.n == count
+        assert poly_dict(last.x) == rx
+        assert poly_dict(last.y) == ry
+        assert rational_to_cf(last.x, last.y) == pqs
 
 
 class TestRationalToCf:

@@ -148,6 +148,31 @@ class TestVerify:
             assert payload["verified"] is True
             assert cli.render_json(payload) == line
 
+    def test_json_carries_mismatch_record(self, capsys):
+        code, out, _ = run(
+            capsys, "verify", "--p", "7", "--u", "2,4,5", "--steps", "65",
+            "--r-convention", "tp", "--format", "json",
+        )
+        assert code == 1
+        (payload,) = [json.loads(line) for line in out]
+        assert payload["verified"] is False
+        assert payload["match"] is False
+        assert payload["steps"] == 65
+        assert payload["engine_aborted"] is False
+        assert isinstance(payload["first_mismatch"], int)
+        assert 1 <= payload["first_mismatch"] <= 4
+
+    def test_json_rows_match_text_rows(self, capsys):
+        argv = ("verify", "--p", "5", "--grid", "--steps", "39")
+        _, text, _ = run(capsys, *argv)
+        _, rows, _ = run(capsys, *argv, "--format", "json")
+        for line, row in zip(text, map(json.loads, rows), strict=True):
+            assert row["match"] is True and row["first_mismatch"] is None
+            assert line == (
+                f"p={row['p']} u={tuple(row['u'])} steps={row['steps']}: verified, "
+                f"residuals zero to order {row['residual_order']}"
+            )
+
     def test_needs_parameters(self, capsys):
         code, _, err = run(capsys, "verify", "--p", "3", "--steps", "5")
         assert code == 2

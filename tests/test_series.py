@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,7 +11,7 @@ from hypothesis import strategies as st
 from hypercf import LaurentSeries, Poly, series_from_rational
 
 from conftest import FIELDS, polys
-from reference import poly_dict, rseries
+from reference import poly_dict, rseries, untrimmed_series_mul
 
 
 class TestFromRational:
@@ -240,3 +242,69 @@ class TestAgainstReference:
         s = series_from_rational(num, den, order)
         expected = rseries(poly_dict(num), poly_dict(den), p, order)
         assert s.terms() == expected
+
+
+def _assert_same_series(got, want):
+    assert got.valid_order == want.valid_order
+    assert got.top_degree == want.top_degree
+    assert np.array_equal(got.coeffs, want.coeffs)
+
+
+def _random_series(data, K, top, floor):
+    size = max(0, top - floor + 1)
+    coeffs = data.draw(st.lists(st.integers(0, K.p - 1), min_size=size, max_size=size))
+    return LaurentSeries(K, top, coeffs, floor)
+
+
+class TestTrimmedProduct:
+    """The product multiplies only the terms that reach its floor; the
+    untrimmed product of whole windows is the oracle."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_matches_untrimmed(self, data):
+        p = data.draw(st.sampled_from((3, 5, 7, 11, 13)))
+        K = FIELDS[p]
+        top_a = data.draw(st.integers(-20, 20))
+        a = _random_series(data, K, top_a, top_a - data.draw(st.integers(-1, 300)))
+        top_b = data.draw(st.integers(-20, 20))
+        # floors from equal to far apart, and empty windows (length 0)
+        b = _random_series(data, K, top_b, top_b - data.draw(st.integers(-1, 300)))
+        for x, y in ((a, b), (b, a)):
+            _assert_same_series(x * y, untrimmed_series_mul(x, y))
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_deep_polynomial_factor(self, data):
+        # Horner's first product in eval_at_series: a short polynomial
+        # padded to a floor ten times deeper than the series it multiplies
+        p = data.draw(st.sampled_from((3, 5, 7, 11, 13)))
+        K = FIELDS[p]
+        depth = data.draw(st.integers(1, 40))
+        poly = data.draw(polys(p, 0, 12))
+        alpha = _random_series(data, K, data.draw(st.integers(-3, 3)), -depth)
+        padded = LaurentSeries.from_poly(poly, -10 * depth)
+        _assert_same_series(padded * alpha, untrimmed_series_mul(padded, alpha))
+        _assert_same_series(alpha * padded, untrimmed_series_mul(alpha, padded))
+
+    @pytest.mark.parametrize("p", (3, 13))
+    def test_zero_to_floor_factor(self, p):
+        K = FIELDS[p]
+        zero = LaurentSeries.zero(K, -50)
+        other = LaurentSeries.from_poly(K.T ** 3 + 1, -500)
+        for x, y in ((zero, other), (other, zero)):
+            got = x * y
+            _assert_same_series(got, untrimmed_series_mul(x, y))
+            assert got.is_zero_to_floor
+
+    @pytest.mark.parametrize("p", (7, 13))
+    def test_long_windows(self, p):
+        # windows long enough that both products take the FFT kernel
+        K = FIELDS[p]
+        rng = random.Random(p)
+        a = LaurentSeries(K, 5, [rng.randrange(1, p) for _ in range(3000)], -2994)
+        b = LaurentSeries(K, 2, [rng.randrange(p) for _ in range(400)], -397)
+        poly = Poly(K, [rng.randrange(p) for _ in range(30)] + [1])
+        padded = LaurentSeries.from_poly(poly, -30000)
+        for x, y in ((a, b), (b, a), (padded, a), (a, padded)):
+            _assert_same_series(x * y, untrimmed_series_mul(x, y))
