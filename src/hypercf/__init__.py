@@ -20,7 +20,6 @@ from .analytics import (
     profile_from_degrees,
 )
 from .cf import (
-    ConvergentPair,
     PartialQuotients,
     cf_to_series,
     continuants,
@@ -36,7 +35,6 @@ from .construction import (
     build_Pn,
     build_spec,
     check_identities,
-    default_verification_order,
     fibonacci_poly,
     mills_robbins_equation,
     mills_robbins_u2,
@@ -68,7 +66,6 @@ __all__ = [
     "series_from_rational",
     "InsufficientPrecisionError",
     "PartialQuotients",
-    "ConvergentPair",
     "continuants",
     "rational_to_cf",
     "cf_to_series",
@@ -94,7 +91,6 @@ __all__ = [
     "ResidualSummary",
     "PatternVerification",
     "verify_pattern",
-    "default_verification_order",
     "closed_forms",
     "nu",
     "DegreeProfile",

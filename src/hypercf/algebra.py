@@ -83,9 +83,6 @@ class PrimeField:
     def __call__(self, value: Union[int, "FieldElement"]) -> "FieldElement":
         return FieldElement(self, value)
 
-    def element(self, value: Union[int, "FieldElement"]) -> "FieldElement":
-        return FieldElement(self, value)
-
     @property
     def zero(self) -> "FieldElement":
         return FieldElement(self, 0)
@@ -97,9 +94,6 @@ class PrimeField:
     @property
     def T(self) -> "Poly":
         return Poly(self, (0, 1))
-
-    def poly(self, coeffs: Iterable[Union[int, "FieldElement"]]) -> "Poly":
-        return Poly(self, coeffs)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, PrimeField) and other.p == self.p

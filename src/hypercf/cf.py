@@ -7,15 +7,13 @@ quotient, matching the continuant initial conditions x_1 = a_1, y_1 = 1.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Optional
+from typing import Iterable, Iterator, List, Optional, Tuple
 
 from .algebra import Poly
 from .series import InsufficientPrecisionError, LaurentSeries, series_from_rational
 
 __all__ = [
     "PartialQuotients",
-    "ConvergentPair",
     "continuants",
     "rational_to_cf",
     "cf_to_series",
@@ -89,18 +87,11 @@ class PartialQuotients:
         return f"[{inner}]"
 
 
-@dataclass(frozen=True)
-class ConvergentPair:
-    """Continuant pair (x_n, y_n) of the n-th convergent x_n/y_n."""
-
-    x: Poly
-    y: Poly
-    n: int
-
-
-def continuants(pqs: PartialQuotients) -> List[ConvergentPair]:
-    """Convergent pairs for n = 1..N via K_n = a_n*K_{n-1} + K_{n-2},
-    from (x_1, x_0) = (a_1, 1) and (y_1, y_0) = (1, 0).
+def continuants(pqs: PartialQuotients) -> Tuple[Poly, Poly, Poly, Poly]:
+    """The final convergent pair and its predecessor, (x_N, y_N, x_{N-1},
+    y_{N-1}), via K_n = a_n*K_{n-1} + K_{n-2} from (x_1, x_0) = (a_1, 1)
+    and (y_1, y_0) = (1, 0).  Only the pair in flight is kept, so memory
+    stays at the size of the last convergent whatever N is.
 
     The determinant identity x_n*y_{n-1} - x_{n-1}*y_n = (-1)^n is checked
     once, on the final pair, and a failure raises RuntimeError.  That one
@@ -115,15 +106,13 @@ def continuants(pqs: PartialQuotients) -> List[ConvergentPair]:
     field = pqs.items[0].field
     x_prev, y_prev = Poly(field, (1,)), Poly(field, ())
     x, y = pqs.items[0], Poly(field, (1,))
-    out = [ConvergentPair(x, y, 1)]
-    for n, a in enumerate(pqs.items[1:], start=2):
+    for a in pqs.items[1:]:
         x, x_prev = a * x + x_prev, x
         y, y_prev = a * y + y_prev, y
-        out.append(ConvergentPair(x, y, n))
-    n = len(out)
+    n = len(pqs.items)
     if x * y_prev - x_prev * y != Poly(field, ((-1) ** n,)):
         raise RuntimeError(f"determinant identity failed at n={n}")
-    return out
+    return x, y, x_prev, y_prev
 
 
 def rational_to_cf(num: Poly, den: Poly) -> PartialQuotients:
@@ -170,7 +159,7 @@ def cf_to_series(
     the deepest convergent.  With complete=True the list is the whole
     (finite) expansion and any order is allowed.
     """
-    conv = continuants(pqs)[-1]
+    x, y, _, _ = continuants(pqs)
     if not complete:
         floor = convergent_validity_floor(pqs)
         if order < floor:
@@ -178,4 +167,4 @@ def cf_to_series(
                 f"insufficient partial quotients for requested order {order} "
                 f"(floor is {floor})"
             )
-    return series_from_rational(conv.x, conv.y, order)
+    return series_from_rational(x, y, order)

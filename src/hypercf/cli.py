@@ -11,7 +11,6 @@ import concurrent.futures
 import json
 import os
 import sys
-from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from .algebra import Poly, PrimeField
@@ -30,57 +29,39 @@ from .construction import (
 from .expansion import BiPoly, NoAdmissibleQuotientError, expand
 from .grids import VERIFICATION_TRIPLES
 
-__all__ = ["main", "RunConfig", "render_json", "quotient_lines", "parse_equation_file"]
+__all__ = ["main", "render_json", "quotient_lines", "parse_equation_file"]
 
 
-@dataclass
-class RunConfig:
-    """Parameters of one CLI invocation, validated against the module
-    preconditions before any work starts."""
-
-    p: int
-    fmt: str
-    u: Optional[Tuple[int, int, int]] = None
-    u1: Optional[int] = None
-    steps: Optional[int] = None
-    order: Optional[int] = None
-    equation_file: Optional[str] = None
-
-    @classmethod
-    def from_args(cls, args) -> "RunConfig":
-        field = PrimeField(args.p)
-        steps = getattr(args, "steps", None)
-        if steps is not None and steps < 1:
-            raise ValueError("steps must be >= 1")
-        if getattr(args, "jobs", 1) < 1:
-            raise ValueError("jobs must be >= 1")
-        # requests that would check nothing and still report success
-        if getattr(args, "k", 1) < 1:
-            raise ValueError("k must be >= 1")
-        if getattr(args, "fib_count", 1) < 1:
-            raise ValueError("fib-count must be >= 1")
-        order = getattr(args, "order", None)
-        if order is not None and order >= 0:
-            raise ValueError("order must be < 0: residuals are certified below t^0")
-        u = getattr(args, "u", None)
-        if isinstance(u, list):  # verify accumulates triples; validate each
-            for triple in u:
-                Triple.from_ints(field, triple)
-            u = None
-        elif u is not None:
-            u = Triple.from_ints(field, u).as_ints()
-        u1 = getattr(args, "u1", None)
-        if u1 is not None:
-            mills_robbins_u2(field, u1)
-            u1 = u1 % field.p
-        return cls(
-            p=args.p,
-            fmt=args.format,
-            u=u,
-            u1=u1,
-            steps=steps,
-            order=order,
-            equation_file=getattr(args, "equation_file", None),
+def _validate_args(args) -> None:
+    """Check the parsed arguments against the module preconditions before
+    any work starts, and normalise `--u`/`--u1` to residues in place."""
+    field = PrimeField(args.p)
+    steps = getattr(args, "steps", None)
+    if steps is not None and steps < 1:
+        raise ValueError("steps must be >= 1")
+    if getattr(args, "jobs", 1) < 1:
+        raise ValueError("jobs must be >= 1")
+    # requests that would check nothing and still report success
+    if getattr(args, "k", 1) < 1:
+        raise ValueError("k must be >= 1")
+    if getattr(args, "fib_count", 1) < 1:
+        raise ValueError("fib-count must be >= 1")
+    order = getattr(args, "order", None)
+    if order is not None and order >= 0:
+        raise ValueError("order must be < 0: residuals are certified below t^0")
+    u = getattr(args, "u", None)
+    if isinstance(u, list):  # verify accumulates triples; validate each
+        for triple in u:
+            Triple.from_ints(field, triple)
+    elif u is not None:
+        args.u = Triple.from_ints(field, u).as_ints()
+    u1 = getattr(args, "u1", None)
+    if u1 is not None:
+        mills_robbins_u2(field, u1)
+        args.u1 = u1 % field.p
+    if args.command == "verify" and steps < 5:
+        raise ValueError(
+            "verify steps must be >= 5: fewer quotients leave no residual to certify"
         )
 
 
@@ -145,35 +126,30 @@ def _parse_triple(text: str) -> Tuple[int, int, int]:
         raise argparse.ArgumentTypeError("u components must be integers")
 
 
-def _field(p: int) -> PrimeField:
-    return PrimeField(p)
-
-
 # -- subcommand handlers -----------------------------------------------------
 
 def _cmd_expand(args) -> int:
-    config: RunConfig = args.config
-    field = _field(config.p)
-    if config.equation_file is not None:
-        equation = parse_equation_file(field, config.equation_file)
+    field = PrimeField(args.p)
+    if args.equation_file is not None:
+        equation = parse_equation_file(field, args.equation_file)
         u: Sequence[int] = []
-    elif config.u1 is not None:
-        equation = mills_robbins_equation(field, config.u1)
-        u = [config.u1]
-    elif config.u is not None:
-        spec = build_spec(field, config.u)
+    elif args.u1 is not None:
+        equation = mills_robbins_equation(field, args.u1)
+        u = [args.u1]
+    elif args.u is not None:
+        spec = build_spec(field, args.u)
         equation = pattern_equation(spec)
-        u = list(config.u)
+        u = list(args.u)
     else:
         raise ValueError("expand needs --u, --u1, or --equation-file")
-    result = expand(equation, config.steps)
+    result = expand(equation, args.steps)
     if result.rational:
         print(
             f"rational root reached after {len(result.quotients)} quotients",
             file=sys.stderr,
         )
-    if config.fmt == "json":
-        print(render_json(_quotients_payload(config.p, u, result.quotients)))
+    if args.format == "json":
+        print(render_json(_quotients_payload(args.p, u, result.quotients)))
     else:
         for line in quotient_lines(result.quotients):
             print(line)
@@ -181,12 +157,10 @@ def _cmd_expand(args) -> int:
 
 
 def _cmd_pattern(args) -> int:
-    config: RunConfig = args.config
-    field = _field(config.p)
-    spec = build_spec(field, config.u)
-    pqs = pattern(spec, config.steps)
-    if config.fmt == "json":
-        print(render_json(_quotients_payload(config.p, config.u, pqs)))
+    spec = build_spec(PrimeField(args.p), args.u)
+    pqs = pattern(spec, args.steps)
+    if args.format == "json":
+        print(render_json(_quotients_payload(args.p, args.u, pqs)))
     else:
         for line in quotient_lines(pqs):
             print(line)
@@ -258,7 +232,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_identities(args) -> int:
-    field = _field(args.p)
+    field = PrimeField(args.p)
     report = check_identities(field, fib_cf_limit=args.fib_count)
     if args.format == "json":
         print(
@@ -287,7 +261,7 @@ def _cmd_identities(args) -> int:
 
 
 def _cmd_measure(args) -> int:
-    field = _field(args.p)
+    field = PrimeField(args.p)
     measure = nu(field)
     payload = {
         "p": args.p,
@@ -388,7 +362,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        args.config = RunConfig.from_args(args)
+        _validate_args(args)
         return _HANDLERS[args.command](args)
     except (ValueError, ZeroDivisionError, NoAdmissibleQuotientError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)

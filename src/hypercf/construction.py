@@ -49,7 +49,6 @@ __all__ = [
     "ResidualSummary",
     "PatternVerification",
     "verify_pattern",
-    "default_verification_order",
 ]
 
 
@@ -207,13 +206,10 @@ def pattern_equation(spec: PatternSpec, r_override: Optional[Poly] = None) -> Bi
     pqs = PartialQuotients(
         (spec.u.u1 * T, spec.u.u2 * T, spec.u.u3 * T)
     )
-    conv = continuants(pqs)
-    x2, y2 = conv[1].x, conv[1].y
-    x3, y3 = conv[2].x, conv[2].y
     R = spec.R if r_override is None else r_override
     G = spec.F * (field(4) * u1 * u3)
     H = R * u1
-    return _eliminate_tail(field, G, H, x3, y3, x2, y2)
+    return _eliminate_tail(field, G, H, *continuants(pqs))
 
 
 def mills_robbins_u2(field: PrimeField, u1: Union[int, FieldElement]) -> FieldElement:
@@ -236,12 +232,9 @@ def mills_robbins_equation(field: PrimeField, u1: Union[int, FieldElement]) -> B
     u2 = mills_robbins_u2(field, u1)
     T = field.T
     pqs = PartialQuotients((u1 * T, u2 * T))
-    conv = continuants(pqs)
-    x1, y1 = conv[0].x, conv[0].y
-    x2, y2 = conv[1].x, conv[1].y
     F, R = _F_and_R(field)
     H = -(R * field(2).inverse())
-    return _eliminate_tail(field, F, H, x2, y2, x1, y1)
+    return _eliminate_tail(field, F, H, *continuants(pqs))
 
 
 def fibonacci_poly(field: PrimeField, n: int) -> Poly:
@@ -306,15 +299,10 @@ class ResidualSummary:
 
     floor: int
     zero_to_floor: bool
-    top_nonzero: Optional[int]
 
     @classmethod
     def of(cls, s: LaurentSeries) -> "ResidualSummary":
-        return cls(
-            floor=s.valid_order,
-            zero_to_floor=s.is_zero_to_floor,
-            top_nonzero=s.top_degree,
-        )
+        return cls(floor=s.valid_order, zero_to_floor=s.is_zero_to_floor)
 
 
 @dataclass
@@ -322,8 +310,6 @@ class PatternVerification:
     p: int
     u: Tuple[int, int, int]
     steps: int
-    order_requested: int
-    engine_quotients: int
     engine_aborted: bool
     match: bool
     first_mismatch: Optional[int]
@@ -340,13 +326,6 @@ class PatternVerification:
         return True
 
 
-def default_verification_order(pqs: PartialQuotients, p: int) -> int:
-    """Nominal inspection depth -4*p*(sum of quotient degrees).  Deeper
-    than the quotients can support, so in practice it clamps to the
-    convergent validity floor."""
-    return -4 * p * sum(pqs.degrees())
-
-
 def verify_pattern(
     spec: PatternSpec,
     steps: int,
@@ -357,14 +336,13 @@ def verify_pattern(
     measure both residuals from truncated series.
 
     Any mismatch lands in the report (with the first differing index);
-    nothing raises.  Requested orders deeper than the quotients support
-    are clamped to the achievable floor.
+    nothing raises.  With order=None each series is taken to its own
+    convergent validity floor; requested orders deeper than the quotients
+    support are clamped to that floor.
     """
     field = spec.field
     p = field.p
     predicted = pattern(spec, steps)
-    if order is None:
-        order = default_verification_order(predicted, p)
 
     equation = pattern_equation(spec, r_override=r_override)
     try:
@@ -384,10 +362,12 @@ def verify_pattern(
 
     tail_res = eq_res = None
     if steps >= 5:
-        alpha_order = max(order, convergent_validity_floor(predicted))
-        alpha = cf_to_series(predicted, alpha_order)
         tail = predicted.tail(4)
-        tail_order = max(order, convergent_validity_floor(tail))
+        alpha_order = convergent_validity_floor(predicted)
+        tail_order = convergent_validity_floor(tail)
+        if order is not None:
+            alpha_order, tail_order = max(order, alpha_order), max(order, tail_order)
+        alpha = cf_to_series(predicted, alpha_order)
         alpha4 = cf_to_series(tail, tail_order)
         scale = field(4) * spec.u.u1 * spec.u.u3
         floor_hint = min(alpha_order, tail_order) - p
@@ -405,8 +385,6 @@ def verify_pattern(
         p=p,
         u=spec.u.as_ints(),
         steps=steps,
-        order_requested=order,
-        engine_quotients=emitted_count,
         engine_aborted=aborted,
         match=match,
         first_mismatch=first_mismatch,

@@ -223,13 +223,10 @@ def test_criterion_9_randomized_property_suites():
 
         for _ in range(cases):
             pqs = PartialQuotients([rand_poly(1, 3) for _ in range(rng.randint(1, 6))])
-            pairs = continuants(pqs)
-            x_prev, y_prev = Poly(K, (1,)), Poly(K, ())
-            for pair in pairs:
-                assert pair.x * y_prev - x_prev * pair.y == Poly(K, ((-1) ** pair.n,))
-                x_prev, y_prev = pair.x, pair.y
-            conv = pairs[-1]
-            assert rational_to_cf(conv.x, conv.y) == pqs
+            for n in range(1, len(pqs) + 1):
+                x, y, x_prev, y_prev = continuants(pqs[:n])
+                assert x * y_prev - x_prev * y == Poly(K, ((-1) ** n,))
+            assert rational_to_cf(x, y) == pqs
 
         for _ in range(cases):
             a = rand_poly(0, 10)

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -55,48 +57,46 @@ class TestContinuants:
         for p, (u1, u2, u3) in ((7, (2, 4, 5)), (5, (1, 3, 2)), (3, (2, 2, 1))):
             K = FIELDS[p]
             T = K.T
-            conv = continuants(PartialQuotients([u1 * T, u2 * T, u3 * T]))
-            assert conv[2].x == (u1 * u2 * u3 % p) * T ** 3 + ((u1 + u3) % p) * T
-            assert conv[2].y == (u2 * u3 % p) * T ** 2 + 1
-            assert conv[1].x == (u1 * u2 % p) * T ** 2 + 1
-            assert conv[1].y == u2 * T
+            x3, y3, x2, y2 = continuants(PartialQuotients([u1 * T, u2 * T, u3 * T]))
+            assert x3 == (u1 * u2 * u3 % p) * T ** 3 + ((u1 + u3) % p) * T
+            assert y3 == (u2 * u3 % p) * T ** 2 + 1
+            assert x2 == (u1 * u2 % p) * T ** 2 + 1
+            assert y2 == u2 * T
 
     def test_initial_conditions(self):
         K = FIELDS[5]
-        conv = continuants(PartialQuotients([K.T]))
-        assert conv[0].x == K.T and conv[0].y == Poly(K, (1,))
-        assert conv[0].n == 1
+        x1, y1, x0, y0 = continuants(PartialQuotients([K.T]))
+        assert x1 == K.T and y1 == Poly(K, (1,))
+        assert x0 == Poly(K, (1,)) and y0 == Poly(K, ())
 
     def test_four_ts_at_p3(self):
         K = FIELDS[3]
         T = K.T
-        conv = continuants(PartialQuotients([T, T, T, T]))
-        assert conv[3].x == T ** 4 + 1
-        assert conv[3].y == T ** 3 + 2 * T
+        x4, y4, _, _ = continuants(PartialQuotients([T, T, T, T]))
+        assert x4 == T ** 4 + 1
+        assert y4 == T ** 3 + 2 * T
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
     def test_determinant_identity(self, data):
         p = data.draw(st.sampled_from((3, 5, 7)))
         pqs = data.draw(quotient_lists(p))
-        conv = continuants(pqs)
         K = FIELDS[p]
-        x_prev, y_prev = Poly(K, (1,)), Poly(K, ())
-        for pair in conv:
-            det = pair.x * y_prev - x_prev * pair.y
-            assert det == Poly(K, ((-1) ** pair.n,))
-            x_prev, y_prev = pair.x, pair.y
+        for n in range(1, len(pqs) + 1):
+            x, y, x_prev, y_prev = continuants(pqs[:n])
+            assert x * y_prev - x_prev * y == Poly(K, ((-1) ** n,))
 
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())
     def test_matches_reference(self, data):
         p = data.draw(st.sampled_from((3, 5, 7)))
         pqs = data.draw(quotient_lists(p))
-        ours = continuants(pqs)
         ref = rcontinuants([poly_dict(a) for a in pqs], p)
-        for pair, (rx, ry) in zip(ours, ref):
-            assert poly_dict(pair.x) == rx
-            assert poly_dict(pair.y) == ry
+        assert len(ref) == len(pqs)
+        for n, (rx, ry) in enumerate(ref, start=1):
+            x, y, _, _ = continuants(pqs[:n])
+            assert poly_dict(x) == rx
+            assert poly_dict(y) == ry
 
 
 class TestContinuantChecks:
@@ -151,12 +151,11 @@ class TestContinuantChecks:
         count = pattern_position(p, k)
         pqs = pattern(build_spec(FIELDS[p], u), count)
         assert len(pqs) == count
-        last = continuants(pqs)[-1]
-        rx, ry = rcontinuants([poly_dict(a) for a in pqs], p)[-1]
-        assert last.n == count
-        assert poly_dict(last.x) == rx
-        assert poly_dict(last.y) == ry
-        assert rational_to_cf(last.x, last.y) == pqs
+        x, y, x_prev, y_prev = continuants(pqs)
+        ref = rcontinuants([poly_dict(a) for a in pqs], p)
+        assert (poly_dict(x), poly_dict(y)) == ref[-1]
+        assert (poly_dict(x_prev), poly_dict(y_prev)) == ref[-2]
+        assert rational_to_cf(x, y) == pqs
 
 
 class TestRationalToCf:
@@ -174,8 +173,8 @@ class TestRationalToCf:
         K = FIELDS[7]
         T = K.T
         pqs = PartialQuotients([2 * T, 4 * T, 5 * T])
-        conv = continuants(pqs)[-1]
-        assert rational_to_cf(conv.x, conv.y) == pqs
+        x, y, _, _ = continuants(pqs)
+        assert rational_to_cf(x, y) == pqs
 
     def test_rejects_proper_fraction(self):
         K = FIELDS[5]
@@ -192,8 +191,8 @@ class TestRationalToCf:
     def test_roundtrip(self, data):
         p = data.draw(st.sampled_from((3, 5, 7)))
         pqs = data.draw(quotient_lists(p))
-        conv = continuants(pqs)[-1]
-        assert rational_to_cf(conv.x, conv.y) == pqs
+        x, y, _, _ = continuants(pqs)
+        assert rational_to_cf(x, y) == pqs
 
 
 class TestCfToSeries:
@@ -222,6 +221,19 @@ class TestCfToSeries:
         with pytest.raises(InsufficientPrecisionError, match="insufficient"):
             cf_to_series(pqs, -3)
 
+    def test_keeps_one_convergent_in_flight(self):
+        # the p=7 (2,4,5) stream through n_4: only the last pair and its
+        # predecessor may be held, not every convergent of the stream
+        pqs = pattern(build_spec(FIELDS[7], (2, 4, 5)), pattern_position(7, 4))
+        order = convergent_validity_floor(pqs)
+        tracemalloc.start()
+        try:
+            cf_to_series(pqs, order)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2 ** 20
+
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
     def test_convergent_accuracy(self, data):
@@ -231,10 +243,9 @@ class TestCfToSeries:
         pqs = data.draw(quotient_lists(p, max_len=6, max_degree=2))
         if len(pqs) < 3:
             return
-        conv = continuants(pqs)
         n = len(pqs) - 2
-        x_n, y_n = conv[n - 1].x, conv[n - 1].y
-        deg_err = -int(conv[n - 1].y.degree) - int(conv[n].y.degree)
+        _, y_next, x_n, y_n = continuants(pqs[: n + 1])
+        deg_err = -int(y_n.degree) - int(y_next.degree)
         order = convergent_validity_floor(pqs)
         alpha = cf_to_series(pqs, order)
         approx = series_from_rational(x_n, y_n, order)

@@ -177,6 +177,20 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "--p", "3", "--steps", "5")
         assert code == 2
 
+    @pytest.mark.parametrize("steps", ("1", "4"))
+    def test_steps_without_residuals_rejected(self, capsys, steps):
+        # below five quotients no residual is computed, so nothing is certified
+        code, out, err = run(
+            capsys, "verify", "--p", "7", "--u", "2,4,5", "--steps", steps
+        )
+        assert code == 2 and out == []
+        assert "verify steps must be >= 5" in err
+
+    def test_five_steps_accepted(self, capsys):
+        code, out, _ = run(capsys, "verify", "--p", "7", "--u", "2,4,5", "--steps", "5")
+        assert code == 0
+        assert out[0].startswith("p=7 u=(2, 4, 5) steps=5: verified")
+
     def test_jobs_capped_at_triples_and_cpus(self, capsys, monkeypatch):
         requested = []
 
