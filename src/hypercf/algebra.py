@@ -275,10 +275,11 @@ def _mul_arrays(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     are convolved exactly."""
     if a.size == 0 or b.size == 0:
         return _EMPTY
-    if a.size == 1:
-        return _trim(b * int(a[0]) % p)
     if b.size == 1:
-        return _trim(a * int(b[0]) % p)
+        a, b = b, a
+    if a.size == 1:
+        # a unit factor, as in the engine's x + bar, leaves a trimmed b as is
+        return b if a[0] == 1 and b[-1] else _trim(b * int(a[0]) % p)
     shorter = min(a.size, b.size)
     if shorter >= _FFT_MIN_LEN and (p - 1) * (p - 1) * shorter <= _FFT_EXACT_BOUND:
         out = _fft_product(a, b, p)
@@ -433,9 +434,6 @@ class Poly:
         return Poly._raw(self.field, _trim((-self.coeffs) % self.field.p))
 
     def __mul__(self, other):
-        if isinstance(other, (int, np.integer, FieldElement)):
-            v = other.value if isinstance(other, FieldElement) else int(other) % self.field.p
-            return Poly._raw(self.field, _trim(self.coeffs * (v % self.field.p) % self.field.p))
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented

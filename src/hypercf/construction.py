@@ -370,12 +370,7 @@ def verify_pattern(
         alpha = cf_to_series(predicted, alpha_order)
         alpha4 = cf_to_series(tail, tail_order)
         scale = field(4) * spec.u.u1 * spec.u.u3
-        floor_hint = min(alpha_order, tail_order) - p
-        residual = (
-            alpha.frobenius()
-            - LaurentSeries.from_poly(spec.F * scale, floor_hint) * alpha4
-            - LaurentSeries.from_poly(spec.R * spec.u.u1, floor_hint)
-        )
+        residual = alpha.frobenius() - alpha4 * (spec.F * scale) - spec.R * spec.u.u1
         tail_res = ResidualSummary.of(residual)
         if r_override is not None:
             equation = pattern_equation(spec)

@@ -7,20 +7,19 @@ coefficient reversal.  Iterating yields the partial quotients one at a
 time.  The step carries no correctness theorem here: outputs are meant
 to be validated a posteriori through eval_at_series.
 
-Equations are stored sparsely, by x-exponent, and the Taylor shift
-expands each term by the binomial theorem, keeping only the binomials
-that are nonzero mod p.  For the hyperquadratic equations
-A*x^(p+1) + B*x^p + C*x + D this preserves the support {0, 1, p, p+1}
-at every step, with bar^p computed as a Frobenius.  The shifted x^0
-coefficient is P(bar), which decides rational termination.
+Equations are stored sparsely, by x-exponent.  The Taylor shift
+P(x + bar), P at a polynomial and P at a series all take one
+Frobenius-split Horner: in characteristic p, (x + bar)^p = x^p + bar^p,
+so for A*x^(p+1) + B*x^p + C*x + D it is (A*z + B)*z^p + C*z + D with
+z^p a Frobenius, which keeps the support {0, 1, p, p+1} at every step.
+The shifted x^0 coefficient is P(bar), which decides rational termination.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
-from .algebra import FieldElement, Poly, PrimeField
+from .algebra import Poly, PrimeField
 from .cf import PartialQuotients
 from .series import LaurentSeries
 
@@ -55,7 +54,8 @@ class BiPoly:
     Stored sparsely as `terms`, a read-only map from x-exponent to nonzero
     coefficient: the hyperquadratic equations keep only the exponents
     {0, 1, p, p+1} through every extraction step.  The constructor takes
-    either that map or a dense sequence indexed by exponent.
+    either that map or a dense sequence indexed by exponent.  `+` and `*`
+    take a BiPoly or a bare Poly (or scalar), which is the x^0 term.
     """
 
     __slots__ = ("field", "terms")
@@ -88,11 +88,26 @@ class BiPoly:
         return max(int(c.degree) for c in self.terms.values())
 
     def __call__(self, value: Poly) -> Poly:
-        n = self.degree_x
-        acc = self.terms[n]
-        for e in range(n - 1, -1, -1):
-            acc = acc * value + self.coefficient(e)
-        return acc
+        return _evaluate(self, value, value.frobenius())
+
+    def _collect(self, terms: Iterable[Tuple[int, Poly]]) -> "BiPoly":
+        out: Dict[int, Poly] = {}
+        for e, c in terms:
+            out[e] = out[e] + c if e in out else c
+        return BiPoly(self.field, out)
+
+    def __add__(self, other) -> "BiPoly":
+        o = other.terms if isinstance(other, BiPoly) else {0: other}
+        return self._collect([*self.terms.items(), *o.items()])
+
+    def __mul__(self, other) -> "BiPoly":
+        o = other.terms if isinstance(other, BiPoly) else {0: other}
+        return self._collect(
+            (e1 + e2, c1 * c2) for e1, c1 in self.terms.items() for e2, c2 in o.items()
+        )
+
+    __radd__ = __add__
+    __rmul__ = __mul__
 
     def __eq__(self, other) -> bool:
         return (
@@ -137,32 +152,16 @@ def next_step(P: BiPoly) -> Tuple[Poly, Optional[BiPoly]]:
     i.e. the root is rational and bar is its final quotient.  Raises
     NoAdmissibleQuotientError when the extracted bar has degree < 1.
     """
-    p = P.field.p
+    field = P.field
     n = P.degree_x
     bar = -(P.coefficient(n - 1) // P.terms[n])
-    powers: Dict[int, Poly] = {}
-
-    def power(j: int) -> Poly:
-        # bar**p is a Frobenius; bar**(p+1) reuses it
-        if j not in powers:
-            powers[j] = bar ** j if j <= p else power(j - 1) * bar
-        return powers[j]
-
-    # c*(x + bar)^e = sum over k of comb(e, k)*c*bar^(e-k)*x^k; by Lucas's
-    # theorem comb(p+1, k) and comb(p, k) vanish mod p unless k is in
-    # {0, 1, p, p+1}, so the shift keeps the hyperquadratic support
-    shifted: Dict[int, Poly] = {}
-    for e, c in P.terms.items():
-        for k in range(e + 1):
-            binom = comb(e, k) % p
-            if binom:
-                term = c * binom * power(e - k)
-                shifted[k] = shifted[k] + term if k in shifted else term
-    if shifted[0].is_zero:  # the x^0 coefficient is P(bar)
+    z = BiPoly(field, {1: 1, 0: bar})
+    shifted = _evaluate(P, z, BiPoly(field, {field.p: 1, 0: bar.frobenius()}))
+    if 0 not in shifted.terms:  # the x^0 coefficient is P(bar)
         return bar, None
     if bar.degree < 1:
         raise NoAdmissibleQuotientError(1, bar, ())
-    return bar, BiPoly(P.field, {n - k: c for k, c in shifted.items()})
+    return bar, BiPoly(field, {n - k: c for k, c in shifted.terms.items()})
 
 
 def expand(P: BiPoly, m: int) -> ExpansionResult:
@@ -213,11 +212,25 @@ def expand(P: BiPoly, m: int) -> ExpansionResult:
 def eval_at_series(P: BiPoly, s: LaurentSeries) -> LaurentSeries:
     """P(s) with propagated validity: the result being zero to its floor
     certifies s as a root of P down to that order."""
-    n = P.degree_x
-    # exact coefficients; a floor far below anything the products can
-    # reach, so the precision of s is the only binding constraint
-    coeff_floor = (min(s.valid_order, -1) - 1) * (n + 1) - P.max_coeff_degree()
-    acc = LaurentSeries.from_poly(P.coefficient(n), coeff_floor)
-    for e in range(n - 1, -1, -1):
-        acc = acc * s + LaurentSeries.from_poly(P.coefficient(e), coeff_floor)
+    return _evaluate(P, s, s.frobenius())
+
+
+def _horner(terms: Mapping[int, object], z):
+    """sum of terms[k] * z^k, by Horner over k from the top down."""
+    acc = terms[max(terms)]
+    for k in range(max(terms) - 1, -1, -1):
+        acc = acc * z
+        if k in terms:
+            acc = acc + terms[k]
     return acc
+
+
+def _evaluate(P: BiPoly, z, zp):
+    """P(z) for a Poly, LaurentSeries or BiPoly z, given zp = z^p: with
+    P(x) = sum over q of x^(pq) * R_q(x) and deg R_q < p, Horner in zp
+    over q of Horner in z over R_q."""
+    p = P.field.p
+    groups: Dict[int, Dict[int, Poly]] = {}
+    for e, c in P.terms.items():
+        groups.setdefault(e // p, {})[e % p] = c
+    return _horner({q: _horner(r, z) for q, r in groups.items()}, zp)

@@ -10,6 +10,9 @@ Precision rules (window of a runs [V_a, top_a], similarly for b):
 
 * add/sub:   V = max(V_a, V_b)
 * mul:       V = max(V_a + top_b, V_b + top_a)
+* exact operands: an int, FieldElement or Poly c is known to every
+             order: a + c keeps V = V_a, and a*c has V = V_a + deg c
+             (a constant, zero included, keeps V_a)
 * div a/b:   V = max(V_a - top_b, V_b + top_a - 2*top_b)
              (the second term bounds the leakage of b's unknown tail
              through the quotient; for an exactly known divisor it is
@@ -157,7 +160,17 @@ class LaurentSeries:
         if not isinstance(other, LaurentSeries) or other.field != self.field:
             raise ValueError("operands must be series over the same field")
 
-    def _addsub(self, other: "LaurentSeries", sign: int) -> "LaurentSeries":
+    def _exact(self, other) -> Poly:
+        """An int, FieldElement or Poly operand as an exact polynomial."""
+        c = Poly(self.field)._coerce(other)  # raises on a field mismatch
+        if c is NotImplemented:
+            raise ValueError("operands must be series or polynomials over one field")
+        return c
+
+    def _addsub(self, other, sign: int) -> "LaurentSeries":
+        if not isinstance(other, LaurentSeries):
+            # an exact polynomial is known to every order, so at self's floor
+            other = LaurentSeries.from_poly(self._exact(other), self.valid_order)
         self._check(other)
         v = max(self.valid_order, other.valid_order)
         top = max(self._nominal_top, other._nominal_top, v - 1)
@@ -172,12 +185,12 @@ class LaurentSeries:
         return LaurentSeries(self.field, top, out, v)
 
     def __add__(self, other):
-        if isinstance(other, (int, FieldElement)) and other == 0:
-            return self
         return self._addsub(other, 1)
 
     def __sub__(self, other):
         return self._addsub(other, -1)
+
+    __radd__ = __add__
 
     def __neg__(self):
         return LaurentSeries(
@@ -185,22 +198,19 @@ class LaurentSeries:
         )
 
     def __mul__(self, other):
-        if isinstance(other, (int, np.integer, FieldElement)):
-            v = other.value if isinstance(other, FieldElement) else int(other)
-            return LaurentSeries(
-                self.field,
-                self._nominal_top,
-                self.coeffs * (v % self.field.p) % self.field.p,
-                self.valid_order,
-            )
+        if not isinstance(other, LaurentSeries):
+            # the unknown terms below V reach up to V - 1 + deg c (a constant,
+            # zero included, keeps V); entry i of the ascending product is V + i
+            c = self._exact(other)
+            d, v = max(c.coeffs.size - 1, 0), self.valid_order
+            full = _mul_arrays(self.coeffs[::-1], c.coeffs, self.field.p)[d:]
+            return LaurentSeries(self.field, self._nominal_top + d, full[::-1], v + d)
         self._check(other)
         top = self._nominal_top + other._nominal_top
         v = max(
             self.valid_order + other._nominal_top,
             other.valid_order + self._nominal_top,
         )
-        if self.coeffs.size == 0 or other.coeffs.size == 0:
-            return LaurentSeries.zero(self.field, v)
         # a term of exponent e reaches the floor v only if e >= v - (the
         # other factor's top), which leaves top - v + 1 terms of each factor
         keep = top - v + 1
@@ -213,8 +223,7 @@ class LaurentSeries:
 
     def __truediv__(self, other: "LaurentSeries") -> "LaurentSeries":
         if isinstance(other, (int, np.integer, FieldElement)):
-            inv = FieldElement(self.field, other).inverse()
-            return self * inv
+            return self * self.field(other).inverse()
         self._check(other)
         if other.is_zero_to_floor:
             raise ZeroDivisionError(

@@ -10,7 +10,10 @@ against the dict arithmetic above) but shares no code with the engine,
 division loop on numpy arrays, kept as the oracle for Newton division,
 and `untrimmed_series_mul`, the package's former series product, which
 multiplies whole windows on the package's kernel and is the oracle for
-the product that trims its factors first.
+the product that trims its factors first, and `horner_eval_at_series`,
+the package's former evaluation of an equation at a series, one Horner
+product per x-degree with every coefficient padded to a deep floor, the
+oracle for the Frobenius-split evaluation.
 """
 from __future__ import annotations
 
@@ -96,6 +99,27 @@ def untrimmed_series_mul(a, b):
         return type(a).zero(a.field, v)
     full = _mul_arrays(a.coeffs[::-1], b.coeffs[::-1], a.field.p)[::-1]
     return type(a)(a.field, top_a + top_b, full, v)
+
+
+def horner_eval_at_series(P, s):
+    """P(s) for a package BiPoly P and LaurentSeries s by plain Horner in
+    s, each coefficient a series at a floor far below anything the
+    products can reach, so that the precision of s is the only binding
+    constraint."""
+    n = P.degree_x
+    coeff_floor = (min(s.valid_order, -1) - 1) * (n + 1) - P.max_coeff_degree()
+    acc = type(s).from_poly(P.coefficient(n), coeff_floor)
+    for e in range(n - 1, -1, -1):
+        acc = acc * s + type(s).from_poly(P.coefficient(e), coeff_floor)
+    return acc
+
+
+def reval(terms: dict, v: dict, p: int) -> dict:
+    """sum of terms[e] * v^e for dict polynomials, e the x-exponent."""
+    out: dict = {}
+    for e, c in terms.items():
+        out = radd(out, rmul(c, rpow(v, e, p), p), p)
+    return out
 
 
 def rpow(a: dict, k: int, p: int) -> dict:

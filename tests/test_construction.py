@@ -13,6 +13,7 @@ from hypercf import (
     check_identities,
     continuants,
     convergent_validity_floor,
+    eval_at_series,
     expand,
     fibonacci_poly,
     mills_robbins_equation,
@@ -246,3 +247,33 @@ class TestVerifyPattern:
         report = verify_pattern(spec, 10, order=-10 ** 6)
         assert report.ok
         assert report.tail_relation_residual.floor > -10 ** 6
+
+
+class TestResidualIdentity:
+    """The two verify residuals are one certificate seen twice: from
+    _eliminate_tail, eq(alpha) = (y_3*alpha - x_3) * (alpha^p - G*alpha_4 - H)
+    with G = 4*u1*u3*F and H = u1*R.  A fault in the elimination shows up
+    as the two sides disagreeing; the `tp` control, where both residuals
+    are nonzero, keeps the identity from holding only as 0 = 0."""
+
+    @pytest.mark.parametrize(
+        "p, u, tp",
+        [(7, (2, 4, 5), False), (5, (2, 3, 3), False), (7, (2, 4, 5), True)],
+        ids=["p7", "p5", "tp"],
+    )
+    def test_identity(self, p, u, tp):
+        K = FIELDS[p]
+        spec = build_spec(K, u)
+        R = K.T ** p if tp else spec.R
+        pqs = pattern(spec, p * p + p + 9)
+        tail = pqs.tail(4)
+        alpha = cf_to_series(pqs, convergent_validity_floor(pqs))
+        alpha4 = cf_to_series(tail, convergent_validity_floor(tail))
+        x3, y3, _, _ = continuants(pqs[:3])
+        G, H = spec.F * (K(4) * spec.u.u1 * spec.u.u3), R * spec.u.u1
+        tail_res = alpha.frobenius() - alpha4 * G - H
+        eq_res = eval_at_series(pattern_equation(spec, r_override=R), alpha)
+        assert tail_res.is_zero_to_floor == eq_res.is_zero_to_floor == (not tp)
+        difference = eq_res - (alpha * y3 - x3) * tail_res
+        assert difference.is_zero_to_floor
+        assert difference.valid_order == eq_res.valid_order

@@ -23,12 +23,39 @@ from hypercf import (
 )
 
 from conftest import FIELDS, polys
-from reference import dense_expand
+from reference import (
+    dense_expand,
+    horner_eval_at_series,
+    poly_dict,
+    radd,
+    reval,
+    rmul,
+)
 
 
 def _linear_equation(num: Poly, den: Poly) -> BiPoly:
     # den*x - num has root num/den
     return BiPoly(num.field, [-num, den])
+
+
+def _equations(p: int, max_degree_x: int, dense=None):
+    """Equations of x-degree 1..max_degree_x over F_p: dense, or with a
+    random support whose gaps fall across the residue classes mod p."""
+    K = FIELDS[p]
+
+    def build(deg_x, is_dense, support, coeffs):
+        lower = range(deg_x) if is_dense else sorted(support & set(range(deg_x)))
+        return BiPoly(K, {e: coeffs[e] for e in (*lower, deg_x)})
+
+    return st.integers(1, max_degree_x).flatmap(
+        lambda d: st.builds(
+            build,
+            st.just(d),
+            st.booleans() if dense is None else st.just(dense),
+            st.sets(st.integers(0, d - 1)),
+            st.lists(polys(p, 0, 3), min_size=d + 1, max_size=d + 1),
+        )
+    )
 
 
 class TestBiPoly:
@@ -56,6 +83,35 @@ class TestBiPoly:
         T = K.T
         eq = BiPoly(K, [T, Poly(K, (2,)), Poly(K, (1,))])  # x^2 + 2x + t
         assert eq(T) == T * T + 2 * T + T
+
+    def test_bare_operand_is_the_constant_term(self):
+        K = FIELDS[5]
+        T = K.T
+        eq = BiPoly(K, [T, Poly(K, (1,))])  # x + t
+        assert eq + T == T + eq == BiPoly(K, [2 * T, Poly(K, (1,))])
+        assert eq * T == T * eq == BiPoly(K, [T * T, T])
+        with pytest.raises(ValueError, match="field mismatch"):
+            eq + FIELDS[7].T
+        with pytest.raises(ValueError, match="field mismatch"):
+            eq * BiPoly(FIELDS[7], [1, 1])
+        assert eq + 1 == 1 + eq == BiPoly(K, [T + 1, Poly(K, (1,))])
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_ring_operations_match_reference(self, data):
+        p = data.draw(st.sampled_from((3, 5, 7)))
+        P = data.draw(_equations(p, 2 * p + 1))
+        Q = data.draw(_equations(p, 2 * p + 1))
+        v = data.draw(polys(p, 0, 3))
+        ref = {
+            name: reval({e: poly_dict(c) for e, c in eq.terms.items()}, poly_dict(v), p)
+            for name, eq in (("P", P), ("Q", Q))
+        }
+        assert poly_dict(P(v)) == ref["P"]
+        assert poly_dict((P * Q)(v)) == rmul(ref["P"], ref["Q"], p)
+        assert (P * Q)(v) == P(v) * Q(v)
+        if P.degree_x != Q.degree_x:  # a sum that cancels to x-degree 0 is no BiPoly
+            assert poly_dict((P + Q)(v)) == radd(ref["P"], ref["Q"], p)
 
 
 class TestNextStep:
@@ -148,6 +204,19 @@ class TestAgainstDenseEngine:
         )
         eq = BiPoly(FIELDS[p], lower + [data.draw(polys(p, 0, 3))])
         assert _engine_outcome(eq, 15) == _dense_outcome(eq, 15)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_random_sparse_supports(self, data):
+        p = data.draw(st.sampled_from((3, 5, 7)))
+        eq = data.draw(_equations(p, 2 * p + 1, dense=False))
+        if data.draw(st.booleans()):
+            # a step-1 quotient of degree >= 1, so the run goes on past it
+            n = eq.degree_x
+            terms = dict(eq.terms)
+            terms[n - 1] = data.draw(polys(p, int(terms[n].degree) + 1, 4))
+            eq = BiPoly(FIELDS[p], terms)
+        assert _engine_outcome(eq, 12) == _dense_outcome(eq, 12)
 
 
 class TestExpand:
@@ -274,3 +343,21 @@ class TestEvalAtSeries:
             assert residual.is_zero_to_floor
             floors.append(residual.valid_order)
         assert floors[0] > floors[1] > floors[2]
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_matches_horner_oracle(self, data):
+        # the Frobenius-split floor is exact and may lie deeper than the
+        # plain Horner's, never shallower; above the shallower of the two
+        # the coefficients agree
+        p = data.draw(st.sampled_from((3, 5, 7, 11)))
+        K = FIELDS[p]
+        eq = data.draw(_equations(p, 2 * p + 2))
+        top = data.draw(st.integers(-3, 3))
+        size = data.draw(st.integers(0, 40))
+        coeffs = data.draw(st.lists(st.integers(0, p - 1), min_size=size, max_size=size))
+        s = LaurentSeries(K, top, coeffs, top - size + 1)
+        got = eval_at_series(eq, s)
+        want = horner_eval_at_series(eq, s)
+        assert got.valid_order <= want.valid_order
+        assert got.truncated(want.valid_order) == want

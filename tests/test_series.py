@@ -128,6 +128,18 @@ class TestArithmetic:
         assert (s * 4).terms() == {1: 1, -1: 5}
         assert (s / 2).terms() == {1: 1, -1: 5}
 
+    def test_scalar_addition(self):
+        K = FIELDS[7]
+        s = LaurentSeries.from_terms(K, {1: 2, -1: 3}, -4)
+        for zero in (0, K(0), Poly(K, ())):
+            assert s + zero == s and s - zero == s and zero + s == s
+        assert (s + 3).terms() == {1: 2, 0: 3, -1: 3}
+        assert (3 + s) == s + 3 == s + K(3) == s + Poly(K, (3,))
+        assert (s - K(2)).terms() == {1: 2, 0: 5, -1: 3}
+        assert (s + 3).valid_order == (s - K(2)).valid_order == -4
+        # a constant above the floor is known exactly; one below it is not
+        assert (LaurentSeries.zero(K, 2) + 3) == LaurentSeries.zero(K, 2)
+
 
 class TestPrecisionRules:
     def test_add_takes_weaker_floor(self):
@@ -308,3 +320,32 @@ class TestTrimmedProduct:
         padded = LaurentSeries.from_poly(poly, -30000)
         for x, y in ((a, b), (b, a), (padded, a), (a, padded)):
             _assert_same_series(x * y, untrimmed_series_mul(x, y))
+
+
+class TestExactOperands:
+    """An int, FieldElement or Poly operand is exact: the sum keeps the
+    series' floor V and the product is known down to V + deg.  The
+    former idiom, the polynomial as a series padded to a deep floor, is
+    the oracle."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_matches_deep_floor_idiom(self, data):
+        p = data.draw(st.sampled_from((3, 5, 7, 11, 13)))
+        K = FIELDS[p]
+        top = data.draw(st.integers(-5, 5))
+        s = _random_series(data, K, top, top - data.draw(st.integers(-1, 60)))
+        c = data.draw(st.one_of(polys(p, 0, 12), st.just(Poly(K, ()))))
+        padded = LaurentSeries.from_poly(c, s.valid_order - 10 * (abs(top) + 70))
+        for operand in (c, c.coefficient(0), int(c.coefficient(0).value)):
+            exact = Poly(K, (operand,)) if not isinstance(operand, Poly) else c
+            deep = LaurentSeries.from_poly(exact, padded.valid_order)
+            _assert_same_series(s + operand, s + deep)
+            _assert_same_series(s - operand, s - deep)
+            if exact.is_zero:
+                # an exact zero keeps the floor, like the scalar 0
+                for prod in (s * operand, operand * s):
+                    assert prod.is_zero_to_floor and prod.valid_order == s.valid_order
+                continue
+            for prod in (s * operand, operand * s):
+                _assert_same_series(prod, s * deep)
