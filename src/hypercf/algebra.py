@@ -4,7 +4,9 @@ Residues are plain machine integers in [0, p).  Polynomial coefficients
 live in numpy int64 arrays (ascending powers, no trailing zeros) so the
 kernels run at C speed while every result stays exact: long products go
 through a float64 FFT whose rounding is checked, with exact convolution
-as the fallback, and long divisions through Newton inversion.
+as the fallback.  Every division, of polynomials and of Laurent series
+alike, is one truncated power-series quotient taken by Newton inversion
+over that product; only divmod and % go on to form a remainder.
 """
 from __future__ import annotations
 
@@ -35,9 +37,6 @@ _FFT_EXACT_BOUND = 1 << 36
 #: an FFT coefficient further than this from an integer voids the product,
 #: which is then recomputed by the exact convolution.
 _FFT_TRIPWIRE = 2.0 ** -8
-#: longest quotient that division eliminates term by term instead of by
-#: Newton inversion (measured faster up to here at divisor lengths 20-3000).
-_SCHOOLBOOK_MAX_QLEN = 4
 
 # witnesses making Miller-Rabin deterministic for n < 3.3 * 10**24
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -203,6 +202,8 @@ class FieldElement:
 # ---------------------------------------------------------------------------
 
 def _trim(arr: np.ndarray) -> np.ndarray:
+    if arr.size and arr[-1]:
+        return arr
     nz = np.nonzero(arr)[0]
     if nz.size == 0:
         return _EMPTY
@@ -311,27 +312,27 @@ def _inverse_series(f: np.ndarray, n: int, p: int) -> np.ndarray:
     return g
 
 
-def _divmod_arrays(a: np.ndarray, b: np.ndarray, p: int):
+def _quotient(a: np.ndarray, b: np.ndarray, n: int, p: int) -> np.ndarray:
+    """The first n terms of the power series a/b, for b[0] a unit: the one
+    division kernel.  Only the first n terms of a and of b are read."""
+    return _fit(_mul_arrays(a[:n], _inverse_series(b[:n], n, p), p), n)
+
+
+def _floordiv_arrays(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     if b.size == 0:
         raise ZeroDivisionError("polynomial division by zero")
-    if a.size < b.size:
-        return _EMPTY, a
-    m = b.size
-    qlen = a.size - m + 1
-    if qlen <= _SCHOOLBOOK_MAX_QLEN:
-        # a quotient this short (the engine's linear bar) is eliminated
-        # faster term by term than Newton's setup costs
-        inv = pow(int(b[-1]), p - 2, p)
-        r = a.copy()
-        q = np.zeros(qlen, dtype=np.int64)
-        for i in range(qlen - 1, -1, -1):
-            q[i] = int(r[i + m - 1]) * inv % p
-            r[i : i + m] = (r[i : i + m] - q[i] * b) % p
-        return _trim(q), _trim(r[: m - 1])
-    # reversed, a = q*b + r reads rev(a) = rev(q)*rev(b) mod T^qlen
-    inv = _inverse_series(b[::-1][:qlen], qlen, p)
-    q = _trim(_fit(_mul_arrays(a[::-1][:qlen], inv, p), qlen)[::-1])
+    qlen = a.size - b.size + 1
+    if qlen <= 0:
+        return _EMPTY
+    # reversed, a = q*b + r reads rev(a) = rev(q)*rev(b) mod T^qlen, so the
+    # quotient is read off the top qlen terms of a and b
+    return _quotient(a[::-1], b[::-1], qlen, p)[::-1]
+
+
+def _divmod_arrays(a: np.ndarray, b: np.ndarray, p: int):
+    q = _floordiv_arrays(a, b, p)
     # r has degree < m - 1, so only the low m - 1 terms of q*b matter
+    m = b.size
     low = _fit(_mul_arrays(q[: m - 1], b[: m - 1], p), m - 1)
     return q, _sub_arrays(a[: m - 1], low, p)
 
@@ -449,7 +450,10 @@ class Poly:
         return Poly._raw(self.field, q), Poly._raw(self.field, r)
 
     def __floordiv__(self, other):
-        return divmod(self, other)[0]
+        o = self._coerce(other)
+        if o is NotImplemented:
+            return NotImplemented
+        return Poly._raw(self.field, _floordiv_arrays(self.coeffs, o.coeffs, self.field.p))
 
     def __mod__(self, other):
         return divmod(self, other)[1]
@@ -484,18 +488,8 @@ class Poly:
         out[::p] = self.coeffs
         return Poly._raw(self.field, out)
 
-    def shift(self, k: int) -> "Poly":
-        """Multiply by T**k."""
-        if k < 0:
-            raise ValueError("negative shift")
-        if self.is_zero or k == 0:
-            return self
-        out = np.zeros(self.coeffs.size + k, dtype=np.int64)
-        out[k:] = self.coeffs
-        return Poly._raw(self.field, out)
-
     def __call__(self, value: Union[int, FieldElement]) -> FieldElement:
-        v = value.value if isinstance(value, FieldElement) else int(value) % self.field.p
+        v = FieldElement(self.field, value).value  # raises on a field mismatch
         acc = 0
         p = self.field.p
         for c in self.coeffs[::-1]:

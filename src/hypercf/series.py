@@ -11,8 +11,9 @@ Precision rules (window of a runs [V_a, top_a], similarly for b):
 * add/sub:   V = max(V_a, V_b)
 * mul:       V = max(V_a + top_b, V_b + top_a)
 * exact operands: an int, FieldElement or Poly c is known to every
-             order: a + c keeps V = V_a, and a*c has V = V_a + deg c
-             (a constant, zero included, keeps V_a)
+             order: a + c keeps V = V_a, a*c has V = V_a + deg c
+             (a constant, zero included, keeps V_a), and a/c, for c
+             nonzero, has V = V_a - deg c
 * div a/b:   V = max(V_a - top_b, V_b + top_a - 2*top_b)
              (the second term bounds the leakage of b's unknown tail
              through the quotient; for an exactly known divisor it is
@@ -29,7 +30,7 @@ from typing import Dict, Iterable
 
 import numpy as np
 
-from .algebra import FieldElement, Poly, PrimeField, _divmod_arrays, _mul_arrays
+from .algebra import FieldElement, Poly, PrimeField, _mul_arrays, _quotient
 
 __all__ = ["LaurentSeries", "series_from_rational", "InsufficientPrecisionError"]
 
@@ -221,30 +222,30 @@ class LaurentSeries:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other: "LaurentSeries") -> "LaurentSeries":
-        if isinstance(other, (int, np.integer, FieldElement)):
-            return self * self.field(other).inverse()
+    def __truediv__(self, other) -> "LaurentSeries":
+        top_a, v_a = self._nominal_top, self.valid_order
+        if not isinstance(other, LaurentSeries):
+            # an exact divisor c puts the floor at V_a - deg c; the quotient
+            # window, as long as self's, reads only that many top terms of c
+            c = self._exact(other)
+            if c.is_zero:
+                raise ZeroDivisionError("division by zero")
+            d = int(c.degree)
+            other = LaurentSeries.from_poly(c, d + min(0, v_a - top_a))
         self._check(other)
         if other.is_zero_to_floor:
             raise ZeroDivisionError(
                 "division by a series that is zero to its validity floor"
             )
-        top_a, v_a = self._nominal_top, self.valid_order
         top_b, v_b = other._nominal_top, other.valid_order
         v_q = max(v_a - top_b, v_b + top_a - 2 * top_b)
         nq = top_a - top_b - v_q + 1
         if self.is_zero_to_floor or nq <= 0:
             return LaurentSeries.zero(self.field, v_q)
-        b = other.coeffs
-        r = np.zeros(nq + b.size - 1, dtype=np.int64)
-        # entries of a below the working window feed only quotient terms
-        # below v_q, which are discarded anyway
-        keep = min(self.coeffs.size, r.size)
-        r[:keep] = self.coeffs[:keep]
-        # polynomial long division on the reversed windows: ascending
-        # index i of the (trimmed) quotient is the exponent v_q + i
-        q, _ = _divmod_arrays(r[::-1], b[::-1], self.field.p)
-        return LaurentSeries(self.field, v_q + q.size - 1, q[::-1], v_q)
+        # descending windows are power series in 1/T: entry i of the
+        # quotient is the exponent top_a - top_b - i
+        q = _quotient(self.coeffs, other.coeffs, nq, self.field.p)
+        return LaurentSeries(self.field, top_a - top_b, q, v_q)
 
     def frobenius(self) -> "LaurentSeries":
         """self**p: exponents map to p*k, coefficients are Frobenius-fixed."""
@@ -291,19 +292,7 @@ class LaurentSeries:
 
 
 def series_from_rational(num: Poly, den: Poly, order: int) -> LaurentSeries:
-    """The series of num/den, exact for every term of degree >= order.
-
-    Computed with one exact polynomial floor division of num*T**K by den,
-    K = max(0, -order): the discarded part then has degree < order.
-    """
-    if den.is_zero:
-        raise ZeroDivisionError("zero denominator")
-    field = num.field
-    if num.is_zero:
-        return LaurentSeries.zero(field, order)
-    k = max(0, -order)
-    q, _ = divmod(num.shift(k), den)
-    if q.is_zero:
-        return LaurentSeries.zero(field, order)
-    top = int(q.degree) - k
-    return LaurentSeries(field, top, q.coeffs[::-1], order)
+    """The series of num/den, exact for every term of degree >= order: an
+    exact divisor of degree d needs num only down to order + d."""
+    d = max(den.coeffs.size - 1, 0)  # a zero den is refused by the division
+    return LaurentSeries.from_poly(num, order + d) / den

@@ -7,7 +7,8 @@ point.  The exceptions are `dense_expand`, the extraction engine in
 its original dense form, which runs on the package's Poly (checked
 against the dict arithmetic above) but shares no code with the engine,
 `schoolbook_divmod`, the package's former coefficient-by-coefficient
-division loop on numpy arrays, kept as the oracle for Newton division,
+division loop on numpy arrays, kept as the oracle for the one quotient
+kernel (Newton inversion) behind `//`, `divmod` and series division,
 and `untrimmed_series_mul`, the package's former series product, which
 multiplies whole windows on the package's kernel and is the oracle for
 the product that trims its factors first, and `horner_eval_at_series`,

@@ -170,6 +170,8 @@ class TestRendering:
         poly = K.T ** 3 + 2 * K.T + 5
         assert poly(2) == K((8 + 4 + 5) % 7)
         assert poly(K(0)) == K(5)
+        with pytest.raises(ValueError, match="field mismatch"):
+            poly(FIELDS[11](9))
 
 
 class TestMultiplicationPaths:
@@ -255,6 +257,18 @@ class TestMultiplicationPaths:
         assert poly_dict(prod) == rmul(poly_dict(a), poly_dict(b), K.p)
 
 
+def _short_quotient_examples(test):
+    """Explicit examples of quotients of 1-4 terms over divisors of 20,
+    300 and 3000 terms: the engine's linear partial quotients."""
+    rng = np.random.default_rng(20)
+    for qlen in (1, 2, 3, 4):
+        for m in (20, 300, 3000):
+            a = rng.integers(0, 13, qlen + m - 1).tolist()
+            a[-1] = 1
+            test = example(p=13, a=a, b=rng.integers(0, 13, m - 1).tolist(), lead=qlen)(test)
+    return test
+
+
 class TestNewtonDivision:
     @settings(max_examples=300, deadline=None)
     @given(
@@ -267,6 +281,7 @@ class TestNewtonDivision:
     @example(p=5, a=[1, 2, 3, 4, 0, 1], b=[], lead=3)  # len(b) = 1
     @example(p=11, a=list(range(11)), b=[3, 0, 9], lead=7)  # non-monic
     @example(p=13, a=list(range(1, 60)), b=[2, 5], lead=4)  # qlen > len(b)
+    @_short_quotient_examples
     def test_matches_schoolbook(self, p, a, b, lead):
         a = np.array(a, dtype=np.int64) % p
         b = np.array(b + [lead], dtype=np.int64) % p
@@ -289,6 +304,25 @@ class TestNewtonDivision:
             rq, rr = schoolbook_divmod(a, b, p)
             assert np.array_equal(q, rq) and np.array_equal(r, rr)
 
+    def test_floordiv_multiplies_only_the_quotient_length(self, monkeypatch):
+        # a quotient of 10 terms over a divisor of 1000 reads the top 10
+        # terms of each operand and forms no remainder
+        p = 7
+        rng = np.random.default_rng(10)
+        a = Poly(FIELDS[p], rng.integers(0, p, 1008).tolist() + [3])
+        b = Poly(FIELDS[p], rng.integers(0, p, 999).tolist() + [5])
+        sizes = []
+
+        def recording(x, y, p):
+            sizes.append(max(x.size, y.size))
+            return _mul_arrays(x, y, p)
+
+        monkeypatch.setattr(algebra, "_mul_arrays", recording)
+        q = a // b
+        assert q.degree == 9 and sizes and max(sizes) <= 10
+        monkeypatch.undo()
+        assert q == divmod(a, b)[0]
+
 
 @pytest.mark.parametrize("p", (3, 5, 7))
 class TestProperties:
@@ -300,6 +334,7 @@ class TestProperties:
         q, r = divmod(a, b)
         assert q * b + r == a
         assert r.degree < b.degree
+        assert a // b == q and a % b == r
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())

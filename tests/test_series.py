@@ -324,9 +324,9 @@ class TestTrimmedProduct:
 
 class TestExactOperands:
     """An int, FieldElement or Poly operand is exact: the sum keeps the
-    series' floor V and the product is known down to V + deg.  The
-    former idiom, the polynomial as a series padded to a deep floor, is
-    the oracle."""
+    series' floor V, the product is known down to V + deg and the
+    quotient down to V - deg.  The former idiom, the polynomial as a
+    series padded to a deep floor, is the oracle."""
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
@@ -346,6 +346,9 @@ class TestExactOperands:
                 # an exact zero keeps the floor, like the scalar 0
                 for prod in (s * operand, operand * s):
                     assert prod.is_zero_to_floor and prod.valid_order == s.valid_order
+                with pytest.raises(ZeroDivisionError):
+                    s / operand
                 continue
             for prod in (s * operand, operand * s):
                 _assert_same_series(prod, s * deep)
+            _assert_same_series(s / operand, s / deep)
