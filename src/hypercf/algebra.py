@@ -1,11 +1,12 @@
 """Exact arithmetic over F_p and dense univariate polynomials in F_p[T].
 
 Residues are plain machine integers in [0, p).  Polynomial coefficients
-live in numpy int64 arrays (ascending powers, no trailing zeros) so the
-kernels run at C speed while every result stays exact: long products go
-through a float64 FFT whose rounding is checked, with exact convolution
-as the fallback.  Every division, of polynomials and of Laurent series
-alike, is one truncated power-series quotient taken by Newton inversion
+live in numpy int64 arrays (ascending powers, no trailing zeros; Laurent
+series windows share this layout) so the kernels run at C speed while
+every result stays exact: long products go through a float64 FFT whose
+rounding is checked, with exact convolution as the fallback.  Every
+division, of polynomials and of Laurent series alike, takes the top
+coefficients of one truncated power-series quotient by Newton inversion
 over that product; only divmod and % go on to form a remainder.
 """
 from __future__ import annotations
@@ -201,6 +202,26 @@ class FieldElement:
 # coefficient-array kernels
 # ---------------------------------------------------------------------------
 
+def _residues(coeffs: Iterable, p: int) -> np.ndarray:
+    """An array, or ints and FieldElements, as an int64 array of residues."""
+    if isinstance(coeffs, np.ndarray):
+        return coeffs.astype(np.int64) % p
+    arr = np.array(
+        [c.value if isinstance(c, FieldElement) else int(c) for c in coeffs],
+        dtype=np.int64,
+    )
+    arr %= p
+    return arr
+
+
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    """arr made read-only, copied first if it is a view of another array."""
+    if arr.base is not None:
+        arr = arr.copy()
+    arr.setflags(write=False)
+    return arr
+
+
 def _trim(arr: np.ndarray) -> np.ndarray:
     if arr.size and arr[-1]:
         return arr
@@ -312,21 +333,20 @@ def _inverse_series(f: np.ndarray, n: int, p: int) -> np.ndarray:
     return g
 
 
-def _quotient(a: np.ndarray, b: np.ndarray, n: int, p: int) -> np.ndarray:
-    """The first n terms of the power series a/b, for b[0] a unit: the one
-    division kernel.  Only the first n terms of a and of b are read."""
-    return _fit(_mul_arrays(a[:n], _inverse_series(b[:n], n, p), p), n)
+def _top_quotient(a: np.ndarray, b: np.ndarray, n: int, p: int) -> np.ndarray:
+    """The top n coefficients of a/b, ascending, for b's last entry a unit:
+    the one division kernel.  Reversed, a = q*b + r reads rev(a) =
+    rev(q)*rev(b) mod T^n, a power-series quotient taken by Newton
+    inversion; only the top n terms of a and of b are read."""
+    a, b = a[::-1][:n], b[::-1][:n]
+    return _fit(_mul_arrays(a, _inverse_series(b, n, p), p), n)[::-1]
 
 
 def _floordiv_arrays(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     if b.size == 0:
         raise ZeroDivisionError("polynomial division by zero")
     qlen = a.size - b.size + 1
-    if qlen <= 0:
-        return _EMPTY
-    # reversed, a = q*b + r reads rev(a) = rev(q)*rev(b) mod T^qlen, so the
-    # quotient is read off the top qlen terms of a and b
-    return _quotient(a[::-1], b[::-1], qlen, p)[::-1]
+    return _top_quotient(a, b, qlen, p) if qlen > 0 else _EMPTY
 
 
 def _divmod_arrays(a: np.ndarray, b: np.ndarray, p: int):
@@ -335,6 +355,23 @@ def _divmod_arrays(a: np.ndarray, b: np.ndarray, p: int):
     m = b.size
     low = _fit(_mul_arrays(q[: m - 1], b[: m - 1], p), m - 1)
     return q, _sub_arrays(a[: m - 1], low, p)
+
+
+def _render(arr: np.ndarray, low: int) -> list:
+    """The nonzero entries of an ascending array, entry i the coefficient
+    of t^(low + i), as `c*t^k` terms in descending powers; a unit
+    coefficient is elided on monomials but printed for the constant."""
+    parts = []
+    for i in range(arr.size - 1, -1, -1):
+        c, e = int(arr[i]), low + i
+        if c == 0:
+            continue
+        if e == 0:
+            parts.append(str(c))
+        else:
+            mono = "t" if e == 1 else f"t^{e}"
+            parts.append(mono if c == 1 else f"{c}*{mono}")
+    return parts
 
 
 class Poly:
@@ -347,30 +384,15 @@ class Poly:
     __slots__ = ("field", "coeffs")
 
     def __init__(self, field: PrimeField, coeffs: Iterable = ()):
-        if isinstance(coeffs, np.ndarray):
-            arr = coeffs.astype(np.int64) % field.p
-        else:
-            arr = np.array(
-                [c.value if isinstance(c, FieldElement) else int(c) for c in coeffs],
-                dtype=np.int64,
-            )
-            arr %= field.p
-        arr = _trim(arr)
-        if arr.base is not None:
-            arr = arr.copy()
-        arr.setflags(write=False)
         self.field = field
-        self.coeffs = arr
+        self.coeffs = _frozen(_trim(_residues(coeffs, field.p)))
 
     @classmethod
     def _raw(cls, field: PrimeField, arr: np.ndarray) -> "Poly":
         # arr must already be trimmed and reduced mod p
         self = object.__new__(cls)
-        if arr.base is not None:
-            arr = arr.copy()
-        arr.setflags(write=False)
         self.field = field
-        self.coeffs = arr
+        self.coeffs = _frozen(arr)
         return self
 
     # -- structure ---------------------------------------------------------
@@ -511,21 +533,8 @@ class Poly:
     # -- rendering -----------------------------------------------------------
 
     def __str__(self) -> str:
-        """Descending powers, `c*t^k` terms joined by ` + `; a unit
-        coefficient is elided on monomials but printed for the constant."""
-        if self.is_zero:
-            return "0"
-        parts = []
-        for e in range(self.coeffs.size - 1, -1, -1):
-            c = int(self.coeffs[e])
-            if c == 0:
-                continue
-            if e == 0:
-                parts.append(str(c))
-            else:
-                mono = "t" if e == 1 else f"t^{e}"
-                parts.append(mono if c == 1 else f"{c}*{mono}")
-        return " + ".join(parts)
+        """Descending powers, `c*t^k` terms joined by ` + `."""
+        return " + ".join(_render(self.coeffs, 0)) or "0"
 
     def __repr__(self) -> str:
         return f"Poly({self} mod {self.field.p})"

@@ -59,6 +59,10 @@ def _validate_args(args) -> None:
     if u1 is not None:
         mills_robbins_u2(field, u1)
         args.u1 = u1 % field.p
+    if args.command == "expand":
+        sources = (args.u, args.u1, args.equation_file)
+        if sum(source is not None for source in sources) != 1:
+            raise ValueError("expand takes exactly one of --u, --u1 or --equation-file")
     if args.command == "verify" and steps < 5:
         raise ValueError(
             "verify steps must be >= 5: fewer quotients leave no residual to certify"
@@ -136,12 +140,9 @@ def _cmd_expand(args) -> int:
     elif args.u1 is not None:
         equation = mills_robbins_equation(field, args.u1)
         u = [args.u1]
-    elif args.u is not None:
-        spec = build_spec(field, args.u)
-        equation = pattern_equation(spec)
-        u = list(args.u)
     else:
-        raise ValueError("expand needs --u, --u1, or --equation-file")
+        equation = pattern_equation(build_spec(field, args.u))
+        u = list(args.u)
     result = expand(equation, args.steps)
     if result.rational:
         print(

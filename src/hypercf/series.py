@@ -20,9 +20,11 @@ Precision rules (window of a runs [V_a, top_a], similarly for b):
              never the binding one)
 * frobenius: V = p*(V - 1) + 1
 
-A series that is zero everywhere above its floor is stored with an empty
-coefficient window; for the precision rules its nominal top degree is
-taken to be V - 1.
+The window is stored in the Poly layout shifted to the floor, ascending
+from V and trimmed at the top, so a series is T^V times a Poly-layout
+array and its arithmetic runs on the polynomial kernels.  A series that
+is zero everywhere above its floor is stored with an empty window; for
+the precision rules its nominal top degree is taken to be V - 1.
 """
 from __future__ import annotations
 
@@ -30,7 +32,10 @@ from typing import Dict, Iterable
 
 import numpy as np
 
-from .algebra import FieldElement, Poly, PrimeField, _mul_arrays, _quotient
+from .algebra import (
+    _EMPTY, FieldElement, Poly, PrimeField, _add_arrays, _fit, _frozen, _mul_arrays,
+    _render, _residues, _sub_arrays, _top_quotient, _trim,
+)
 
 __all__ = ["LaurentSeries", "series_from_rational", "InsufficientPrecisionError"]
 
@@ -42,10 +47,11 @@ class InsufficientPrecisionError(ValueError):
 class LaurentSeries:
     """A Laurent series in 1/T known exactly down to `valid_order`.
 
-    `coeffs` is dense and descending: coeffs[0] is the coefficient of
-    T**top_degree and coeffs[-1] the coefficient of T**valid_order.
-    The leading stored coefficient is nonzero unless the series is
-    (known-)zero to its floor, in which case the window is empty.
+    `coeffs` has the Poly layout shifted to the floor: coeffs[i] is the
+    coefficient of T**(valid_order + i), and the last stored coefficient
+    is nonzero unless the series is (known-)zero to its floor, in which
+    case the window is empty.  The constructor takes the window in
+    descending order, from T**top_degree down to T**valid_order.
     """
 
     __slots__ = ("field", "valid_order", "coeffs")
@@ -57,54 +63,45 @@ class LaurentSeries:
         coeffs: Iterable,
         valid_order: int,
     ):
-        if isinstance(coeffs, np.ndarray):
-            arr = coeffs.astype(np.int64) % field.p
-        else:
-            arr = np.array(
-                [c.value if isinstance(c, FieldElement) else int(c) for c in coeffs],
-                dtype=np.int64,
-            )
-            arr %= field.p
-        window = top_degree - valid_order + 1
-        if window <= 0:
-            arr = arr[:0]
-        elif arr.size > window:
-            arr = arr[:window]
-        elif arr.size < window:
-            # entries not covered by `coeffs` are asserted zero
-            arr = np.concatenate([arr, np.zeros(window - arr.size, dtype=np.int64)])
-        nz = np.nonzero(arr)[0]
-        arr = arr[nz[0] :] if nz.size else arr[:0]
-        if arr.base is not None:
-            arr = arr.copy()
-        arr.setflags(write=False)
+        # entries not covered by `coeffs` are asserted zero
+        size = max(top_degree - valid_order + 1, 0)
+        window = _fit(_residues(coeffs, field.p), size)
         self.field = field
         self.valid_order = valid_order
-        self.coeffs = arr
+        self.coeffs = _frozen(_trim(window[::-1]))
+
+    @classmethod
+    def _raw(cls, field: PrimeField, valid_order: int, arr: np.ndarray):
+        # arr must already be ascending from valid_order, trimmed and reduced mod p
+        self = object.__new__(cls)
+        self.field = field
+        self.valid_order = valid_order
+        self.coeffs = _frozen(arr)
+        return self
 
     # -- constructors --------------------------------------------------------
 
     @classmethod
     def zero(cls, field: PrimeField, valid_order: int) -> "LaurentSeries":
-        return cls(field, valid_order - 1, (), valid_order)
+        return cls._raw(field, valid_order, _EMPTY)
 
     @classmethod
     def from_poly(cls, poly: Poly, valid_order: int) -> "LaurentSeries":
-        return cls(poly.field, int(poly.degree) if not poly.is_zero else valid_order - 1,
-                   poly.coeffs[::-1], valid_order)
+        arr = poly.coeffs
+        if valid_order < 0 and arr.size:
+            arr = np.concatenate((np.zeros(-valid_order, dtype=np.int64), arr))
+        return cls._raw(poly.field, valid_order, arr[max(valid_order, 0):])
 
     @classmethod
     def from_terms(
         cls, field: PrimeField, terms: Dict[int, int], valid_order: int
     ) -> "LaurentSeries":
-        if not terms:
-            return cls.zero(field, valid_order)
-        top = max(terms)
-        arr = np.zeros(top - valid_order + 1, dtype=np.int64)
+        top = max(terms, default=valid_order - 1)
+        arr = np.zeros(max(top - valid_order + 1, 0), dtype=np.int64)
         for e, c in terms.items():
             if e >= valid_order:
-                arr[top - e] = c % field.p
-        return cls(field, top, arr, valid_order)
+                arr[e - valid_order] = c % field.p
+        return cls._raw(field, valid_order, _trim(arr))
 
     # -- structure -----------------------------------------------------------
 
@@ -113,7 +110,7 @@ class LaurentSeries:
         """Degree of the leading stored term, or None if zero to the floor."""
         if self.coeffs.size == 0:
             return None
-        return self.valid_order + self.coeffs.size - 1
+        return self._nominal_top
 
     @property
     def _nominal_top(self) -> int:
@@ -128,32 +125,26 @@ class LaurentSeries:
             raise ValueError(
                 f"exponent {k} is below the validity floor {self.valid_order}"
             )
-        top = self._nominal_top
-        if k > top:
+        if k > self._nominal_top:
             return self.field.zero
-        return FieldElement(self.field, int(self.coeffs[top - k]))
+        return FieldElement(self.field, int(self.coeffs[k - self.valid_order]))
 
     def terms(self) -> Dict[int, int]:
-        top = self._nominal_top
-        return {
-            top - i: int(c) for i, c in enumerate(self.coeffs) if c
-        }
+        return {self.valid_order + i: int(c) for i, c in enumerate(self.coeffs) if c}
 
     def truncated(self, valid_order: int) -> "LaurentSeries":
         """Weaken the floor (valid_order may only move up)."""
         if valid_order < self.valid_order:
             raise ValueError("cannot deepen a validity floor by truncation")
-        return LaurentSeries(self.field, self._nominal_top, self.coeffs, valid_order)
+        return LaurentSeries._raw(
+            self.field, valid_order, self.coeffs[valid_order - self.valid_order :]
+        )
 
     def polynomial_part(self) -> Poly:
         """The terms with exponent >= 0 (the "integer part")."""
         if self.valid_order > 0:
             raise ValueError("floor above 0: constant term unknown")
-        top = self._nominal_top
-        if top < 0:
-            return Poly(self.field, ())
-        window = self.coeffs[: top + 1]
-        return Poly(self.field, window[::-1])
+        return Poly._raw(self.field, self.coeffs[-self.valid_order :])
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -168,95 +159,84 @@ class LaurentSeries:
             raise ValueError("operands must be series or polynomials over one field")
         return c
 
-    def _addsub(self, other, sign: int) -> "LaurentSeries":
+    def _addsub(self, other, kernel) -> "LaurentSeries":
         if not isinstance(other, LaurentSeries):
             # an exact polynomial is known to every order, so at self's floor
             other = LaurentSeries.from_poly(self._exact(other), self.valid_order)
         self._check(other)
         v = max(self.valid_order, other.valid_order)
-        top = max(self._nominal_top, other._nominal_top, v - 1)
-        n = top - v + 1
-        out = np.zeros(n, dtype=np.int64)
-        for s, sgn in ((self, 1), (other, sign)):
-            stop = s._nominal_top
-            lo = max(s.valid_order, v)
-            if stop >= lo:
-                out[top - stop : top - lo + 1] += sgn * s.coeffs[: stop - lo + 1]
-        out %= self.field.p
-        return LaurentSeries(self.field, top, out, v)
+        a = self.coeffs[v - self.valid_order :]
+        b = other.coeffs[v - other.valid_order :]
+        return LaurentSeries._raw(self.field, v, kernel(a, b, self.field.p))
 
     def __add__(self, other):
-        return self._addsub(other, 1)
+        return self._addsub(other, _add_arrays)
 
     def __sub__(self, other):
-        return self._addsub(other, -1)
+        return self._addsub(other, _sub_arrays)
+
+    def __rsub__(self, other):
+        return -self + other
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LaurentSeries(
-            self.field, self._nominal_top, (-self.coeffs) % self.field.p, self.valid_order
+        return LaurentSeries._raw(
+            self.field, self.valid_order, (-self.coeffs) % self.field.p
         )
 
     def __mul__(self, other):
-        if not isinstance(other, LaurentSeries):
-            # the unknown terms below V reach up to V - 1 + deg c (a constant,
-            # zero included, keeps V); entry i of the ascending product is V + i
-            c = self._exact(other)
-            d, v = max(c.coeffs.size - 1, 0), self.valid_order
-            full = _mul_arrays(self.coeffs[::-1], c.coeffs, self.field.p)[d:]
-            return LaurentSeries(self.field, self._nominal_top + d, full[::-1], v + d)
-        self._check(other)
-        top = self._nominal_top + other._nominal_top
-        v = max(
-            self.valid_order + other._nominal_top,
-            other.valid_order + self._nominal_top,
-        )
+        top_a = self._nominal_top
+        if isinstance(other, LaurentSeries):
+            self._check(other)
+            b, top_b = other.coeffs, other._nominal_top
+            v = max(self.valid_order + top_b, other.valid_order + top_a)
+        else:
+            # the unknown terms below V reach up to V - 1 + deg c (a
+            # constant, zero included, keeps V)
+            b = self._exact(other).coeffs
+            top_b = b.size - 1
+            v = self.valid_order + max(top_b, 0)
+        if self.is_zero_to_floor or b.size == 0:
+            return LaurentSeries.zero(self.field, v)
         # a term of exponent e reaches the floor v only if e >= v - (the
         # other factor's top), which leaves top - v + 1 terms of each factor
-        keep = top - v + 1
-        full = _mul_arrays(
-            self.coeffs[:keep][::-1], other.coeffs[:keep][::-1], self.field.p
-        )[::-1]
-        return LaurentSeries(self.field, top, full, v)
+        keep = top_a + top_b - v + 1
+        a, b = self.coeffs[-keep:], b[-keep:]
+        low = top_a + top_b - a.size - b.size + 2  # the product's first exponent
+        return LaurentSeries._raw(
+            self.field, v, _mul_arrays(a, b, self.field.p)[v - low :]
+        )
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "LaurentSeries":
         top_a, v_a = self._nominal_top, self.valid_order
-        if not isinstance(other, LaurentSeries):
-            # an exact divisor c puts the floor at V_a - deg c; the quotient
-            # window, as long as self's, reads only that many top terms of c
-            c = self._exact(other)
-            if c.is_zero:
-                raise ZeroDivisionError("division by zero")
-            d = int(c.degree)
-            other = LaurentSeries.from_poly(c, d + min(0, v_a - top_a))
-        self._check(other)
-        if other.is_zero_to_floor:
-            raise ZeroDivisionError(
-                "division by a series that is zero to its validity floor"
-            )
-        top_b, v_b = other._nominal_top, other.valid_order
-        v_q = max(v_a - top_b, v_b + top_a - 2 * top_b)
+        if isinstance(other, LaurentSeries):
+            self._check(other)
+            b, top_b = other.coeffs, other._nominal_top
+            v_q = max(v_a - top_b, other.valid_order + top_a - 2 * top_b)
+        else:
+            # an exact divisor has no unknown tail to leak into the quotient
+            b = self._exact(other).coeffs
+            top_b = b.size - 1
+            v_q = v_a - top_b
+        if b.size == 0:
+            raise ZeroDivisionError("divisor is zero to its validity floor")
         nq = top_a - top_b - v_q + 1
         if self.is_zero_to_floor or nq <= 0:
             return LaurentSeries.zero(self.field, v_q)
-        # descending windows are power series in 1/T: entry i of the
-        # quotient is the exponent top_a - top_b - i
-        q = _quotient(self.coeffs, other.coeffs, nq, self.field.p)
-        return LaurentSeries(self.field, top_a - top_b, q, v_q)
+        return LaurentSeries._raw(
+            self.field, v_q, _top_quotient(self.coeffs, b, nq, self.field.p)
+        )
 
     def frobenius(self) -> "LaurentSeries":
         """self**p: exponents map to p*k, coefficients are Frobenius-fixed."""
         p = self.field.p
-        v = p * (self.valid_order - 1) + 1
-        if self.coeffs.size == 0:
-            return LaurentSeries.zero(self.field, v)
-        top = p * self._nominal_top
-        out = np.zeros(top - v + 1, dtype=np.int64)
-        out[:: p][: self.coeffs.size] = self.coeffs
-        return LaurentSeries(self.field, top, out, v)
+        # exponent V + i goes to p*(V + i), entry p*i + p - 1 above the new floor
+        out = np.zeros(p * self.coeffs.size, dtype=np.int64)
+        out[p - 1 :: p] = self.coeffs
+        return LaurentSeries._raw(self.field, p * (self.valid_order - 1) + 1, out)
 
     # -- identity ------------------------------------------------------------
 
@@ -272,20 +252,8 @@ class LaurentSeries:
         return hash((self.field.p, self.valid_order, self.coeffs.tobytes()))
 
     def __str__(self) -> str:
-        parts = []
-        top = self._nominal_top
-        for i, c in enumerate(self.coeffs):
-            c = int(c)
-            if c == 0:
-                continue
-            e = top - i
-            if e == 0:
-                parts.append(str(c))
-            else:
-                mono = "t" if e == 1 else f"t^{e}"
-                parts.append(mono if c == 1 else f"{c}*{mono}")
-        parts.append(f"O(t^{self.valid_order - 1})")
-        return " + ".join(parts)
+        tail = f"O(t^{self.valid_order - 1})"
+        return " + ".join(_render(self.coeffs, self.valid_order) + [tail])
 
     def __repr__(self) -> str:
         return f"LaurentSeries({self} mod {self.field.p})"

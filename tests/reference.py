@@ -89,8 +89,9 @@ def schoolbook_divmod(a: np.ndarray, b: np.ndarray, p: int):
 
 
 def untrimmed_series_mul(a, b):
-    """a*b for two package LaurentSeries: both whole windows multiplied,
-    then cut at the floor max(V_a + top_b, V_b + top_a)."""
+    """a*b for two package LaurentSeries: both whole ascending windows
+    multiplied, then cut at the floor max(V_a + top_b, V_b + top_a) by the
+    public constructor, which takes the product top-down."""
     from hypercf.algebra import _mul_arrays
 
     top_a = a.valid_order + a.coeffs.size - 1
@@ -98,7 +99,7 @@ def untrimmed_series_mul(a, b):
     v = max(a.valid_order + top_b, b.valid_order + top_a)
     if a.coeffs.size == 0 or b.coeffs.size == 0:
         return type(a).zero(a.field, v)
-    full = _mul_arrays(a.coeffs[::-1], b.coeffs[::-1], a.field.p)[::-1]
+    full = _mul_arrays(a.coeffs, b.coeffs, a.field.p)[::-1]
     return type(a)(a.field, top_a + top_b, full, v)
 
 

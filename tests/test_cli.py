@@ -68,6 +68,24 @@ class TestExpand:
     def test_missing_equation_selector(self, capsys):
         code, _, err = run(capsys, "expand", "--p", "5", "--steps", "3")
         assert code == 2
+        assert "exactly one of" in err
+
+    @pytest.mark.parametrize(
+        "sources",
+        (
+            ("--u", "2,4,5", "--u1", "1"),
+            ("--u", "2,4,5", "--equation-file", "eq.txt"),
+            ("--u1", "1", "--equation-file", "eq.txt"),
+            ("--u", "2,4,5", "--u1", "1", "--equation-file", "eq.txt"),
+        ),
+    )
+    def test_conflicting_equation_sources_rejected(self, capsys, tmp_path, sources):
+        path = tmp_path / "eq.txt"
+        path.write_text("0: 4 0 4\n1: 0 1\n")
+        args = [str(path) if a == "eq.txt" else a for a in sources]
+        code, out, err = run(capsys, "expand", "--p", "7", *args, "--steps", "3")
+        assert code == 2 and out == []
+        assert "exactly one of --u, --u1 or --equation-file" in err
 
     def test_mills_robbins_family(self, capsys):
         code, out, _ = run(capsys, "expand", "--p", "5", "--u1", "4", "--steps", "6")

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from hypercf import LaurentSeries, Poly, series_from_rational
 
 from conftest import FIELDS, polys
-from reference import poly_dict, rseries, untrimmed_series_mul
+from reference import poly_dict, radd, rmul, rseries, rsub, untrimmed_series_mul
 
 
 class TestFromRational:
@@ -140,6 +140,13 @@ class TestArithmetic:
         # a constant above the floor is known exactly; one below it is not
         assert (LaurentSeries.zero(K, 2) + 3) == LaurentSeries.zero(K, 2)
 
+    def test_exact_operand_on_the_left_of_minus(self):
+        K = FIELDS[7]
+        s = LaurentSeries.from_terms(K, {1: 2, -1: 3}, -4)
+        for c in (3, K(5), Poly(K, (1, 0, 4))):
+            assert c - s == -(s - c)
+        assert (3 - s).terms() == {1: 5, 0: 3, -1: 4}
+
 
 class TestPrecisionRules:
     def test_add_takes_weaker_floor(self):
@@ -256,6 +263,63 @@ class TestAgainstReference:
         assert s.terms() == expected
 
 
+class TestLayoutEdges:
+    """Floors from -40 to 10, positive ones and empty windows included,
+    with every operation checked term by term against dict arithmetic."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_matches_dict_arithmetic(self, data):
+        p = data.draw(st.sampled_from((3, 5, 7)))
+        K = FIELDS[p]
+
+        def top(terms, v):
+            return max(terms) if terms else v - 1
+
+        def draw():
+            v = data.draw(st.integers(-40, 10))
+            last = v + data.draw(st.integers(-1, 30))  # v - 1: an empty window
+            raw = data.draw(st.dictionaries(
+                st.integers(v - 5, max(last, v - 1)), st.integers(0, 3 * p), max_size=12
+            ))
+            s = LaurentSeries.from_terms(K, raw, v)
+            want = {e: c % p for e, c in raw.items() if e >= v and c % p}
+            assert s.terms() == want and s.valid_order == v
+            window = [want.get(e, 0) for e in range(top(want, v), v - 1, -1)]
+            assert LaurentSeries(K, top(want, v), window, v) == s
+            return s, want, v
+
+        def check(got, terms, v):
+            assert got.valid_order == v
+            assert got.terms() == {e: c for e, c in terms.items() if e >= v}
+
+        a, ta, va = draw()
+        b, tb, vb = draw()
+        check(a + b, radd(ta, tb, p), max(va, vb))
+        check(a - b, rsub(ta, tb, p), max(va, vb))
+        check(a * b, rmul(ta, tb, p), max(va + top(tb, vb), vb + top(ta, va)))
+
+        c = data.draw(st.one_of(polys(p, 0, 6), st.just(Poly(K, ()))))
+        tc, d = poly_dict(c), c.coeffs.size - 1
+        for prod in (a * c, c * a):
+            check(prod, rmul(ta, tc, p), va + max(d, 0))
+        check(a + c, radd(ta, tc, p), va)
+        check(c - a, rsub(tc, ta, p), va)
+        if not c.is_zero:
+            check(a / c, rseries(ta, tc, p, va - d), va - d)
+
+        check(a.frobenius(), {p * e: x for e, x in ta.items()}, p * (va - 1) + 1)
+        check(LaurentSeries.zero(K, va).frobenius(), {}, p * (va - 1) + 1)
+        above = data.draw(st.integers(va, top(ta, va) + 5))  # up to past the top
+        check(a.truncated(above), ta, above)
+        for floor in (data.draw(st.integers(-10, 10)), d + 1 + data.draw(st.integers(0, 3))):
+            check(LaurentSeries.from_poly(c, floor), tc, floor)
+        if va <= 0:
+            integer_part = {e: x for e, x in ta.items() if e >= 0}
+            assert poly_dict(a.polynomial_part()) == integer_part
+            assert poly_dict(a.truncated(0).polynomial_part()) == integer_part
+
+
 def _assert_same_series(got, want):
     assert got.valid_order == want.valid_order
     assert got.top_degree == want.top_degree
@@ -342,6 +406,7 @@ class TestExactOperands:
             deep = LaurentSeries.from_poly(exact, padded.valid_order)
             _assert_same_series(s + operand, s + deep)
             _assert_same_series(s - operand, s - deep)
+            _assert_same_series(operand - s, deep - s)
             if exact.is_zero:
                 # an exact zero keeps the floor, like the scalar 0
                 for prod in (s * operand, operand * s):
