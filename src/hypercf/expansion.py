@@ -1,27 +1,38 @@
 """Partial-quotient extraction from algebraic equations over F_p[T].
 
-Given P with a power-series root alpha, one step emits the integer part
-bar = -(P[n-1] // P[n]) of the root, then moves to the equation of the
-tail 1/(alpha - bar) by a Taylor shift x -> x + bar followed by a
-coefficient reversal.  Iterating yields the partial quotients one at a
-time.  The step carries no correctness theorem here: outputs are meant
-to be validated a posteriori through eval_at_series.
+Given P of degree n in x with a power-series root alpha, one step emits
+the integer part bar = -(P[n-1] // P[n]) of the root and moves to the
+equation y^n * P(bar + 1/y) of the tail 1/(alpha - bar).  Iterating
+yields the partial quotients one at a time.  The step carries no
+correctness theorem here: outputs are meant to be validated a posteriori
+through eval_at_series.
 
-Equations are stored sparsely, by x-exponent.  The Taylor shift
-P(x + bar), P at a polynomial and P at a series all take one
-Frobenius-split Horner: in characteristic p, (x + bar)^p = x^p + bar^p,
-so for A*x^(p+1) + B*x^p + C*x + D it is (A*z + B)*z^p + C*z + D with
-z^p a Frobenius, which keeps the support {0, 1, p, p+1} at every step.
-The shifted x^0 coefficient is P(bar), which decides rational termination.
+k steps compose into one Moebius map.  With the continuants of their
+quotients, the tail equation is the homogeneous form
+sum of c_e * N^e * D^(n-e) for N = x_k*y + x_(k-1), D = y_k*y + y_(k-1);
+one step is the case N = bar*y + 1, D = y, and P at a polynomial or a
+series is the case D = 1.  All of them take one Frobenius-split Horner:
+in characteristic p, N^p and D^p are Frobenius images, so for
+A*x^(p+1) + B*x^p + C*x + D the form is N^p*(A*N + B*D) + D^p*(C*N + D*D),
+which keeps the support {0, 1, p, p+1}.
+
+`expand` extracts in jumps.  A quotient reads only the tops of P[n] and
+P[n-1], so the steps run on top windows of the coefficients, Laurent
+series whose floors track what they still determine, for as long as the
+windows decide each quotient, its degree >= 1, P(bar) nonzero and every
+tail coefficient's degree.  The composite map of the quotients found is
+then applied to the full equation once, and the result's tops must equal
+the windows.  What the windows leave open, a deep quotient, a constant
+one or a possibly rational root, falls to one full-size step.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .algebra import Poly, PrimeField
-from .cf import PartialQuotients
-from .series import LaurentSeries
+from .cf import PartialQuotients, continuants
+from .series import InsufficientPrecisionError, LaurentSeries
 
 __all__ = [
     "BiPoly",
@@ -31,6 +42,14 @@ __all__ = [
     "expand",
     "eval_at_series",
 ]
+
+#: least number of coefficients a jump's windows hold below the equation's
+#: height; from heights of 32 times that on, they hold height // 32, and
+#: an equation less than four windows high takes full-size steps.  A
+#: linear quotient uses up about two of them, so a jump decides up to
+#: about half as many quotients for the cost of one composite map, which
+#: multiplies the full coefficients by continuants of about that degree.
+_WINDOW_MIN_LEN = 64
 
 
 class NoAdmissibleQuotientError(RuntimeError):
@@ -56,6 +75,9 @@ class BiPoly:
     {0, 1, p, p+1} through every extraction step.  The constructor takes
     either that map or a dense sequence indexed by exponent.  `+` and `*`
     take a BiPoly or a bare Poly (or scalar), which is the x^0 term.
+    Inside the engine, coefficients may also be LaurentSeries windows,
+    which are kept even when zero to their floor: below it they are
+    unknown, not zero.
     """
 
     __slots__ = ("field", "terms")
@@ -77,6 +99,14 @@ class BiPoly:
         self.field = field
         self.terms = terms
 
+    @classmethod
+    def _raw(cls, field: PrimeField, terms: Dict[int, object]) -> "BiPoly":
+        # the nonzero terms of an intermediate result, of any x-degree
+        self = object.__new__(cls)
+        self.field = field
+        self.terms = terms
+        return self
+
     @property
     def degree_x(self) -> int:
         return max(self.terms)
@@ -88,23 +118,38 @@ class BiPoly:
         return max(int(c.degree) for c in self.terms.values())
 
     def __call__(self, value: Poly) -> Poly:
-        return _evaluate(self, value, value.frobenius())
+        return _evaluate(self, value)
 
-    def _collect(self, terms: Iterable[Tuple[int, Poly]]) -> "BiPoly":
-        out: Dict[int, Poly] = {}
-        for e, c in terms:
-            out[e] = out[e] + c if e in out else c
-        return BiPoly(self.field, out)
+    def frobenius(self) -> "BiPoly":
+        """self**p: in characteristic p, coefficient c of x^e goes to c**p
+        at x^(p*e)."""
+        p = self.field.p
+        return BiPoly._raw(self.field, {p * e: c.frobenius() for e, c in self.terms.items()})
+
+    def _operand(self, other) -> Dict[int, object]:
+        """The terms of a BiPoly operand; a bare one is the x^0 term."""
+        if not isinstance(other, (BiPoly, Poly, LaurentSeries)):
+            other = Poly(self.field, (other,))
+        if other.field != self.field:
+            raise ValueError("field mismatch")
+        if isinstance(other, BiPoly):
+            return other.terms
+        return {0: other} if _nonzero(other) else {}
 
     def __add__(self, other) -> "BiPoly":
-        o = other.terms if isinstance(other, BiPoly) else {0: other}
-        return self._collect([*self.terms.items(), *o.items()])
+        out = dict(self.terms)
+        for e, c in self._operand(other).items():
+            _accumulate(out, e, c)
+        return BiPoly._raw(self.field, out)
 
     def __mul__(self, other) -> "BiPoly":
-        o = other.terms if isinstance(other, BiPoly) else {0: other}
-        return self._collect(
-            (e1 + e2, c1 * c2) for e1, c1 in self.terms.items() for e2, c2 in o.items()
-        )
+        # products of nonzero terms are nonzero: only their sums can cancel
+        o = self._operand(other)
+        out: Dict[int, object] = {}
+        for e1, c1 in self.terms.items():
+            for e2, c2 in o.items():
+                _accumulate(out, e1 + e2, c1 * c2)
+        return BiPoly._raw(self.field, out)
 
     __radd__ = __add__
     __rmul__ = __mul__
@@ -125,6 +170,22 @@ class BiPoly:
             xs = "" if i == 0 else ("*x" if i == 1 else f"*x^{i}")
             parts.append(f"({self.terms[i]}){xs}")
         return " + ".join(parts)
+
+
+def _nonzero(c) -> bool:
+    return isinstance(c, LaurentSeries) or not c.is_zero
+
+
+def _accumulate(terms: Dict[int, object], e: int, c) -> None:
+    """terms[e] += c, the term dropped if the sum cancels."""
+    if e not in terms:
+        terms[e] = c
+        return
+    total = terms[e] + c
+    if _nonzero(total):
+        terms[e] = total
+    else:
+        del terms[e]
 
 
 @dataclass
@@ -151,17 +212,19 @@ def next_step(P: BiPoly) -> Tuple[Poly, Optional[BiPoly]]:
     Returns (bar, next_equation); next_equation is None when P(bar) = 0,
     i.e. the root is rational and bar is its final quotient.  Raises
     NoAdmissibleQuotientError when the extracted bar has degree < 1.
+    On an equation of windows the step is the same, and a window's
+    InsufficientPrecisionError says it cannot decide bar.
     """
-    field = P.field
     n = P.degree_x
     bar = -(P.coefficient(n - 1) // P.terms[n])
-    z = BiPoly(field, {1: 1, 0: bar})
-    shifted = _evaluate(P, z, BiPoly(field, {field.p: 1, 0: bar.frobenius()}))
-    if 0 not in shifted.terms:  # the x^0 coefficient is P(bar)
-        return bar, None
     if bar.degree < 1:
+        # no tail follows a constant bar: the run ends, rationally if P(bar)
+        # is zero (a window, a series, is never known to be)
+        if not _nonzero(P(bar)):
+            return bar, None
         raise NoAdmissibleQuotientError(1, bar, ())
-    return bar, BiPoly(field, {n - k: c for k, c in shifted.terms.items()})
+    tail = _mobius(P, bar, 1, 1, 0)
+    return bar, (tail if n in tail.terms else None)  # tail[n] is P(bar)
 
 
 def expand(P: BiPoly, m: int) -> ExpansionResult:
@@ -178,28 +241,25 @@ def expand(P: BiPoly, m: int) -> ExpansionResult:
     degree_sum = 0
     max_seen = base_height
     rational_value: Optional[Poly] = None
-    current = P
-    for step in range(1, m + 1):
-        try:
-            bar, current = next_step(current)
-        except NoAdmissibleQuotientError as err:
-            raise NoAdmissibleQuotientError(step, err.bar, emitted) from None
-        if bar.degree >= 1:
-            emitted.append(bar)
-            degree_sum += int(bar.degree)
-        if current is None:
-            rational_value = bar
-            break
-        if step == m:
-            break
-        height = current.max_coeff_degree()
-        max_seen = max(max_seen, height)
-        bound = base_height + current.degree_x * degree_sum
-        if height > bound:
-            raise RuntimeError(
-                f"coefficient degree {height} exceeded the bound {bound} "
-                f"after step {step}"
-            )
+    try:
+        for step, (bar, height) in enumerate(_quotients(P, m), start=1):
+            if bar.degree >= 1:
+                emitted.append(bar)
+                degree_sum += int(bar.degree)
+            if height is None:
+                rational_value = bar
+                break
+            if step == m:
+                break
+            max_seen = max(max_seen, height)
+            bound = base_height + P.degree_x * degree_sum
+            if height > bound:
+                raise RuntimeError(
+                    f"coefficient degree {height} exceeded the bound {bound} "
+                    f"after step {step}"
+                )
+    except NoAdmissibleQuotientError as err:
+        raise NoAdmissibleQuotientError(len(emitted) + 1, err.bar, emitted) from None
     return ExpansionResult(
         quotients=PartialQuotients(emitted),
         rational=rational_value is not None,
@@ -209,28 +269,132 @@ def expand(P: BiPoly, m: int) -> ExpansionResult:
     )
 
 
+def _quotients(P: BiPoly, m: int) -> Iterator[Tuple[Poly, Optional[int]]]:
+    """The first m quotients of P's root, each with the largest coefficient
+    degree of the tail equation it leaves, or None for a rational end:
+    jumps, each followed by one full-size step for what its windows left
+    open."""
+    left = m
+    while True:
+        bars, heights, windows = _jump(P, left)
+        if bars:
+            P = _apply(P, bars, windows)
+            yield from zip(bars, heights)
+            left -= len(bars)
+            if not left:
+                return
+        bar, P = next_step(P)
+        yield bar, None if P is None else P.max_coeff_degree()
+        left -= 1
+        if P is None or not left:
+            return
+
+
+def _windows(P: BiPoly) -> Optional[BiPoly]:
+    """P's coefficients as top windows at one floor below its height, or
+    None when the equation is less than four windows high: a step on it
+    then costs about as much as on its windows, and a jump gains nothing."""
+    height = P.max_coeff_degree()
+    length = max(_WINDOW_MIN_LEN, height // 32)
+    if height < 4 * length:
+        return None
+    floor = height - length
+    return BiPoly._raw(
+        P.field, {e: LaurentSeries.from_poly(c, floor) for e, c in P.terms.items()}
+    )
+
+
+def _jump(P: BiPoly, budget: int) -> Tuple[List[Poly], List[int], Optional[BiPoly]]:
+    """Up to `budget` quotients of P decided by steps on its windows, the
+    largest coefficient degree after each, and the windowed tail equation
+    (none at all for an equation too short for windows).
+
+    The run stops at a step whose bar needs a term below a floor or has
+    degree < 1, or whose tail has a coefficient zero to its floor: that
+    coefficient's degree, P(bar) among them, is unknown.
+    """
+    bars: List[Poly] = []
+    heights: List[int] = []
+    windows = _windows(P)
+    while windows is not None and len(bars) < budget:
+        try:
+            bar, tail = next_step(windows)
+        except (InsufficientPrecisionError, NoAdmissibleQuotientError):
+            break
+        if any(c.is_zero_to_floor for c in tail.terms.values()):
+            break
+        bars.append(bar)
+        heights.append(max(c.top_degree for c in tail.terms.values()))
+        windows = tail
+    return bars, heights, windows
+
+
+def _apply(P: BiPoly, bars: List[Poly], windows: BiPoly) -> BiPoly:
+    """The tail of P after `bars`, by their composite map, checked against
+    the windowed tail: each coefficient cut at its window's floor must
+    equal the window."""
+    tail = _mobius(P, *continuants(PartialQuotients(bars)))
+    if tail.terms.keys() != windows.terms.keys() or any(
+        LaurentSeries.from_poly(tail.terms[e], w.valid_order) != w
+        for e, w in windows.terms.items()
+    ):
+        raise RuntimeError(
+            f"a jump of {len(bars)} quotients disagrees with its windows"
+        )
+    return tail
+
+
+def _mobius(P: BiPoly, x, y, x_prev, y_prev) -> BiPoly:
+    """P's tail equation after quotients with continuants (x, y) and
+    predecessors (x_prev, y_prev): sum of c_e * N^e * D^(n-e) for
+    N = x*y' + x_prev and D = y*y' + y_prev in the new variable y'."""
+    field = P.field
+    return _evaluate(P, BiPoly(field, {1: x, 0: x_prev}), BiPoly(field, {1: y, 0: y_prev}))
+
+
 def eval_at_series(P: BiPoly, s: LaurentSeries) -> LaurentSeries:
     """P(s) with propagated validity: the result being zero to its floor
     certifies s as a root of P down to that order."""
-    return _evaluate(P, s, s.frobenius())
+    return _evaluate(P, s)
 
 
-def _horner(terms: Mapping[int, object], z):
-    """sum of terms[k] * z^k, by Horner over k from the top down."""
-    acc = terms[max(terms)]
-    for k in range(max(terms) - 1, -1, -1):
-        acc = acc * z
+def _horner(terms: Mapping[int, object], z, w, top: int):
+    """sum of terms[k] * z^k * w^(top - k) over k <= top, by Horner over k
+    from the top down; w None stands for 1."""
+    acc = wk = None  # wk is w^(top - k), None for 1
+    for k in range(top, -1, -1):
+        if acc is not None:
+            acc = z * acc
+        if w is not None and k < top:
+            wk = w if wk is None else wk * w
         if k in terms:
-            acc = acc + terms[k]
+            t = terms[k] if wk is None else wk * terms[k]
+            acc = t if acc is None else acc + t
     return acc
 
 
-def _evaluate(P: BiPoly, z, zp):
-    """P(z) for a Poly, LaurentSeries or BiPoly z, given zp = z^p: with
-    P(x) = sum over q of x^(pq) * R_q(x) and deg R_q < p, Horner in zp
-    over q of Horner in z over R_q."""
-    p = P.field.p
-    groups: Dict[int, Dict[int, Poly]] = {}
+def _evaluate(P: BiPoly, z, w=None):
+    """sum of c_e * z^e * w^(n-e) over the terms c_e*x^e of P, n = deg P,
+    for Polys, LaurentSeries or BiPolys z and w; P(z) when w is None.
+
+    With e = p*q + r and r < p, z^e = (z^p)^q * z^r, and z^p is a
+    Frobenius image: the sum is Horner in (z^p, w^p) over q of Horner in
+    (z, w) over r, of inner degree n mod p.  A homogeneous term with
+    r > n mod p needs p more inner degree; those terms make a second such
+    sum, one outer degree lower.
+    """
+    p, n = P.field.p, P.degree_x
+    # without w no degree is fixed, and an inner degree of p - 1 takes every r
+    low = p - 1 if w is None else n % p
+    parts: Dict[int, Dict[int, Dict[int, object]]] = {}
     for e, c in P.terms.items():
-        groups.setdefault(e // p, {})[e % p] = c
-    return _horner({q: _horner(r, z) for q, r in groups.items()}, zp)
+        q, r = divmod(e, p)
+        parts.setdefault(int(r > low), {}).setdefault(q, {})[r] = c
+    zp = z.frobenius()
+    wp = None if w is None else w.frobenius()
+    total = None
+    for high, groups in parts.items():
+        inner = {q: _horner(rs, z, w, low + p * high) for q, rs in groups.items()}
+        part = _horner(inner, zp, wp, n // p - high)
+        total = part if total is None else total + part
+    return total

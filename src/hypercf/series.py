@@ -19,6 +19,9 @@ Precision rules (window of a runs [V_a, top_a], similarly for b):
              through the quotient; for an exactly known divisor it is
              never the binding one)
 * frobenius: V = p*(V - 1) + 1
+* a // b:    the polynomial part of a/b, read from the top
+             top_a - top_b + 1 terms of each window, so defined only
+             while both windows hold that many
 
 The window is stored in the Poly layout shifted to the floor, ascending
 from V and trimmed at the top, so a series is T^V times a Poly-layout
@@ -154,7 +157,7 @@ class LaurentSeries:
 
     def _exact(self, other) -> Poly:
         """An int, FieldElement or Poly operand as an exact polynomial."""
-        c = Poly(self.field)._coerce(other)  # raises on a field mismatch
+        c = Poly._raw(self.field, _EMPTY)._coerce(other)  # raises on a field mismatch
         if c is NotImplemented:
             raise ValueError("operands must be series or polynomials over one field")
         return c
@@ -195,6 +198,8 @@ class LaurentSeries:
             # the unknown terms below V reach up to V - 1 + deg c (a
             # constant, zero included, keeps V)
             b = self._exact(other).coeffs
+            if b.size == 1 and b[0] == 1:
+                return self  # a unit factor, as in the engine's Moebius steps
             top_b = b.size - 1
             v = self.valid_order + max(top_b, 0)
         if self.is_zero_to_floor or b.size == 0:
@@ -229,6 +234,30 @@ class LaurentSeries:
         return LaurentSeries._raw(
             self.field, v_q, _top_quotient(self.coeffs, b, nq, self.field.p)
         )
+
+    def __floordiv__(self, other: "LaurentSeries") -> Poly:
+        """The polynomial part of self/other, from the top (quotient length)
+        terms of each window.  Raises InsufficientPrecisionError when a
+        window holds fewer, or when the divisor is zero to its floor, of
+        unknown degree."""
+        self._check(other)
+        if other.is_zero_to_floor:
+            raise InsufficientPrecisionError("the divisor's degree is below its floor")
+        qlen = self._nominal_top - other._nominal_top + 1
+        if qlen <= 0:
+            return Poly(self.field)
+        if min(self.coeffs.size, other.coeffs.size) < qlen:
+            raise InsufficientPrecisionError(
+                f"the polynomial part of a quotient needs the top {qlen} terms "
+                "of each window"
+            )
+        return Poly._raw(
+            self.field, _top_quotient(self.coeffs, other.coeffs, qlen, self.field.p)
+        )
+
+    def __rfloordiv__(self, other) -> Poly:
+        # an exact dividend is known to every order, so at the divisor's floor
+        return LaurentSeries.from_poly(self._exact(other), self.valid_order) // self
 
     def frobenius(self) -> "LaurentSeries":
         """self**p: exponents map to p*k, coefficients are Frobenius-fixed."""

@@ -14,7 +14,10 @@ multiplies whole windows on the package's kernel and is the oracle for
 the product that trims its factors first, and `horner_eval_at_series`,
 the package's former evaluation of an equation at a series, one Horner
 product per x-degree with every coefficient padded to a deep floor, the
-oracle for the Frobenius-split evaluation.
+oracle for the Frobenius-split evaluation, and `stepwise_expand`, the
+package's former extraction loop, one `next_step` on the full equation
+per quotient, the oracle for the jumps that decide quotients on top
+windows and apply their composite map once.
 """
 from __future__ import annotations
 
@@ -241,3 +244,48 @@ def dense_expand(coeffs: list, m: int) -> tuple:
             )
     bound = base_height + (len(coeffs) - 1) * degree_sum
     return ("done", emitted, rational_value, max_seen, bound)
+
+
+def stepwise_expand(P, m: int):
+    """The package's expand as it was before jumps: one `next_step` on the
+    full equation per quotient, the height guard after every step.
+    Returns the package's ExpansionResult or raises as expand does."""
+    from hypercf import ExpansionResult, NoAdmissibleQuotientError, PartialQuotients
+    from hypercf.expansion import next_step
+
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    base_height = P.max_coeff_degree()
+    emitted: list = []
+    degree_sum = 0
+    max_seen = base_height
+    rational_value = None
+    current = P
+    for step in range(1, m + 1):
+        try:
+            bar, current = next_step(current)
+        except NoAdmissibleQuotientError as err:
+            raise NoAdmissibleQuotientError(step, err.bar, emitted) from None
+        if bar.degree >= 1:
+            emitted.append(bar)
+            degree_sum += int(bar.degree)
+        if current is None:
+            rational_value = bar
+            break
+        if step == m:
+            break
+        height = current.max_coeff_degree()
+        max_seen = max(max_seen, height)
+        bound = base_height + current.degree_x * degree_sum
+        if height > bound:
+            raise RuntimeError(
+                f"coefficient degree {height} exceeded the bound {bound} "
+                f"after step {step}"
+            )
+    return ExpansionResult(
+        quotients=PartialQuotients(emitted),
+        rational=rational_value is not None,
+        rational_value=rational_value,
+        max_coeff_degree=max_seen,
+        coeff_degree_bound=base_height + P.degree_x * degree_sum,
+    )

@@ -146,6 +146,16 @@ class TestVerify:
         assert code == 0
         assert "verified" in out[0]
 
+    def test_deep_p11_run_through_n4(self, capsys):
+        # 1476 quotients, the last of degree 29281
+        code, out, _ = run(
+            capsys, "verify", "--p", "11", "--u", "3,10,5", "--steps", "1476"
+        )
+        assert code == 0
+        assert out == [
+            "p=11 u=(3, 10, 5) steps=1476: verified, residuals zero to order -67334"
+        ]
+
     def test_alternate_r_convention_fails(self, capsys):
         code, out, _ = run(
             capsys, "verify", "--p", "3", "--u", "1,1,1", "--steps", "8",

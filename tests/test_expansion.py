@@ -6,12 +6,15 @@ from hypothesis import strategies as st
 
 from hypercf import (
     BiPoly,
+    InsufficientPrecisionError,
     LaurentSeries,
     NoAdmissibleQuotientError,
     PartialQuotients,
     Poly,
     build_spec,
     cf_to_series,
+    continuants,
+    convergent_validity_floor,
     eval_at_series,
     expand,
     mills_robbins_equation,
@@ -21,6 +24,8 @@ from hypercf import (
     pattern_position,
     rational_to_cf,
 )
+from hypercf import expansion
+from hypercf.grids import MILLS_ROBBINS_U1, verification_steps
 
 from conftest import FIELDS, polys
 from reference import (
@@ -30,6 +35,7 @@ from reference import (
     radd,
     reval,
     rmul,
+    stepwise_expand,
 )
 
 
@@ -95,6 +101,10 @@ class TestBiPoly:
         with pytest.raises(ValueError, match="field mismatch"):
             eq * BiPoly(FIELDS[7], [1, 1])
         assert eq + 1 == 1 + eq == BiPoly(K, [T + 1, Poly(K, (1,))])
+        no_constant = BiPoly(K, {1: T})
+        assert no_constant + 1 == BiPoly(K, [1, T])
+        with pytest.raises(ValueError, match="field mismatch"):
+            no_constant + FIELDS[7].T
 
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())
@@ -159,10 +169,10 @@ class TestNextStep:
             assert sorted(eq.terms) == [0, 1, 11, 12]
 
 
-def _engine_outcome(equation: BiPoly, m: int) -> tuple:
-    """expand's result in the shape returned by reference.dense_expand."""
+def _outcome(engine, equation: BiPoly, m: int) -> tuple:
+    """An engine's result in the shape returned by reference.dense_expand."""
     try:
-        run = expand(equation, m)
+        run = engine(equation, m)
     except NoAdmissibleQuotientError as err:
         return ("abort", err.step, list(err.emitted), err.bar)
     except RuntimeError as err:
@@ -182,15 +192,47 @@ def _dense_outcome(equation: BiPoly, m: int) -> tuple:
     return dense_expand(dense, m)
 
 
+#: window lengths for the jumps: short ones make jumps, window exhaustion
+#: and full-size fallbacks all happen at small p
+WINDOWS = st.sampled_from((4, 8, 16, expansion._WINDOW_MIN_LEN))
+
+
+def _jump_outcome(equation: BiPoly, m: int, window: int) -> tuple:
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(expansion, "_WINDOW_MIN_LEN", window)
+        return _outcome(expand, equation, m)
+
+
+def _assert_oracles_agree(equation: BiPoly, m: int, window: int, dense: bool = True):
+    got = _jump_outcome(equation, m, window)
+    assert got == _outcome(stepwise_expand, equation, m)
+    if dense:
+        assert got == _dense_outcome(equation, m)
+
+
 class TestAgainstDenseEngine:
+    """expand, which decides quotients on windows and jumps, against the
+    dense Horner engine and against the one-step-per-quotient loop."""
+
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
     def test_pattern_equations(self, data):
         p = data.draw(st.sampled_from((3, 5, 7, 11, 13)))
         u = data.draw(st.tuples(*[st.integers(1, p - 1)] * 3))
-        steps = data.draw(st.integers(1, pattern_position(p, 1) + 6))
+        steps = data.draw(st.integers(1, verification_steps(p)))
         eq = pattern_equation(build_spec(FIELDS[p], u))
-        assert _engine_outcome(eq, steps) == _dense_outcome(eq, steps)
+        # the dense oracle costs seconds past n_1 at p >= 11
+        dense = p <= 7 or steps <= pattern_position(p, 1) + 6
+        _assert_oracles_agree(eq, steps, data.draw(WINDOWS), dense)
+
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data())
+    def test_all_linear_family(self, data):
+        p = data.draw(st.sampled_from((5, 7, 11)))
+        u1 = data.draw(st.integers(1, p - 1).filter(lambda v: (1 + 2 * v) % p))
+        steps = data.draw(st.integers(1, 120))
+        eq = mills_robbins_equation(FIELDS[p], u1)
+        _assert_oracles_agree(eq, steps, data.draw(WINDOWS), dense=steps <= 60)
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
@@ -203,7 +245,7 @@ class TestAgainstDenseEngine:
                      min_size=deg_x, max_size=deg_x)
         )
         eq = BiPoly(FIELDS[p], lower + [data.draw(polys(p, 0, 3))])
-        assert _engine_outcome(eq, 15) == _dense_outcome(eq, 15)
+        _assert_oracles_agree(eq, 15, data.draw(WINDOWS))
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
@@ -216,7 +258,127 @@ class TestAgainstDenseEngine:
             terms = dict(eq.terms)
             terms[n - 1] = data.draw(polys(p, int(terms[n].degree) + 1, 4))
             eq = BiPoly(FIELDS[p], terms)
-        assert _engine_outcome(eq, 12) == _dense_outcome(eq, 12)
+        _assert_oracles_agree(eq, 12, data.draw(WINDOWS))
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_single_root_dense_equations(self, data):
+        # one root of degree >= 1 and the rest of negative degree: runs that
+        # go on for many quotients instead of aborting early
+        p = data.draw(st.sampled_from((3, 5, 7)))
+        eq = data.draw(_single_root_equations(p))
+        _assert_oracles_agree(eq, 30, data.draw(WINDOWS))
+
+
+def _single_root_equations(p: int, max_degree_x: int = 5):
+    """Dense equations whose Newton polygon gives one root of degree
+    deg P[n-1] - deg P[n] >= 1, every other coefficient lying below P[n-1]
+    in degree, so the remaining roots have negative degree."""
+    K = FIELDS[p]
+
+    def build(top, mid, lower):
+        return BiPoly(K, [*lower, mid, top])
+
+    def for_degree(n):
+        return st.integers(0, 2).flatmap(
+            lambda d_top: st.integers(d_top + 1, d_top + 4).flatmap(
+                lambda d_mid: st.builds(
+                    build,
+                    polys(p, d_top, d_top),
+                    polys(p, d_mid, d_mid),
+                    st.lists(polys(p, 0, d_mid - 1), min_size=n - 1, max_size=n - 1),
+                )
+            )
+        )
+
+    return st.integers(1, max_degree_x).flatmap(for_degree)
+
+
+class TestJumps:
+    def test_small_windows_jump_exhaust_and_fall_back(self, monkeypatch):
+        # p=5 through n_3 on 8-term windows: jumps of several quotients,
+        # windows that run out, and full-size steps after them
+        K = FIELDS[5]
+        spec = build_spec(K, (2, 3, 3))
+        jumps, exhausted = [], []
+        real_jump, real_step = expansion._jump, expansion.next_step
+
+        def jump(P, budget):
+            result = real_jump(P, budget)
+            jumps.append(len(result[0]))
+            return result
+
+        def step(P):
+            try:
+                return real_step(P)
+            except InsufficientPrecisionError:
+                exhausted.append(P)
+                raise
+
+        monkeypatch.setattr(expansion, "_WINDOW_MIN_LEN", 8)
+        monkeypatch.setattr(expansion, "_jump", jump)
+        monkeypatch.setattr(expansion, "next_step", step)
+        m = verification_steps(5)
+        assert expand(pattern_equation(spec), m).quotients == pattern(spec, m)
+        assert max(jumps) >= 4 and 0 in jumps and exhausted
+        assert len(jumps) < m // 2
+
+    def test_next_step_is_the_one_quotient_jump(self):
+        K = FIELDS[7]
+        eq = pattern_equation(build_spec(K, (2, 4, 5)))
+        run = expand(eq, 20)
+        bar, tail = next_step(eq)
+        assert bar == run.quotients[0]
+        assert tail == expansion._mobius(eq, *continuants(run.quotients[:1]))
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_misclaimed_window_is_caught_or_harmless(self, data):
+        # a window that claims one coefficient more than it holds, that one
+        # corrupted: the jump check must raise, or the stream must come out
+        # as it would have anyway, never different
+        p = data.draw(st.sampled_from((3, 5, 7, 11)))
+        u = data.draw(st.tuples(*[st.integers(1, p - 1)] * 3))
+        steps = data.draw(st.integers(2, pattern_position(p, 2) + 3))
+        eq = pattern_equation(build_spec(FIELDS[p], u))
+        pick = data.draw(st.integers(0, 3))
+        delta = data.draw(st.integers(1, p - 1))
+        got = _misclaimed_outcome(eq, steps, data.draw(WINDOWS), pick, delta)
+        assert got in ("caught", _outcome(stepwise_expand, eq, steps))
+
+    def test_misclaimed_leading_window_is_caught(self):
+        for p, u in ((3, (1, 2, 1)), (7, (2, 4, 5)), (11, (3, 10, 5))):
+            eq = pattern_equation(build_spec(FIELDS[p], u))
+            steps = verification_steps(p)
+            assert _misclaimed_outcome(eq, steps, 8, 3, 1) == "caught"
+
+
+def _misclaimed_outcome(equation: BiPoly, m: int, window: int, pick: int, delta: int):
+    """expand's outcome when every jump's window of the pick-th lowest
+    x-exponent claims one more coefficient, off by delta, or "caught" when
+    the jump check raises."""
+    real = expansion._windows
+
+    def misclaimed(P):
+        windows = real(P)
+        if windows is None:
+            return None
+        e = sorted(windows.terms)[pick % len(windows.terms)]
+        w = windows.terms[e]
+        v = w.valid_order - 1
+        true = LaurentSeries.from_poly(P.terms[e], v)
+        terms = {**true.terms(), v: int(true.term(v).value) + delta}
+        return BiPoly._raw(
+            P.field, {**windows.terms, e: LaurentSeries.from_terms(P.field, terms, v)}
+        )
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(expansion, "_WINDOW_MIN_LEN", window)
+        mp.setattr(expansion, "_windows", misclaimed)
+        got = _outcome(expand, equation, m)
+    if got[0] == "guard" and "disagrees with its windows" in got[1]:
+        return "caught"
+    return got
 
 
 class TestExpand:
@@ -295,6 +457,13 @@ class TestExpand:
         with pytest.raises(ValueError):
             expand(pattern_equation(spec), 0)
 
+    def test_p7_through_n5_matches_pattern(self):
+        # 2813 quotients, the last of degree 33613
+        spec = build_spec(FIELDS[7], (2, 4, 5))
+        m = pattern_position(7, 5)
+        assert m == 2813
+        assert expand(pattern_equation(spec), m).quotients == pattern(spec, m)
+
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
     def test_reproduces_euclid_on_rationals(self, data):
@@ -304,6 +473,41 @@ class TestExpand:
         result = expand(_linear_equation(num, den), 12)
         assert result.rational
         assert result.quotients == rational_to_cf(num, den)
+
+
+class TestCertifiedOutput:
+    """What expand emits is a root of its equation: the equation at the
+    series of the stream vanishes down to the stream's validity floor."""
+
+    @staticmethod
+    def _certify(equation: BiPoly, pqs: PartialQuotients):
+        alpha = cf_to_series(pqs, convergent_validity_floor(pqs))
+        residual = eval_at_series(equation, alpha)
+        assert residual.is_zero_to_floor
+        return residual.valid_order
+
+    def test_all_linear_family(self):
+        for p in (5, 7, 11):
+            for u1 in MILLS_ROBBINS_U1[p]:
+                eq = mills_robbins_equation(FIELDS[p], u1)
+                run = expand(eq, 200)
+                assert len(run.quotients) == 200
+                assert self._certify(eq, run.quotients) < -200
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_single_root_dense_equations(self, data):
+        p = data.draw(st.sampled_from((3, 5, 7, 11)))
+        eq = data.draw(_single_root_equations(p))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(expansion, "_WINDOW_MIN_LEN", data.draw(WINDOWS))
+            run = expand(eq, 40)
+        if run.rational:
+            # a finite expansion: its convergent is the root itself
+            x, y, _, _ = continuants(run.quotients)
+            assert expansion._mobius(eq, x, y, 1, 0).coefficient(eq.degree_x).is_zero
+        else:
+            self._certify(eq, run.quotients)
 
 
 class TestEvalAtSeries:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hypercf import LaurentSeries, Poly, series_from_rational
+from hypercf import InsufficientPrecisionError, LaurentSeries, Poly, series_from_rational
 
 from conftest import FIELDS, polys
 from reference import poly_dict, radd, rmul, rseries, rsub, untrimmed_series_mul
@@ -248,6 +248,37 @@ class TestPrecisionRules:
         assert weaker.terms() == {0: 1}
         with pytest.raises(ValueError):
             s.truncated(-20)
+
+
+class TestPolynomialPart:
+    """`//` on windows: the polynomial part of a quotient, from the top
+    (quotient length) terms of each window, or InsufficientPrecisionError."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_matches_polynomial_division_or_refuses(self, data):
+        p = data.draw(st.sampled_from((3, 5, 7)))
+        a = data.draw(polys(p, 0, 12))
+        b = data.draw(polys(p, 0, 8))
+        floor_a, floor_b = data.draw(st.integers(-3, 13)), data.draw(st.integers(-3, 9))
+        wa, wb = LaurentSeries.from_poly(a, floor_a), LaurentSeries.from_poly(b, floor_b)
+        qlen = int(a.degree) - int(b.degree) + 1
+        decided = (
+            qlen <= 0 and floor_a <= b.degree
+            or qlen > 0 and floor_a <= b.degree and floor_b <= 2 * b.degree - a.degree
+        ) and floor_b <= b.degree
+        if decided:
+            assert wa // wb == a // b
+            assert a // wb == a // b  # an exact dividend
+        else:
+            with pytest.raises(InsufficientPrecisionError):
+                wa // wb
+
+    def test_zero_window_divisor_is_undecided(self):
+        K = FIELDS[5]
+        with pytest.raises(InsufficientPrecisionError):
+            LaurentSeries.from_poly(K.T, -3) // LaurentSeries.zero(K, -2)
+        assert Poly(K, ()) // LaurentSeries.from_poly(K.T, 0) == Poly(K, ())
 
 
 class TestAgainstReference:
