@@ -39,6 +39,7 @@ from .construction import (
     mills_robbins_equation,
     mills_robbins_u2,
     pattern,
+    pattern_degree,
     pattern_equation,
     pattern_position,
     verify_pattern,
@@ -82,6 +83,7 @@ __all__ = [
     "build_Pn",
     "pattern",
     "pattern_position",
+    "pattern_degree",
     "pattern_equation",
     "mills_robbins_u2",
     "mills_robbins_equation",

@@ -1,13 +1,13 @@
 """Degree-sequence analytics and the irrationality measure.
 
-Closed forms for the positions of the high-degree quotients and the
-partial degree sums:
+Closed forms for the high-degree quotients: the k-th sits at position
+n_k = `pattern_position(p, k)` with degree d_k = `pattern_degree(p, k)`,
+and the degrees before it sum to
 
-    n_k = (p^k - 1)/(p - 1) + 2k + 2        (position of degree 2*p^k - 1)
-    s_k = 3*(p^k - 1)/(p - 1) + 1           (sum of degrees before n_k)
+    s_k = 3*(p^k - 1)/(p - 1) + 1 = 3*(n_k - 2k - 2) + 1.
 
-and the measure nu = 2 + lim_k (2*p^k - 1)/s_k = 2 + 2*(p - 1)/3, kept
-as an exact rational throughout.
+The measure nu = 2 + lim_k d_k/s_k = 2 + 2*(p - 1)/3 is kept as an exact
+rational throughout.
 """
 from __future__ import annotations
 
@@ -17,6 +17,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 from .algebra import PrimeField
 from .cf import PartialQuotients
+from .construction import pattern_degree, pattern_position
 
 __all__ = [
     "closed_forms",
@@ -37,9 +38,8 @@ def closed_forms(field_or_p: Union[PrimeField, int], k: int) -> Tuple[int, int]:
     """(n_k, s_k) as exact integers, k >= 1."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    p = _p_of(field_or_p)
-    geom = (p ** k - 1) // (p - 1)
-    return geom + 2 * k + 2, 3 * geom + 1
+    n_k = pattern_position(_p_of(field_or_p), k)
+    return n_k, 3 * (n_k - 2 * k - 2) + 1
 
 
 def nu(field_or_p: Union[PrimeField, int]) -> Fraction:
@@ -84,8 +84,9 @@ def profile_from_degrees(degrees: Sequence[int], field_or_p: Union[PrimeField, i
             n_k, s_k = closed_forms(p, k)
             if pos != n_k:
                 mismatches.append(f"entry {k}: position {pos}, closed form {n_k}")
-            if d != 2 * p ** k - 1:
-                mismatches.append(f"entry {k}: degree {d}, closed form {2 * p ** k - 1}")
+            d_k = pattern_degree(p, k)
+            if d != d_k:
+                mismatches.append(f"entry {k}: degree {d}, closed form {d_k}")
             if running != s_k:
                 mismatches.append(f"entry {k}: partial sum {running}, closed form {s_k}")
         running += d
@@ -123,7 +124,7 @@ def irrationality_report(
     samples = []
     for k in range(1, kmax + 1):
         _, s_k = closed_forms(p, k)
-        samples.append((k, Fraction(2 * p ** k - 1, s_k)))
+        samples.append((k, Fraction(pattern_degree(p, k), s_k)))
     empirical = None
     if degree_profile is not None and degree_profile.big_positions:
         ratios = []

@@ -149,22 +149,18 @@ def convergent_validity_floor(pqs: PartialQuotients) -> int:
     return -2 * deg_y
 
 
-def cf_to_series(
-    pqs: PartialQuotients, order: int, complete: bool = False
-) -> LaurentSeries:
+def cf_to_series(pqs: PartialQuotients, order: int) -> LaurentSeries:
     """Series of the continued fraction, exact for terms of degree >= order.
 
-    With complete=False (default) the quotients are a prefix of an
-    infinite expansion and `order` must not pass the validity floor of
-    the deepest convergent.  With complete=True the list is the whole
-    (finite) expansion and any order is allowed.
+    The quotients are a prefix of an infinite expansion, so `order` must
+    not pass the validity floor of the deepest convergent.  A finite
+    expansion's value is `series_from_rational` of its last convergent.
     """
     x, y, _, _ = continuants(pqs)
-    if not complete:
-        floor = convergent_validity_floor(pqs)
-        if order < floor:
-            raise InsufficientPrecisionError(
-                f"insufficient partial quotients for requested order {order} "
-                f"(floor is {floor})"
-            )
+    floor = convergent_validity_floor(pqs)
+    if order < floor:
+        raise InsufficientPrecisionError(
+            f"insufficient partial quotients for requested order {order} "
+            f"(floor is {floor})"
+        )
     return series_from_rational(x, y, order)

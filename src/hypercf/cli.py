@@ -23,6 +23,7 @@ from .construction import (
     mills_robbins_equation,
     mills_robbins_u2,
     pattern,
+    pattern_degree,
     pattern_equation,
     verify_pattern,
 )
@@ -270,7 +271,8 @@ def _cmd_measure(args) -> int:
     }
     prof = None
     if args.steps is not None:
-        spec = build_spec(field, args.u)
+        # entries are units times T or P_n: no triple changes the degrees
+        spec = build_spec(field, (1, 1, 1))
         prof = profile(pattern(spec, args.steps), field)
         payload["big_positions"] = [list(entry) for entry in prof.big_positions]
         payload["verified"] = prof.consistent
@@ -280,7 +282,7 @@ def _cmd_measure(args) -> int:
         print(f"p={args.p}")
         for k in range(1, args.k + 1):
             n_k, s_k = closed_forms(field, k)
-            print(f"k={k}: position n_k={n_k}, degree {2 * args.p ** k - 1}, partial sum s_k={s_k}")
+            print(f"k={k}: position n_k={n_k}, degree {pattern_degree(args.p, k)}, partial sum s_k={s_k}")
         report = irrationality_report(field, kmax=args.k, degree_profile=prof)
         print(f"nu = {measure} (bounds: 2 < nu <= degree <= {report.liouville_upper})")
         if prof is not None:
@@ -344,7 +346,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("measure", help="degree positions and irrationality measure")
     add_common(sp, steps_required=False)
     sp.add_argument("--k", type=int, default=4)
-    sp.add_argument("--u", type=_parse_triple, default=(1, 1, 1))
     sp.add_argument("--steps", type=int, help="also profile a generated pattern")
 
     return parser

@@ -19,8 +19,9 @@ stream against the extraction engine and measures both residuals.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 from .algebra import FieldElement, Poly, PrimeField
 from .cf import (
@@ -40,6 +41,7 @@ __all__ = [
     "build_Pn",
     "pattern",
     "pattern_position",
+    "pattern_degree",
     "pattern_equation",
     "mills_robbins_u2",
     "mills_robbins_equation",
@@ -113,22 +115,32 @@ def build_spec(field: PrimeField, u: Union[Triple, Sequence[int]]) -> PatternSpe
     return PatternSpec(field=field, u=u, F=F, R=R)
 
 
-def build_Pn(spec: PatternSpec, n: int) -> Poly:
-    """P_0 = T, P_{k+1} = F * P_k^p; deg P_n = 2*p^n - 1."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    p = spec.field.p
-    poly = spec.field.T
-    for _ in range(n):
-        poly = spec.F * poly ** p
-    if poly.degree != 2 * p ** n - 1:
-        raise RuntimeError(f"P_{n} must have degree 2*p^{n} - 1")
-    return poly
-
-
 def pattern_position(p: int, k: int) -> int:
     """1-based stream index of the k-th high-degree entry (k >= 1)."""
     return (p ** k - 1) // (p - 1) + 2 * k + 2
+
+
+def pattern_degree(p: int, k: int) -> int:
+    """Degree of P_k, which is the degree of the k-th high-degree entry."""
+    return 2 * p ** k - 1
+
+
+def _tower(spec: PatternSpec) -> Iterator[Poly]:
+    """P_0 = T, P_1, P_2, ..., each P_(n+1) = F * P_n^p, made on demand."""
+    p = spec.field.p
+    poly = spec.field.T
+    for n in itertools.count():
+        if poly.degree != pattern_degree(p, n):
+            raise RuntimeError(f"P_{n} must have degree 2*p^{n} - 1")
+        yield poly
+        poly = spec.F * poly ** p
+
+
+def build_Pn(spec: PatternSpec, n: int) -> Poly:
+    """P_n of the tower P_0 = T, P_(k+1) = F * P_k^p."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    return next(itertools.islice(_tower(spec), n, None))
 
 
 def pattern(spec: PatternSpec, count: int) -> PartialQuotients:
@@ -139,37 +151,21 @@ def pattern(spec: PatternSpec, count: int) -> PartialQuotients:
     p = field.p
     T = field.T
     u1, u2, u3 = spec.u.u1, spec.u.u2, spec.u.u3
-    four = field(4)
-    two = field(2)
-    even_outer = (u1 * T, u3 * T)
-    odd_outer = ((four * u3).inverse() * T, (four * u1).inverse() * T)
-    even_pair = ((two * u3).inverse() * T, (two * u3) * T)
-    odd_pair = ((two * u1) * T, (two * u1).inverse() * T)
-    even_scale = u2
-    odd_scale = four * u1 * u2 * u3
-
+    two, four = field(2), field(4)
+    blocks = (  # by n mod 2: (first, scale of P_n, last, repeated pair) of C_n
+        (u1 * T, u2, u3 * T, ((two * u3).inverse() * T, two * u3 * T)),
+        ((four * u3).inverse() * T, four * u1 * u2 * u3, (four * u1).inverse() * T,
+         (two * u1 * T, (two * u1).inverse() * T)),
+    )
     out: List[Poly] = []
-    n = 0
-    p_n = T
-    while len(out) < count:
-        repeats = (p ** n - 1) // 2
-        if n % 2 == 0:
-            head = (even_outer[0], even_scale * p_n, even_outer[1])
-            pair = even_pair
-        else:
-            head = (odd_outer[0], odd_scale * p_n, odd_outer[1])
-            pair = odd_pair
+    for n, p_n in enumerate(_tower(spec)):
+        first, scale, last, pair = blocks[n % 2]
         if n >= 1 and len(out) + 2 != pattern_position(p, n):
             raise RuntimeError("block bookkeeping drifted")
-        out.extend(head)
-        for _ in range(repeats):
-            out.extend(pair)
-            if len(out) >= count:
-                break
-        n += 1
-        if len(out) < count:
-            p_n = spec.F * p_n ** p
-    return PartialQuotients(out[:count])
+        out.extend((first, scale * p_n, last))
+        out.extend(pair * min((p ** n - 1) // 2, count))
+        if len(out) >= count:
+            return PartialQuotients(out[:count])
 
 
 def _eliminate_tail(
@@ -237,17 +233,19 @@ def mills_robbins_equation(field: PrimeField, u1: Union[int, FieldElement]) -> B
     return _eliminate_tail(field, F, H, *continuants(pqs))
 
 
+def _fibonacci(field: PrimeField) -> Iterator[Poly]:
+    """f_0 = 1, f_1 = T, f_2, ..., each f_n = T*f_(n-1) + f_(n-2)."""
+    prev, cur = Poly(field, ()), Poly(field, (1,))  # f_(-1) = 0 and f_0
+    while True:
+        yield cur
+        prev, cur = cur, field.T * cur + prev
+
+
 def fibonacci_poly(field: PrimeField, n: int) -> Poly:
-    """f_0 = 1, f_1 = T, f_n = T*f_{n-1} + f_{n-2} over F_p."""
+    """f_n of f_0 = 1, f_1 = T, f_n = T*f_{n-1} + f_{n-2} over F_p."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    T = field.T
-    prev, cur = Poly(field, (1,)), T
-    if n == 0:
-        return prev
-    for _ in range(n - 1):
-        prev, cur = cur, T * cur + prev
-    return cur
+    return next(itertools.islice(_fibonacci(field), n, None))
 
 
 @dataclass
@@ -271,17 +269,17 @@ class IdentityReport:
 
 def check_identities(field: PrimeField, fib_cf_limit: int = 12) -> IdentityReport:
     """The classical identities tying F and R to the formal Fibonacci
-    polynomials, plus the all-T expansions of consecutive quotients."""
+    polynomials, plus cf(f_n/f_(n-1)) = [T]*n for n <= L = fib_cf_limit:
+    as f_n = T*f_(n-1) + f_(n-2), the one Euclid pass on (f_L, f_(L-1))
+    that yields [T]*L divides f_n by f_(n-1) for every such n in turn."""
+    if fib_cf_limit < 1:
+        raise ValueError("fib_cf_limit must be >= 1")
     p = field.p
     T = field.T
     F, R = _F_and_R(field)
-    f = [fibonacci_poly(field, n) for n in range(max(p + 1, fib_cf_limit + 1))]
-    cf_ok = True
-    for n in range(1, fib_cf_limit + 1):
-        expected = PartialQuotients([T] * n)
-        if rational_to_cf(f[n], f[n - 1]) != expected:
-            cf_ok = False
-            break
+    L = fib_cf_limit
+    f = list(itertools.islice(_fibonacci(field), max(p, L) + 1))
+    cf_ok = rational_to_cf(f[L], f[L - 1]) == PartialQuotients([T] * L)
     return IdentityReport(
         p=p,
         f_pm1_equals_F=(f[p - 1] == F),

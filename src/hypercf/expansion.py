@@ -118,7 +118,7 @@ class BiPoly:
         return max(int(c.degree) for c in self.terms.values())
 
     def __call__(self, value: Poly) -> Poly:
-        return _evaluate(self, value)
+        return _evaluate(self, value, Poly(self.field, (1,)))
 
     def frobenius(self) -> "BiPoly":
         """self**p: in characteristic p, coefficient c of x^e goes to c**p
@@ -355,17 +355,17 @@ def _mobius(P: BiPoly, x, y, x_prev, y_prev) -> BiPoly:
 def eval_at_series(P: BiPoly, s: LaurentSeries) -> LaurentSeries:
     """P(s) with propagated validity: the result being zero to its floor
     certifies s as a root of P down to that order."""
-    return _evaluate(P, s)
+    return _evaluate(P, s, Poly(P.field, (1,)))
 
 
 def _horner(terms: Mapping[int, object], z, w, top: int):
     """sum of terms[k] * z^k * w^(top - k) over k <= top, by Horner over k
-    from the top down; w None stands for 1."""
+    from the top down."""
     acc = wk = None  # wk is w^(top - k), None for 1
     for k in range(top, -1, -1):
         if acc is not None:
             acc = z * acc
-        if w is not None and k < top:
+        if k < top:
             wk = w if wk is None else wk * w
         if k in terms:
             t = terms[k] if wk is None else wk * terms[k]
@@ -373,9 +373,9 @@ def _horner(terms: Mapping[int, object], z, w, top: int):
     return acc
 
 
-def _evaluate(P: BiPoly, z, w=None):
+def _evaluate(P: BiPoly, z, w):
     """sum of c_e * z^e * w^(n-e) over the terms c_e*x^e of P, n = deg P,
-    for Polys, LaurentSeries or BiPolys z and w; P(z) when w is None.
+    for Polys, LaurentSeries or BiPolys z and w; P(z) when w is 1.
 
     With e = p*q + r and r < p, z^e = (z^p)^q * z^r, and z^p is a
     Frobenius image: the sum is Horner in (z^p, w^p) over q of Horner in
@@ -384,14 +384,12 @@ def _evaluate(P: BiPoly, z, w=None):
     sum, one outer degree lower.
     """
     p, n = P.field.p, P.degree_x
-    # without w no degree is fixed, and an inner degree of p - 1 takes every r
-    low = p - 1 if w is None else n % p
+    low = n % p
     parts: Dict[int, Dict[int, Dict[int, object]]] = {}
     for e, c in P.terms.items():
         q, r = divmod(e, p)
         parts.setdefault(int(r > low), {}).setdefault(q, {})[r] = c
-    zp = z.frobenius()
-    wp = None if w is None else w.frobenius()
+    zp, wp = z.frobenius(), w.frobenius()
     total = None
     for high, groups in parts.items():
         inner = {q: _horner(rs, z, w, low + p * high) for q, rs in groups.items()}

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from typing import Dict, Tuple
 
+from .construction import pattern_position
+
 __all__ = ["VERIFICATION_TRIPLES", "MILLS_ROBBINS_U1", "verification_steps"]
 
 VERIFICATION_TRIPLES: Dict[int, Tuple[Tuple[int, int, int], ...]] = {
@@ -30,6 +32,5 @@ MILLS_ROBBINS_U1: Dict[int, Tuple[int, ...]] = {
 
 
 def verification_steps(p: int) -> int:
-    """Sweep depth n_2 + p^2 + 2 (= n_3), reaching the third high-degree
-    entry of the stream."""
-    return p * p + p + 9
+    """Sweep depth n_3, reaching the third high-degree entry of the stream."""
+    return pattern_position(p, 3)

@@ -199,7 +199,8 @@ class TestCfToSeries:
     def test_finite_expansion(self):
         K = FIELDS[5]
         T = K.T
-        s = cf_to_series(PartialQuotients([T, T]), -5, complete=True)
+        x, y, _, _ = continuants(PartialQuotients([T, T]))
+        s = series_from_rational(x, y, -5)
         assert s.terms() == {1: 1, -1: 1}
 
     def test_pattern_prefix_p3(self):

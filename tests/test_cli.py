@@ -313,6 +313,13 @@ class TestMeasure:
         assert payload["verified"] is True
         assert cli.render_json(payload) == out[0]
 
+    def test_triple_not_accepted(self, capsys):
+        # the profile's degrees cannot depend on the triple
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["measure", "--p", "5", "--steps", "40", "--u", "1,2,3"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --u" in capsys.readouterr().err
+
     @pytest.mark.parametrize("k", ("0", "-2"))
     def test_vacuous_k_rejected(self, capsys, k):
         code, out, err = run(capsys, "measure", "--p", "7", "--k", k)

@@ -1,6 +1,10 @@
 from __future__ import annotations
 
+import time
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hypercf import (
     PartialQuotients,
@@ -19,6 +23,7 @@ from hypercf import (
     mills_robbins_equation,
     mills_robbins_u2,
     pattern,
+    pattern_degree,
     pattern_equation,
     pattern_position,
     series_from_rational,
@@ -109,7 +114,7 @@ class TestPattern:
         for p, count in ((3, 21), (5, 39)):
             spec = build_spec(FIELDS[p], (1, 2, 1))
             degs = pattern(spec, count).degrees()
-            big = {pattern_position(p, k): 2 * p ** k - 1 for k in (1, 2, 3)}
+            big = {pattern_position(p, k): pattern_degree(p, k) for k in (1, 2, 3)}
             for pos, d in enumerate(degs, start=1):
                 assert d == big.get(pos, 1)
 
@@ -117,6 +122,28 @@ class TestPattern:
         spec = build_spec(FIELDS[3], (1, 1, 1))
         with pytest.raises(ValueError):
             pattern(spec, 0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_large_entries_prefixes_and_degrees(self, data):
+        # the k-th large entry is a unit times P_k, a shorter pattern is a
+        # prefix of a longer one, and since every other entry is a unit
+        # times T the degrees are those of the (1, 1, 1) pattern
+        p = data.draw(st.sampled_from((3, 5, 7, 11, 13)))
+        K = FIELDS[p]
+        u = data.draw(st.tuples(*[st.integers(1, p - 1)] * 3))
+        spec = build_spec(K, u)
+        longest = pattern_position(p, 3) + 4
+        m, m_long = sorted(data.draw(st.tuples(st.integers(1, longest), st.integers(1, longest))))
+        full = pattern(spec, longest)
+        for k in (1, 2, 3):
+            entry = full.quotient(pattern_position(p, k))
+            P_k = build_Pn(spec, k)
+            assert entry == P_k * entry.leading_coefficient()
+        short, long_ = pattern(spec, m), pattern(spec, m_long)
+        assert long_[:m] == short
+        assert long_ == full[:m_long]
+        assert full.degrees() == pattern(build_spec(K, (1, 1, 1)), longest).degrees()
 
     def test_convergent_accuracy_on_generated_stream(self):
         # deg(alpha - x_n/y_n) = -deg(y_n) - deg(y_{n+1}) along the pattern
@@ -218,6 +245,35 @@ class TestIdentities:
         report = check_identities(FIELDS[p])
         assert report.all_ok
         assert report.fibonacci_cf_checked_through == 12
+
+    def test_deep_expansions_in_one_pass(self):
+        start = time.perf_counter()
+        report = check_identities(FIELDS[3], 3000)
+        elapsed = time.perf_counter() - start
+        assert report.all_ok and report.fibonacci_cf_checked_through == 3000
+        assert elapsed < 2.0
+
+    @pytest.mark.parametrize("n", (3, 7, 19))
+    def test_corrupted_remainder_fails(self, monkeypatch, n):
+        # the one Euclid pass on (f_20, f_19) must divide f_n by f_(n-1)
+        # for every n <= 20: a wrong remainder at any of them shows
+        K = FIELDS[5]
+        f_n = fibonacci_poly(K, n)
+        exact = Poly.__divmod__
+
+        def corrupted(a, b):
+            q, r = exact(a, b)
+            return (q, r + 1) if a == f_n else (q, r)
+
+        monkeypatch.setattr(Poly, "__divmod__", corrupted)
+        report = check_identities(K, 20)
+        assert not report.fibonacci_cf_all_T
+        assert report.f_pm1_equals_F and report.f_p_plus_f_pm2_equals_Tp
+        assert report.R_equals_2_f_pm2
+
+    def test_limit_validation(self):
+        with pytest.raises(ValueError):
+            check_identities(FIELDS[3], 0)
 
 
 class TestVerifyPattern:
