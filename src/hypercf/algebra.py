@@ -1,6 +1,6 @@
 """Exact arithmetic over F_p and dense univariate polynomials in F_p[T].
 
-Residues are plain machine integers in [0, p).  Polynomial coefficients
+Residues are machine integers in [0, p), p < 2^31.  Polynomial coefficients
 live in numpy int64 arrays (ascending powers, no trailing zeros; Laurent
 series windows share this layout) so the kernels run at C speed while
 every result stays exact: long products go through a float64 FFT whose
@@ -11,7 +11,7 @@ over that product; only divmod and % go on to form a remainder.
 """
 from __future__ import annotations
 
-from typing import Iterable, Union
+from typing import Iterable, Optional, Union
 
 import numpy as np
 
@@ -39,8 +39,8 @@ _FFT_EXACT_BOUND = 1 << 36
 #: which is then recomputed by the exact convolution.
 _FFT_TRIPWIRE = 2.0 ** -8
 
-# witnesses making Miller-Rabin deterministic for n < 3.3 * 10**24
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# witnesses making Miller-Rabin deterministic for n < 3215031751 > 2^31
+_MR_WITNESSES = (2, 3, 5, 7)
 
 _EMPTY = np.zeros(0, dtype=np.int64)
 _EMPTY.setflags(write=False)
@@ -71,11 +71,13 @@ def is_prime(n: int) -> bool:
 
 
 class PrimeField:
-    """The prime field F_p for an odd prime modulus p."""
+    """The prime field F_p for an odd prime modulus p < 2^31."""
 
     __slots__ = ("p",)
 
     def __init__(self, p: int):
+        if isinstance(p, int) and p >= 1 << 31:  # keeps residue products below 2^62
+            raise ValueError("p must be below 2^31 = 2147483648")
         if not isinstance(p, int) or p < 3 or p % 2 == 0 or not is_prime(p):
             raise ValueError("p must be an odd prime")
         self.p = p
@@ -157,6 +159,9 @@ class FieldElement:
 
     def __neg__(self):
         return FieldElement(self.field, -self.value)
+
+    def frobenius(self) -> "FieldElement":
+        return self  # a**p = a in F_p
 
     def __pow__(self, k: int):
         if k < 0:
@@ -268,15 +273,22 @@ def _balanced(x: np.ndarray, p: int) -> np.ndarray:
     return out
 
 
-def _fft_product(a: np.ndarray, b: np.ndarray, p: int):
+def _fft_product(a: np.ndarray, b: np.ndarray, p: int, spectra: Optional[dict] = None):
     """a*b mod p from a float64 FFT, or None when some coefficient lies
     further than _FFT_TRIPWIRE from an integer, i.e. when rounding may
     have corrupted the product.  The check is sound only for coefficients
-    well below 2^53, which _FFT_EXACT_BOUND ensures."""
+    well below 2^53, which _FFT_EXACT_BOUND ensures.  `spectra` keeps the
+    transforms, by operand and length, for the other products of a batch."""
     n = a.size + b.size - 1
     size = _fft_length(n)
-    spectrum = np.fft.rfft(_balanced(a, p), size)
-    spectrum *= spectrum if b is a else np.fft.rfft(_balanced(b, p), size)
+    if spectra is None:
+        spectrum = np.fft.rfft(_balanced(a, p), size)
+        spectrum *= spectrum if b is a else np.fft.rfft(_balanced(b, p), size)
+    else:
+        for x in (a, b):
+            if (id(x), size) not in spectra:  # x is kept, so its id stays its own
+                spectra[id(x), size] = (x, np.fft.rfft(_balanced(x, p), size))
+        spectrum = spectra[id(a), size][1] * spectra[id(b), size][1]
     c = np.fft.irfft(spectrum, size)[:n]
     del spectrum
     exact = np.rint(c)
@@ -290,7 +302,7 @@ def _fft_product(a: np.ndarray, b: np.ndarray, p: int):
     return out
 
 
-def _mul_arrays(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+def _mul_arrays(a: np.ndarray, b: np.ndarray, p: int, spectra=None) -> np.ndarray:
     """The product a*b in F_p[T], trimmed.  Long operands go through a
     checked float FFT while (p-1)^2 * min(len) <= _FFT_EXACT_BOUND; short
     ones, large moduli and any FFT product that fails its rounding check
@@ -300,11 +312,11 @@ def _mul_arrays(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     if b.size == 1:
         a, b = b, a
     if a.size == 1:
-        # a unit factor, as in the engine's x + bar, leaves a trimmed b as is
+        # a unit factor leaves a trimmed b as is
         return b if a[0] == 1 and b[-1] else _trim(b * int(a[0]) % p)
     shorter = min(a.size, b.size)
     if shorter >= _FFT_MIN_LEN and (p - 1) * (p - 1) * shorter <= _FFT_EXACT_BOUND:
-        out = _fft_product(a, b, p)
+        out = _fft_product(a, b, p, spectra)
         if out is not None:
             return _trim(out)
     return _trim(_convolve(a, b, p))

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 from .algebra import FieldElement, Poly, PrimeField
-from .cf import (
+from .cf import (  # cf_to_series is read from here by bench/workloads.py
     PartialQuotients,
     cf_to_series,
     continuants,
@@ -32,7 +32,7 @@ from .cf import (
     rational_to_cf,
 )
 from .expansion import BiPoly, NoAdmissibleQuotientError, eval_at_series, expand
-from .series import LaurentSeries
+from .series import LaurentSeries, series_from_rational
 
 __all__ = [
     "Triple",
@@ -365,8 +365,15 @@ def verify_pattern(
         tail_order = convergent_validity_floor(tail)
         if order is not None:
             alpha_order, tail_order = max(order, alpha_order), max(order, tail_order)
-        alpha = cf_to_series(predicted, alpha_order)
-        alpha4 = cf_to_series(tail, tail_order)
+        # one continuant pass: M(a) = [[a, 1], [1, 0]] times a pair (x, y, x', y') is
+        # (a*x + y, x, a*x' + y', x'), and the stream's is M(a_1)M(a_2)M(a_3) times the tail's
+        x, y, x_prev, y_prev = pair = continuants(tail)
+        for a in reversed(predicted.items[:3]):
+            x, y, x_prev, y_prev = a * x + y, x, a * x_prev + y_prev, x_prev
+        if x * y_prev - x_prev * y != Poly(field, ((-1) ** steps,)):
+            raise RuntimeError(f"determinant identity failed at n={steps}")
+        alpha = series_from_rational(x, y, alpha_order)
+        alpha4 = series_from_rational(pair[0], pair[1], tail_order)
         scale = field(4) * spec.u.u1 * spec.u.u3
         residual = alpha.frobenius() - alpha4 * (spec.F * scale) - spec.R * spec.u.u1
         tail_res = ResidualSummary.of(residual)

@@ -3,18 +3,18 @@
 Given P of degree n in x with a power-series root alpha, one step emits
 the integer part bar = -(P[n-1] // P[n]) of the root and moves to the
 equation y^n * P(bar + 1/y) of the tail 1/(alpha - bar).  Iterating
-yields the partial quotients one at a time.  The step carries no
-correctness theorem here: outputs are meant to be validated a posteriori
-through eval_at_series.
+yields the partial quotients one at a time, with no correctness theorem
+here: outputs are validated a posteriori through eval_at_series.
 
-k steps compose into one Moebius map.  With the continuants of their
-quotients, the tail equation is the homogeneous form
-sum of c_e * N^e * D^(n-e) for N = x_k*y + x_(k-1), D = y_k*y + y_(k-1);
-one step is the case N = bar*y + 1, D = y, and P at a polynomial or a
-series is the case D = 1.  All of them take one Frobenius-split Horner:
-in characteristic p, N^p and D^p are Frobenius images, so for
-A*x^(p+1) + B*x^p + C*x + D the form is N^p*(A*N + B*D) + D^p*(C*N + D*D),
-which keeps the support {0, 1, p, p+1}.
+k steps compose into one Moebius map: with the continuants of their
+quotients, the tail equation is sum of c_e * N^e * D^(n-e) for
+N = x_k*y + x_(k-1), D = y_k*y + y_(k-1); one step is N = bar*y + 1, D = y,
+and P at a polynomial or a series is D = 1.  One Frobenius-split Horner on
+term maps, y-exponent to coefficient, takes them all.  N^p and D^p are
+Frobenius images, so A*x^(p+1) + B*x^p + C*x + D goes to
+N^p*(A*N + B*D) + D^p*(C*N + D*D), and with the unit a marker never
+multiplied, a step makes just the 4 coefficient products of that form.
+A product of term maps transforms each long operand once, for all its products.
 
 `expand` extracts in jumps.  A quotient reads only the tops of P[n] and
 P[n-1], so the steps run on top windows of the coefficients, Laurent
@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
-from .algebra import Poly, PrimeField
+from .algebra import FieldElement, Poly, PrimeField, _mul_arrays
 from .cf import PartialQuotients, continuants
 from .series import InsufficientPrecisionError, LaurentSeries
 
@@ -83,17 +83,7 @@ class BiPoly:
     __slots__ = ("field", "terms")
 
     def __init__(self, field: PrimeField, coeffs: Union[Mapping, Sequence]):
-        items = coeffs.items() if isinstance(coeffs, Mapping) else enumerate(coeffs)
-        terms: Dict[int, Poly] = {}
-        for e, c in items:
-            if e < 0:
-                raise ValueError("x-exponents must be nonnegative")
-            if not isinstance(c, Poly):
-                c = Poly(field, (c,))
-            elif c.field != field:
-                raise ValueError("field mismatch")
-            if not c.is_zero:
-                terms[e] = c
+        terms = _terms(field, coeffs.items() if isinstance(coeffs, Mapping) else enumerate(coeffs))
         if not terms or max(terms) < 1:
             raise ValueError("degree in x must be at least 1")
         self.field = field
@@ -118,7 +108,8 @@ class BiPoly:
         return max(int(c.degree) for c in self.terms.values())
 
     def __call__(self, value: Poly) -> Poly:
-        return _evaluate(self, value, Poly(self.field, (1,)))
+        out = _evaluate(self, _terms(self.field, [(0, value)]), {0: self.field.one})
+        return out.get(0, Poly(self.field))
 
     def frobenius(self) -> "BiPoly":
         """self**p: in characteristic p, coefficient c of x^e goes to c**p
@@ -128,28 +119,14 @@ class BiPoly:
 
     def _operand(self, other) -> Dict[int, object]:
         """The terms of a BiPoly operand; a bare one is the x^0 term."""
-        if not isinstance(other, (BiPoly, Poly, LaurentSeries)):
-            other = Poly(self.field, (other,))
-        if other.field != self.field:
-            raise ValueError("field mismatch")
-        if isinstance(other, BiPoly):
-            return other.terms
-        return {0: other} if _nonzero(other) else {}
+        items = other.terms.items() if isinstance(other, BiPoly) else [(0, other)]
+        return _terms(self.field, items)
 
     def __add__(self, other) -> "BiPoly":
-        out = dict(self.terms)
-        for e, c in self._operand(other).items():
-            _accumulate(out, e, c)
-        return BiPoly._raw(self.field, out)
+        return BiPoly._raw(self.field, _plus(self.terms, self._operand(other).items()))
 
     def __mul__(self, other) -> "BiPoly":
-        # products of nonzero terms are nonzero: only their sums can cancel
-        o = self._operand(other)
-        out: Dict[int, object] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in o.items():
-                _accumulate(out, e1 + e2, c1 * c2)
-        return BiPoly._raw(self.field, out)
+        return BiPoly._raw(self.field, _times(self.terms, self._operand(other)))
 
     __radd__ = __add__
     __rmul__ = __mul__
@@ -173,19 +150,52 @@ class BiPoly:
 
 
 def _nonzero(c) -> bool:
-    return isinstance(c, LaurentSeries) or not c.is_zero
+    return isinstance(c, LaurentSeries) or bool(c)
 
 
-def _accumulate(terms: Dict[int, object], e: int, c) -> None:
-    """terms[e] += c, the term dropped if the sum cancels."""
-    if e not in terms:
-        terms[e] = c
-        return
-    total = terms[e] + c
-    if _nonzero(total):
-        terms[e] = total
+def _terms(field: PrimeField, items) -> Dict[int, object]:
+    """The nonzero coefficients of (exponent, coefficient) items, as Polys."""
+    terms: Dict[int, object] = {}
+    for e, c in items:
+        if e < 0:
+            raise ValueError("x-exponents must be nonnegative")
+        if not isinstance(c, (Poly, LaurentSeries)):
+            c = Poly(field, (c,))
+        elif c.field != field:
+            raise ValueError("field mismatch")
+        if _nonzero(c):
+            terms[e] = c
+    return terms
+
+
+def _plus(f: Mapping[int, object], items) -> Dict[int, object]:
+    """f plus (exponent, coefficient) items, a term dropped if it cancels."""
+    out = dict(f)
+    for e, c in items:
+        c = out.pop(e) + c if e in out else c
+        if _nonzero(c):
+            out[e] = c
+    return out
+
+
+def _times(f: Mapping[int, object], g: Mapping[int, object]) -> Dict[int, object]:
+    """The product of two term maps.  Their only FieldElement is the unit,
+    field.one: a product by it is the other factor, not formed.  Products of
+    Polys share one `spectra`, which transforms each operand once."""
+    units, pairs = [], []
+    for e1, c1 in f.items():
+        for e2, c2 in g.items():
+            if c1.__class__ is FieldElement or c2.__class__ is FieldElement:
+                units.append((e1 + e2, c2 if c1.__class__ is FieldElement else c1))
+            else:
+                pairs.append((e1 + e2, c1, c2))
+    if pairs and all(a.__class__ is Poly is b.__class__ for _, a, b in pairs):
+        field, spectra = pairs[0][1].field, {}
+        products = [Poly._raw(field, _mul_arrays(a.coeffs, b.coeffs, field.p, spectra))
+                    for _, a, b in pairs]
     else:
-        del terms[e]
+        products = [a * b for _, a, b in pairs]
+    return _plus({}, units + [(e, c) for (e, _, _), c in zip(pairs, products)])
 
 
 @dataclass
@@ -223,8 +233,8 @@ def next_step(P: BiPoly) -> Tuple[Poly, Optional[BiPoly]]:
         if not _nonzero(P(bar)):
             return bar, None
         raise NoAdmissibleQuotientError(1, bar, ())
-    tail = _mobius(P, bar, 1, 1, 0)
-    return bar, (tail if n in tail.terms else None)  # tail[n] is P(bar)
+    tail = _evaluate(P, {1: bar, 0: P.field.one}, {1: P.field.one})  # x = bar + 1/y
+    return bar, (BiPoly._raw(P.field, tail) if n in tail else None)  # tail[n] is P(bar)
 
 
 def expand(P: BiPoly, m: int) -> ExpansionResult:
@@ -349,33 +359,34 @@ def _mobius(P: BiPoly, x, y, x_prev, y_prev) -> BiPoly:
     predecessors (x_prev, y_prev): sum of c_e * N^e * D^(n-e) for
     N = x*y' + x_prev and D = y*y' + y_prev in the new variable y'."""
     field = P.field
-    return _evaluate(P, BiPoly(field, {1: x, 0: x_prev}), BiPoly(field, {1: y, 0: y_prev}))
+    z, w = _terms(field, [(1, x), (0, x_prev)]), _terms(field, [(1, y), (0, y_prev)])
+    return BiPoly._raw(field, _evaluate(P, z, w))
 
 
 def eval_at_series(P: BiPoly, s: LaurentSeries) -> LaurentSeries:
     """P(s) with propagated validity: the result being zero to its floor
     certifies s as a root of P down to that order."""
-    return _evaluate(P, s, Poly(P.field, (1,)))
+    return _evaluate(P, {0: s}, {0: P.field.one})[0]
 
 
-def _horner(terms: Mapping[int, object], z, w, top: int):
+def _horner(terms: Mapping[int, Mapping], z, w, top: int):
     """sum of terms[k] * z^k * w^(top - k) over k <= top, by Horner over k
-    from the top down."""
+    from the top down, for term maps terms[k], z and w."""
     acc = wk = None  # wk is w^(top - k), None for 1
     for k in range(top, -1, -1):
         if acc is not None:
-            acc = z * acc
+            acc = _times(acc, z)
         if k < top:
-            wk = w if wk is None else wk * w
+            wk = w if wk is None else _times(wk, w)
         if k in terms:
-            t = terms[k] if wk is None else wk * terms[k]
-            acc = t if acc is None else acc + t
+            t = terms[k] if wk is None else _times(wk, terms[k])
+            acc = t if acc is None else _plus(acc, t.items())
     return acc
 
 
-def _evaluate(P: BiPoly, z, w):
+def _evaluate(P: BiPoly, z: Mapping[int, object], w: Mapping[int, object]) -> Dict[int, object]:
     """sum of c_e * z^e * w^(n-e) over the terms c_e*x^e of P, n = deg P,
-    for Polys, LaurentSeries or BiPolys z and w; P(z) when w is 1.
+    as a term map in y, for term maps z and w; P(z) when w is {0: unit}.
 
     With e = p*q + r and r < p, z^e = (z^p)^q * z^r, and z^p is a
     Frobenius image: the sum is Horner in (z^p, w^p) over q of Horner in
@@ -388,11 +399,11 @@ def _evaluate(P: BiPoly, z, w):
     parts: Dict[int, Dict[int, Dict[int, object]]] = {}
     for e, c in P.terms.items():
         q, r = divmod(e, p)
-        parts.setdefault(int(r > low), {}).setdefault(q, {})[r] = c
-    zp, wp = z.frobenius(), w.frobenius()
+        parts.setdefault(int(r > low), {}).setdefault(q, {})[r] = {0: c}
+    zp, wp = ({p * e: c.frobenius() for e, c in t.items()} for t in (z, w))
     total = None
     for high, groups in parts.items():
         inner = {q: _horner(rs, z, w, low + p * high) for q, rs in groups.items()}
         part = _horner(inner, zp, wp, n // p - high)
-        total = part if total is None else total + part
+        total = part if total is None else _plus(total, part.items())
     return total

@@ -198,8 +198,6 @@ class LaurentSeries:
             # the unknown terms below V reach up to V - 1 + deg c (a
             # constant, zero included, keeps V)
             b = self._exact(other).coeffs
-            if b.size == 1 and b[0] == 1:
-                return self  # a unit factor, as in the engine's Moebius steps
             top_b = b.size - 1
             v = self.valid_order + max(top_b, 0)
         if self.is_zero_to_floor or b.size == 0:

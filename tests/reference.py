@@ -127,6 +127,14 @@ def reval(terms: dict, v: dict, p: int) -> dict:
     return out
 
 
+def rhomogeneous(terms: dict, n: int, num: dict, den: dict, p: int) -> dict:
+    """sum of terms[e] * num^e * den^(n - e) for dict polynomials."""
+    out: dict = {}
+    for e, c in terms.items():
+        out = radd(out, rmul(c, rmul(rpow(num, e, p), rpow(den, n - e, p), p), p), p)
+    return out
+
+
 def rpow(a: dict, k: int, p: int) -> dict:
     out = {0: 1}
     for _ in range(k):

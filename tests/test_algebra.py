@@ -18,6 +18,13 @@ class TestPrimeField:
             with pytest.raises(ValueError, match="odd prime"):
                 PrimeField(bad)
 
+    def test_rejects_moduli_from_two_to_the_31(self):
+        # 2147483659 is the least prime above 2^31
+        assert is_prime(2147483659)
+        for bad in (1 << 31, 2147483659, (1 << 61) - 1):
+            with pytest.raises(ValueError, match="below 2\\^31 = 2147483648"):
+                PrimeField(bad)
+
     def test_accepts_odd_primes(self):
         for p in (3, 5, 7, 11, 13, 101, 2**31 - 1):
             assert PrimeField(p).p == p
@@ -248,13 +255,26 @@ class TestMultiplicationPaths:
         prod = Poly(PrimeField(p), a) * Poly(PrimeField(p), b)
         assert np.array_equal(prod.coeffs, _trim(_convolve(a, b, p)))
 
-    def test_large_modulus_stays_exact(self):
-        K = PrimeField((1 << 61) - 1)
+    def test_large_modulus_stays_exact(self, monkeypatch):
+        # the largest admitted prime: (p-1)^2 * 45 passes 2^62, so the
+        # product takes the exact object-dtype convolution
+        K = PrimeField((1 << 31) - 1)
         rng = np.random.default_rng(3)
         a = Poly(K, rng.integers(0, K.p, 60, dtype=np.int64).tolist())
         b = Poly(K, rng.integers(0, K.p, 45, dtype=np.int64).tolist())
+        object_paths = []
+        real_convolve = np.convolve
+
+        def convolve(x, y):
+            object_paths.append(x.dtype == object)
+            return real_convolve(x, y)
+
+        monkeypatch.setattr(np, "convolve", convolve)
         prod = a * b
+        assert object_paths == [True]
         assert poly_dict(prod) == rmul(poly_dict(a), poly_dict(b), K.p)
+        c = Poly(K, [K.p - 1, K.p - 2]) * Poly(K, [K.p - 3])
+        assert c == Poly(K, [3, 6])
 
 
 def _short_quotient_examples(test):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,7 +25,7 @@ from hypercf import (
     pattern_position,
     rational_to_cf,
 )
-from hypercf import expansion
+from hypercf import algebra, expansion, series
 from hypercf.grids import MILLS_ROBBINS_U1, verification_steps
 
 from conftest import FIELDS, polys
@@ -34,6 +35,7 @@ from reference import (
     poly_dict,
     radd,
     reval,
+    rhomogeneous,
     rmul,
     stepwise_expand,
 )
@@ -167,6 +169,119 @@ class TestNextStep:
         for _ in range(pattern_position(11, 1) + 1):
             _, eq = next_step(eq)
             assert sorted(eq.terms) == [0, 1, 11, 12]
+
+
+class TestLeanStep:
+    """The one evaluator skips products by the unit, so that a step on the
+    support {0, 1, p, p+1} is the closed form A' = bar^p*(A*bar + B) +
+    C*bar + D, B' = A*bar^p + C, C' = A*bar + B, D' = A, and a composite
+    map transforms each shared operand once."""
+
+    @staticmethod
+    def _tall_equation(steps: int) -> BiPoly:
+        eq = pattern_equation(build_spec(FIELDS[7], (2, 4, 5)))
+        for _ in range(steps):
+            _, eq = next_step(eq)
+        return eq
+
+    def test_windowed_step_makes_four_products_none_by_a_unit(self, monkeypatch):
+        full = self._tall_equation(60)
+        windows = expansion._windows(full)
+        assert windows is not None
+        operands, kernel = [], []
+        for name in ("__mul__", "__rmul__"):
+            real = getattr(LaurentSeries, name)
+
+            def recording(self, other, real=real):
+                operands.append(other)
+                return real(self, other)
+
+            monkeypatch.setattr(LaurentSeries, name, recording)
+        real_kernel = series._mul_arrays
+
+        def counting(a, b, p):
+            kernel.append((a.size, b.size))
+            return real_kernel(a, b, p)
+
+        monkeypatch.setattr(series, "_mul_arrays", counting)
+        bar, tail = next_step(windows)
+        monkeypatch.undo()
+        assert len(operands) == 4
+        assert not any(o == Poly(FIELDS[7], (1,)) or o == FIELDS[7].one for o in operands)
+        assert len(kernel) == 4 and all(min(sizes) > 1 for sizes in kernel)
+        full_bar, full_tail = next_step(full)
+        assert bar == full_bar and tail.terms.keys() == full_tail.terms.keys()
+        for e, w in tail.terms.items():
+            assert LaurentSeries.from_poly(full_tail.terms[e], w.valid_order) == w
+
+    def test_full_size_step_makes_four_products(self, monkeypatch):
+        full = self._tall_equation(60)
+        pairs = []
+        real = expansion._mul_arrays
+
+        def counting(a, b, p, spectra=None):
+            pairs.append((a.size, b.size))
+            return real(a, b, p, spectra)
+
+        monkeypatch.setattr(expansion, "_mul_arrays", counting)
+        next_step(full)
+        assert len(pairs) == 4 and all(min(sizes) > 1 for sizes in pairs)
+
+    def test_apply_transforms_each_operand_once_per_length(self, monkeypatch):
+        # u1, v1, u2 and v2 meet x^p, x_prev^p, y^p and y_prev^p in the
+        # outer level: every operand's spectrum serves all its products
+        spec = build_spec(FIELDS[7], (2, 4, 5))
+        transforms, operands = [], []
+        real_balanced, real_rfft, real_apply = algebra._balanced, np.fft.rfft, expansion._apply
+
+        def balanced(x, p):
+            operands.append(x)  # kept alive, so ids stay unique
+            return real_balanced(x, p)
+
+        def rfft(x, n):
+            if transforms and transforms[-1] is not None:
+                transforms[-1].append((id(operands[-1]), n))
+            return real_rfft(x, n)
+
+        def apply(*args):
+            transforms.append([])
+            try:
+                return real_apply(*args)
+            finally:
+                transforms.append(None)
+
+        monkeypatch.setattr(algebra, "_balanced", balanced)
+        monkeypatch.setattr(np.fft, "rfft", rfft)
+        monkeypatch.setattr(expansion, "_apply", apply)
+        m = pattern_position(7, 4)
+        assert expand(pattern_equation(spec), m).quotients == pattern(spec, m)
+        per_apply = [keys for keys in transforms if keys is not None]
+        assert per_apply and max(map(len, per_apply)) >= 8
+        for keys in per_apply:
+            assert len(keys) == len(set(keys))
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_mobius_matches_reference(self, data):
+        p = data.draw(st.sampled_from((3, 5, 7, 11)))
+        K = FIELDS[p]
+        P = data.draw(_equations(p, 2 * p + 2))
+        entry = st.one_of(
+            st.sampled_from((0, 1, Poly(K, ()), Poly(K, (1,)))), polys(p, 0, 3)
+        )
+        x, y, x_prev, y_prev = (data.draw(entry) for _ in range(4))
+        v = poly_dict(data.draw(polys(p, 0, 2)))
+
+        def ref(c):
+            return poly_dict(c if isinstance(c, Poly) else Poly(K, (c,)))
+
+        tail = expansion._mobius(P, x, y, x_prev, y_prev)
+        assert all(isinstance(c, Poly) and not c.is_zero for c in tail.terms.values())
+        num = radd(rmul(ref(x), v, p), ref(x_prev), p)
+        den = radd(rmul(ref(y), v, p), ref(y_prev), p)
+        terms = {e: poly_dict(c) for e, c in P.terms.items()}
+        want = rhomogeneous(terms, P.degree_x, num, den, p)
+        assert reval({e: poly_dict(c) for e, c in tail.terms.items()}, v, p) == want
 
 
 def _outcome(engine, equation: BiPoly, m: int) -> tuple:
