@@ -39,8 +39,8 @@ _FFT_EXACT_BOUND = 1 << 36
 #: which is then recomputed by the exact convolution.
 _FFT_TRIPWIRE = 2.0 ** -8
 
-# witnesses making Miller-Rabin deterministic for n < 3215031751 > 2^31
-_MR_WITNESSES = (2, 3, 5, 7)
+# witnesses making Miller-Rabin deterministic for n < 3.3 * 10**24
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 _EMPTY = np.zeros(0, dtype=np.int64)
 _EMPTY.setflags(write=False)
@@ -281,14 +281,11 @@ def _fft_product(a: np.ndarray, b: np.ndarray, p: int, spectra: Optional[dict] =
     transforms, by operand and length, for the other products of a batch."""
     n = a.size + b.size - 1
     size = _fft_length(n)
-    if spectra is None:
-        spectrum = np.fft.rfft(_balanced(a, p), size)
-        spectrum *= spectrum if b is a else np.fft.rfft(_balanced(b, p), size)
-    else:
-        for x in (a, b):
-            if (id(x), size) not in spectra:  # x is kept, so its id stays its own
-                spectra[id(x), size] = (x, np.fft.rfft(_balanced(x, p), size))
-        spectrum = spectra[id(a), size][1] * spectra[id(b), size][1]
+    spectra = {} if spectra is None else spectra
+    for x in (a, b):
+        if (id(x), size) not in spectra:  # x is kept, so its id stays its own
+            spectra[id(x), size] = (x, np.fft.rfft(_balanced(x, p), size))
+    spectrum = spectra[id(a), size][1] * spectra[id(b), size][1]
     c = np.fft.irfft(spectrum, size)[:n]
     del spectrum
     exact = np.rint(c)

@@ -7,7 +7,7 @@ quotient, matching the continuant initial conditions x_1 = a_1, y_1 = 1.
 """
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Optional, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .algebra import Poly
 from .series import InsufficientPrecisionError, LaurentSeries, series_from_rational
@@ -15,6 +15,7 @@ from .series import InsufficientPrecisionError, LaurentSeries, series_from_ratio
 __all__ = [
     "PartialQuotients",
     "continuants",
+    "prefixed_continuants",
     "rational_to_cf",
     "cf_to_series",
     "convergent_validity_floor",
@@ -109,8 +110,22 @@ def continuants(pqs: PartialQuotients) -> Tuple[Poly, Poly, Poly, Poly]:
     for a in pqs.items[1:]:
         x, x_prev = a * x + x_prev, x
         y, y_prev = a * y + y_prev, y
-    n = len(pqs.items)
-    if x * y_prev - x_prev * y != Poly(field, ((-1) ** n,)):
+    return _checked(x, y, x_prev, y_prev, len(pqs.items))
+
+
+def prefixed_continuants(prefix: Sequence[Poly], tail: PartialQuotients):
+    """The continuant pairs of prefix + tail and of tail: one pass over the
+    tail, then M(a_1)...M(a_k) times its pair, M(a) = [[a, 1], [1, 0]] taking
+    (x, y, x', y') to (a*x + y, x, a*x' + y', x'), checked as in continuants."""
+    x, y, x_prev, y_prev = pair = continuants(tail)
+    for a in reversed(prefix):
+        x, y, x_prev, y_prev = a * x + y, x, a * x_prev + y_prev, x_prev
+    return _checked(x, y, x_prev, y_prev, len(prefix) + len(tail.items)), pair
+
+
+def _checked(x: Poly, y: Poly, x_prev: Poly, y_prev: Poly, n: int):
+    """The pair, once its determinant is (-1)^n; RuntimeError otherwise."""
+    if x * y_prev - x_prev * y != Poly(x.field, ((-1) ** n,)):
         raise RuntimeError(f"determinant identity failed at n={n}")
     return x, y, x_prev, y_prev
 

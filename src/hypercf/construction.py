@@ -29,6 +29,7 @@ from .cf import (  # cf_to_series is read from here by bench/workloads.py
     cf_to_series,
     continuants,
     convergent_validity_floor,
+    prefixed_continuants,
     rational_to_cf,
 )
 from .expansion import BiPoly, NoAdmissibleQuotientError, eval_at_series, expand
@@ -365,15 +366,9 @@ def verify_pattern(
         tail_order = convergent_validity_floor(tail)
         if order is not None:
             alpha_order, tail_order = max(order, alpha_order), max(order, tail_order)
-        # one continuant pass: M(a) = [[a, 1], [1, 0]] times a pair (x, y, x', y') is
-        # (a*x + y, x, a*x' + y', x'), and the stream's is M(a_1)M(a_2)M(a_3) times the tail's
-        x, y, x_prev, y_prev = pair = continuants(tail)
-        for a in reversed(predicted.items[:3]):
-            x, y, x_prev, y_prev = a * x + y, x, a * x_prev + y_prev, x_prev
-        if x * y_prev - x_prev * y != Poly(field, ((-1) ** steps,)):
-            raise RuntimeError(f"determinant identity failed at n={steps}")
+        (x, y, _, _), (x4, y4, _, _) = prefixed_continuants(predicted.items[:3], tail)
         alpha = series_from_rational(x, y, alpha_order)
-        alpha4 = series_from_rational(pair[0], pair[1], tail_order)
+        alpha4 = series_from_rational(x4, y4, tail_order)
         scale = field(4) * spec.u.u1 * spec.u.u3
         residual = alpha.frobenius() - alpha4 * (spec.F * scale) - spec.R * spec.u.u1
         tail_res = ResidualSummary.of(residual)

@@ -83,7 +83,8 @@ class BiPoly:
     __slots__ = ("field", "terms")
 
     def __init__(self, field: PrimeField, coeffs: Union[Mapping, Sequence]):
-        terms = _terms(field, coeffs.items() if isinstance(coeffs, Mapping) else enumerate(coeffs))
+        items = coeffs.items() if isinstance(coeffs, Mapping) else enumerate(coeffs)
+        terms = _terms(field, items, Poly)  # LaurentSeries are the engine's alone
         if not terms or max(terms) < 1:
             raise ValueError("degree in x must be at least 1")
         self.field = field
@@ -114,13 +115,11 @@ class BiPoly:
     def frobenius(self) -> "BiPoly":
         """self**p: in characteristic p, coefficient c of x^e goes to c**p
         at x^(p*e)."""
-        p = self.field.p
-        return BiPoly._raw(self.field, {p * e: c.frobenius() for e, c in self.terms.items()})
+        return BiPoly._raw(self.field, {self.field.p * e: c.frobenius() for e, c in self.terms.items()})
 
     def _operand(self, other) -> Dict[int, object]:
         """The terms of a BiPoly operand; a bare one is the x^0 term."""
-        items = other.terms.items() if isinstance(other, BiPoly) else [(0, other)]
-        return _terms(self.field, items)
+        return _terms(self.field, other.terms.items() if isinstance(other, BiPoly) else [(0, other)])
 
     def __add__(self, other) -> "BiPoly":
         return BiPoly._raw(self.field, _plus(self.terms, self._operand(other).items()))
@@ -132,34 +131,30 @@ class BiPoly:
     __rmul__ = __mul__
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, BiPoly)
-            and other.field == self.field
-            and other.terms == self.terms
-        )
+        return isinstance(other, BiPoly) and (other.field, other.terms) == (self.field, self.terms)
 
     def __hash__(self) -> int:
         return hash((self.field.p, tuple(sorted(self.terms.items()))))
 
     def __repr__(self) -> str:
-        parts = []
-        for i in sorted(self.terms, reverse=True):
-            xs = "" if i == 0 else ("*x" if i == 1 else f"*x^{i}")
-            parts.append(f"({self.terms[i]}){xs}")
-        return " + ".join(parts)
+        return " + ".join(
+            f"({self.terms[i]})" + ("" if i == 0 else "*x" if i == 1 else f"*x^{i}")
+            for i in sorted(self.terms, reverse=True)
+        )
 
 
 def _nonzero(c) -> bool:
     return isinstance(c, LaurentSeries) or bool(c)
 
 
-def _terms(field: PrimeField, items) -> Dict[int, object]:
-    """The nonzero coefficients of (exponent, coefficient) items, as Polys."""
+def _terms(field: PrimeField, items, kinds=(Poly, LaurentSeries)) -> Dict[int, object]:
+    """The nonzero coefficients of (exponent, coefficient) items; one not of
+    `kinds` is taken as a constant Poly."""
     terms: Dict[int, object] = {}
     for e, c in items:
         if e < 0:
             raise ValueError("x-exponents must be nonnegative")
-        if not isinstance(c, (Poly, LaurentSeries)):
+        if not isinstance(c, kinds):
             c = Poly(field, (c,))
         elif c.field != field:
             raise ValueError("field mismatch")
@@ -179,23 +174,22 @@ def _plus(f: Mapping[int, object], items) -> Dict[int, object]:
 
 
 def _times(f: Mapping[int, object], g: Mapping[int, object]) -> Dict[int, object]:
-    """The product of two term maps.  Their only FieldElement is the unit,
-    field.one: a product by it is the other factor, not formed.  Products of
-    Polys share one `spectra`, which transforms each operand once."""
-    units, pairs = [], []
+    """The product of two term maps.  The FieldElement 1 is the unit marker:
+    a product by it is the other factor, not formed.  Products of Polys
+    share one `spectra`, which transforms each operand once."""
+    spectra, items = {}, []
     for e1, c1 in f.items():
         for e2, c2 in g.items():
-            if c1.__class__ is FieldElement or c2.__class__ is FieldElement:
-                units.append((e1 + e2, c2 if c1.__class__ is FieldElement else c1))
+            if c1.__class__ is FieldElement and c1.value == 1:
+                c = c2
+            elif c2.__class__ is FieldElement and c2.value == 1:
+                c = c1
+            elif c1.__class__ is Poly is c2.__class__:
+                c = Poly._raw(c1.field, _mul_arrays(c1.coeffs, c2.coeffs, c1.field.p, spectra))
             else:
-                pairs.append((e1 + e2, c1, c2))
-    if pairs and all(a.__class__ is Poly is b.__class__ for _, a, b in pairs):
-        field, spectra = pairs[0][1].field, {}
-        products = [Poly._raw(field, _mul_arrays(a.coeffs, b.coeffs, field.p, spectra))
-                    for _, a, b in pairs]
-    else:
-        products = [a * b for _, a, b in pairs]
-    return _plus({}, units + [(e, c) for (e, _, _), c in zip(pairs, products)])
+                c = c1 * c2
+            items.append((e1 + e2, c))
+    return _plus({}, items)
 
 
 @dataclass
@@ -358,9 +352,8 @@ def _mobius(P: BiPoly, x, y, x_prev, y_prev) -> BiPoly:
     """P's tail equation after quotients with continuants (x, y) and
     predecessors (x_prev, y_prev): sum of c_e * N^e * D^(n-e) for
     N = x*y' + x_prev and D = y*y' + y_prev in the new variable y'."""
-    field = P.field
-    z, w = _terms(field, [(1, x), (0, x_prev)]), _terms(field, [(1, y), (0, y_prev)])
-    return BiPoly._raw(field, _evaluate(P, z, w))
+    z, w = (_terms(P.field, [(1, a), (0, b)]) for a, b in ((x, x_prev), (y, y_prev)))
+    return BiPoly._raw(P.field, _evaluate(P, z, w))
 
 
 def eval_at_series(P: BiPoly, s: LaurentSeries) -> LaurentSeries:

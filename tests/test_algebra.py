@@ -25,6 +25,12 @@ class TestPrimeField:
             with pytest.raises(ValueError, match="below 2\\^31 = 2147483648"):
                 PrimeField(bad)
 
+    def test_is_prime_past_the_modulus_bound(self):
+        # 3215031751 = 151 * 751 * 28351 is the least strong pseudoprime to
+        # the bases 2, 3, 5 and 7
+        assert not is_prime(3215031751)
+        assert is_prime((1 << 61) - 1) and not is_prime((1 << 61) + 1)
+
     def test_accepts_odd_primes(self):
         for p in (3, 5, 7, 11, 13, 101, 2**31 - 1):
             assert PrimeField(p).p == p

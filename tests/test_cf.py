@@ -23,6 +23,7 @@ from hypercf import (
 )
 
 from conftest import FIELDS, quotient_lists
+from hypercf.cf import prefixed_continuants
 from reference import poly_dict, rcontinuants
 
 
@@ -144,6 +145,31 @@ class TestContinuantChecks:
         monkeypatch.setattr(algebra, "_mul_arrays", counting)
         continuants(pqs)
         assert len(calls) <= 2 * len(pqs)
+
+    def test_prefixed_pair_is_the_whole_streams(self):
+        pqs = self._stream()
+        tail = PartialQuotients(pqs.items[3:])
+        full, pair = prefixed_continuants(pqs.items[:3], tail)
+        assert full == continuants(pqs) and pair == continuants(tail)
+
+    @pytest.mark.parametrize("k", range(1, 2 * QUOTIENTS + 3))
+    def test_single_faulty_prefixed_product_is_caught(self, monkeypatch, k):
+        # 8 + 2 products for the five-quotient tail, 6 + 2 for the prefix
+        pqs = self._stream()
+        exact = algebra._mul_arrays
+        calls = []
+
+        def faulty(a, b, p):
+            out = exact(a, b, p)
+            calls.append(1)
+            if len(calls) == k:
+                out = out.copy()
+                out[0] = (out[0] + 1) % p
+            return out
+
+        monkeypatch.setattr(algebra, "_mul_arrays", faulty)
+        with pytest.raises(RuntimeError, match="determinant identity failed"):
+            prefixed_continuants(pqs.items[:3], PartialQuotients(pqs.items[3:]))
 
     @pytest.mark.parametrize("p, u, k", [(7, (2, 4, 5), 3), (11, (3, 10, 5), 2)])
     def test_pattern_streams(self, p, u, k):

@@ -24,6 +24,7 @@ from hypercf import (
     pattern_equation,
     pattern_position,
     rational_to_cf,
+    series_from_rational,
 )
 from hypercf import algebra, expansion, series
 from hypercf.grids import MILLS_ROBBINS_U1, verification_steps
@@ -107,6 +108,18 @@ class TestBiPoly:
         assert no_constant + 1 == BiPoly(K, [1, T])
         with pytest.raises(ValueError, match="field mismatch"):
             no_constant + FIELDS[7].T
+
+    def test_coefficients_are_polynomials(self):
+        K = FIELDS[5]
+        s = series_from_rational(K.T + 1, K.T ** 2, -10)
+        with pytest.raises(TypeError):
+            BiPoly(K, {1: s})
+
+    def test_only_the_unit_is_left_unmultiplied(self):
+        K = FIELDS[5]
+        T = K.T
+        assert expansion._times({0: K.one}, {1: T}) == {1: T}
+        assert expansion._times({0: K(2)}, {1: T}) == {1: 2 * T}
 
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())
