@@ -112,14 +112,10 @@ class BiPoly:
         out = _evaluate(self, _terms(self.field, [(0, value)]), {0: self.field.one})
         return out.get(0, Poly(self.field))
 
-    def frobenius(self) -> "BiPoly":
-        """self**p: in characteristic p, coefficient c of x^e goes to c**p
-        at x^(p*e)."""
-        return BiPoly._raw(self.field, {self.field.p * e: c.frobenius() for e, c in self.terms.items()})
-
     def _operand(self, other) -> Dict[int, object]:
         """The terms of a BiPoly operand; a bare one is the x^0 term."""
-        return _terms(self.field, other.terms.items() if isinstance(other, BiPoly) else [(0, other)])
+        items = other.terms.items() if isinstance(other, BiPoly) else [(0, other)]
+        return _terms(self.field, items)
 
     def __add__(self, other) -> "BiPoly":
         return BiPoly._raw(self.field, _plus(self.terms, self._operand(other).items()))
@@ -131,7 +127,11 @@ class BiPoly:
     __rmul__ = __mul__
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, BiPoly) and (other.field, other.terms) == (self.field, self.terms)
+        return (
+            isinstance(other, BiPoly)
+            and other.field == self.field
+            and other.terms == self.terms
+        )
 
     def __hash__(self) -> int:
         return hash((self.field.p, tuple(sorted(self.terms.items()))))
