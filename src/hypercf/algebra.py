@@ -160,9 +160,6 @@ class FieldElement:
     def __neg__(self):
         return FieldElement(self.field, -self.value)
 
-    def frobenius(self) -> "FieldElement":
-        return self  # a**p = a in F_p
-
     def __pow__(self, k: int):
         if k < 0:
             return self.inverse() ** (-k)

@@ -15,7 +15,6 @@ from .series import InsufficientPrecisionError, LaurentSeries, series_from_ratio
 __all__ = [
     "PartialQuotients",
     "continuants",
-    "prefixed_continuants",
     "rational_to_cf",
     "cf_to_series",
     "convergent_validity_floor",

@@ -84,16 +84,19 @@ def render_json(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True, separators=(", ", ": "))
 
 
-def _quotients_payload(p: int, u: Sequence[int], pqs: PartialQuotients) -> dict:
-    return {
-        "p": p,
-        "u": list(u),
-        "partial_quotients": [
-            {"coeffs": [int(c) for c in a.coeffs]} for a in pqs
-        ],
-        "degrees": pqs.degrees(),
-        "leading_coefficients": pqs.leading_coefficients(),
-    }
+def _print_quotients(args, u: Sequence[int], pqs: PartialQuotients) -> None:
+    """The quotients as one JSON object, or as the three reference lines."""
+    if args.format == "json":
+        print(render_json({
+            "p": args.p,
+            "u": list(u),
+            "partial_quotients": [{"coeffs": [int(c) for c in a.coeffs]} for a in pqs],
+            "degrees": pqs.degrees(),
+            "leading_coefficients": pqs.leading_coefficients(),
+        }))
+    else:
+        for line in quotient_lines(pqs):
+            print(line)
 
 
 def parse_equation_file(field: PrimeField, path: str) -> BiPoly:
@@ -150,22 +153,13 @@ def _cmd_expand(args) -> int:
             f"rational root reached after {len(result.quotients)} quotients",
             file=sys.stderr,
         )
-    if args.format == "json":
-        print(render_json(_quotients_payload(args.p, u, result.quotients)))
-    else:
-        for line in quotient_lines(result.quotients):
-            print(line)
+    _print_quotients(args, u, result.quotients)
     return 0
 
 
 def _cmd_pattern(args) -> int:
     spec = build_spec(PrimeField(args.p), args.u)
-    pqs = pattern(spec, args.steps)
-    if args.format == "json":
-        print(render_json(_quotients_payload(args.p, args.u, pqs)))
-    else:
-        for line in quotient_lines(pqs):
-            print(line)
+    _print_quotients(args, args.u, pattern(spec, args.steps))
     return 0
 
 
@@ -317,16 +311,19 @@ def _build_parser() -> argparse.ArgumentParser:
             )
 
     sp = sub.add_parser("expand", help="run the extraction engine on an equation")
+    sp.set_defaults(handler=_cmd_expand)
     add_common(sp)
     sp.add_argument("--u", type=_parse_triple, help="unit triple u1,u2,u3")
     sp.add_argument("--u1", type=int, help="single unit for the all-linear family")
     sp.add_argument("--equation-file", help="explicit equation, one `i: c0 c1 ...` line per x-power")
 
     sp = sub.add_parser("pattern", help="generate the predicted block pattern")
+    sp.set_defaults(handler=_cmd_pattern)
     add_common(sp)
     sp.add_argument("--u", type=_parse_triple, required=True)
 
     sp = sub.add_parser("verify", help="pattern vs engine, plus series residuals")
+    sp.set_defaults(handler=_cmd_verify)
     add_common(sp)
     sp.add_argument("--u", type=_parse_triple, action="append", default=[])
     sp.add_argument("--grid", action="store_true", help="sweep the committed triples for p")
@@ -340,10 +337,12 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--jobs", type=int, default=1, help="parallel workers for sweeps")
 
     sp = sub.add_parser("identities", help="Fibonacci-polynomial identity checks")
+    sp.set_defaults(handler=_cmd_identities)
     add_common(sp, steps_required=False)
     sp.add_argument("--fib-count", type=int, default=12)
 
     sp = sub.add_parser("measure", help="degree positions and irrationality measure")
+    sp.set_defaults(handler=_cmd_measure)
     add_common(sp, steps_required=False)
     sp.add_argument("--k", type=int, default=4)
     sp.add_argument("--steps", type=int, help="also profile a generated pattern")
@@ -351,21 +350,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_HANDLERS = {
-    "expand": _cmd_expand,
-    "pattern": _cmd_pattern,
-    "verify": _cmd_verify,
-    "identities": _cmd_identities,
-    "measure": _cmd_measure,
-}
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
         _validate_args(args)
-        return _HANDLERS[args.command](args)
+        return args.handler(args)
     except (ValueError, ZeroDivisionError, NoAdmissibleQuotientError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

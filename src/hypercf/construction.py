@@ -14,8 +14,12 @@ with P_0 = T and P_{n+1} = F * P_n^p.  The expansion's tail from index 4
 satisfies the Frobenius relation alpha^p = 4*u1*u3*F*alpha_4 + u1*R,
 which eliminates to a single equation of degree p+1 in alpha; the same
 elimination at depth 2 produces the all-linear Mills-Robbins equations.
-Everything here is checkable: verify_pattern compares the predicted
-stream against the extraction engine and measures both residuals.
+The formal Fibonacci polynomials f_n = T*f_(n-1) + f_(n-2) that tie F
+and R down are continuants: those of [T]*n are (f_n, f_(n-1), f_(n-1),
+f_(n-2)).  Both families are built for p below 2^16 only, as building
+and checking F and R costs O(p^2).  Everything here is checkable:
+verify_pattern compares the predicted stream against the extraction
+engine and measures both residuals.
 """
 from __future__ import annotations
 
@@ -95,8 +99,15 @@ class PatternSpec:
     R: Poly
 
 
+#: the families are built for p below this: F, R and their checks cost
+#: O(p^2), about 40 s at p = 65521.
+_FAMILY_P_BOUND = 1 << 16
+
+
 def _F_and_R(field: PrimeField) -> Tuple[Poly, Poly]:
-    """F = (T^2+4)^((p-1)/2) and R = T^p - T*F."""
+    """F = (T^2+4)^((p-1)/2) and R = T^p - T*F, for p below 2^16."""
+    if field.p >= _FAMILY_P_BOUND:
+        raise ValueError(f"p must be below 2^16 = {_FAMILY_P_BOUND} to build the family")
     T = field.T
     F = (T * T + 4) ** ((field.p - 1) // 2)
     return F, T ** field.p - T * F
@@ -190,6 +201,13 @@ def _eliminate_tail(
     )
 
 
+def _tail_relation(spec: PatternSpec, R: Poly) -> Tuple[Poly, Poly]:
+    """(G, H) of the tail relation alpha^p = G*alpha_4 + H, G = 4*u1*u3*F
+    and H = u1*R."""
+    u1 = spec.u.u1
+    return spec.F * (spec.field(4) * u1 * spec.u.u3), R * u1
+
+
 def pattern_equation(spec: PatternSpec, r_override: Optional[Poly] = None) -> BiPoly:
     """The degree-(p+1) equation satisfied by the pattern's expansion.
 
@@ -197,16 +215,10 @@ def pattern_equation(spec: PatternSpec, r_override: Optional[Poly] = None) -> Bi
     demonstrate that only the remainder convention R = T^p - T*F is
     consistent with the emitted stream).
     """
-    field = spec.field
-    u1, u3 = spec.u.u1, spec.u.u3
-    T = field.T
-    pqs = PartialQuotients(
-        (spec.u.u1 * T, spec.u.u2 * T, spec.u.u3 * T)
-    )
-    R = spec.R if r_override is None else r_override
-    G = spec.F * (field(4) * u1 * u3)
-    H = R * u1
-    return _eliminate_tail(field, G, H, *continuants(pqs))
+    T = spec.field.T
+    pqs = PartialQuotients((spec.u.u1 * T, spec.u.u2 * T, spec.u.u3 * T))
+    G, H = _tail_relation(spec, spec.R if r_override is None else r_override)
+    return _eliminate_tail(spec.field, G, H, *continuants(pqs))
 
 
 def mills_robbins_u2(field: PrimeField, u1: Union[int, FieldElement]) -> FieldElement:
@@ -234,19 +246,12 @@ def mills_robbins_equation(field: PrimeField, u1: Union[int, FieldElement]) -> B
     return _eliminate_tail(field, F, H, *continuants(pqs))
 
 
-def _fibonacci(field: PrimeField) -> Iterator[Poly]:
-    """f_0 = 1, f_1 = T, f_2, ..., each f_n = T*f_(n-1) + f_(n-2)."""
-    prev, cur = Poly(field, ()), Poly(field, (1,))  # f_(-1) = 0 and f_0
-    while True:
-        yield cur
-        prev, cur = cur, field.T * cur + prev
-
-
 def fibonacci_poly(field: PrimeField, n: int) -> Poly:
-    """f_n of f_0 = 1, f_1 = T, f_n = T*f_{n-1} + f_{n-2} over F_p."""
+    """f_n of f_0 = 1, f_1 = T, f_n = T*f_{n-1} + f_{n-2} over F_p, read
+    from the continuants (f_(n+1), f_n, f_n, f_(n-1)) of [T]*(n+1)."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    return next(itertools.islice(_fibonacci(field), n, None))
+    return continuants(PartialQuotients([field.T] * (n + 1)))[1]
 
 
 @dataclass
@@ -278,15 +283,15 @@ def check_identities(field: PrimeField, fib_cf_limit: int = 12) -> IdentityRepor
     p = field.p
     T = field.T
     F, R = _F_and_R(field)
-    L = fib_cf_limit
-    f = list(itertools.islice(_fibonacci(field), max(p, L) + 1))
-    cf_ok = rational_to_cf(f[L], f[L - 1]) == PartialQuotients([T] * L)
+    f_p, f_pm1, _, f_pm2 = continuants(PartialQuotients([T] * p))
+    all_T = PartialQuotients([T] * fib_cf_limit)
+    f_L, f_Lm1, _, _ = continuants(all_T)
     return IdentityReport(
         p=p,
-        f_pm1_equals_F=(f[p - 1] == F),
-        f_p_plus_f_pm2_equals_Tp=(f[p] + f[p - 2] == T ** p),
-        R_equals_2_f_pm2=(R == f[p - 2] * 2),
-        fibonacci_cf_all_T=cf_ok,
+        f_pm1_equals_F=(f_pm1 == F),
+        f_p_plus_f_pm2_equals_Tp=(f_p + f_pm2 == T ** p),
+        R_equals_2_f_pm2=(R == f_pm2 * 2),
+        fibonacci_cf_all_T=(rational_to_cf(f_L, f_Lm1) == all_T),
         fibonacci_cf_checked_through=fib_cf_limit,
     )
 
@@ -339,8 +344,6 @@ def verify_pattern(
     convergent validity floor; requested orders deeper than the quotients
     support are clamped to that floor.
     """
-    field = spec.field
-    p = field.p
     predicted = pattern(spec, steps)
 
     equation = pattern_equation(spec, r_override=r_override)
@@ -369,15 +372,14 @@ def verify_pattern(
         (x, y, _, _), (x4, y4, _, _) = prefixed_continuants(predicted.items[:3], tail)
         alpha = series_from_rational(x, y, alpha_order)
         alpha4 = series_from_rational(x4, y4, tail_order)
-        scale = field(4) * spec.u.u1 * spec.u.u3
-        residual = alpha.frobenius() - alpha4 * (spec.F * scale) - spec.R * spec.u.u1
-        tail_res = ResidualSummary.of(residual)
+        G, H = _tail_relation(spec, spec.R)
+        tail_res = ResidualSummary.of(alpha.frobenius() - alpha4 * G - H)
         if r_override is not None:
             equation = pattern_equation(spec)
         eq_res = ResidualSummary.of(eval_at_series(equation, alpha))
 
     return PatternVerification(
-        p=p,
+        p=spec.field.p,
         u=spec.u.as_ints(),
         steps=steps,
         engine_aborted=aborted,

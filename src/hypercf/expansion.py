@@ -12,8 +12,9 @@ N = x_k*y + x_(k-1), D = y_k*y + y_(k-1); one step is N = bar*y + 1, D = y,
 and P at a polynomial or a series is D = 1.  One Frobenius-split Horner on
 term maps, y-exponent to coefficient, takes them all.  N^p and D^p are
 Frobenius images, so A*x^(p+1) + B*x^p + C*x + D goes to
-N^p*(A*N + B*D) + D^p*(C*N + D*D), and with the unit a marker never
-multiplied, a step makes just the 4 coefficient products of that form.
+N^p*(A*N + B*D) + D^p*(C*N + D*D), and with the unit a marker of this
+module never multiplied, a step makes just the 4 coefficient products of
+that form.
 A product of term maps transforms each long operand once, for all its products.
 
 `expand` extracts in jumps.  A quotient reads only the tops of P[n] and
@@ -30,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
-from .algebra import FieldElement, Poly, PrimeField, _mul_arrays
+from .algebra import Poly, PrimeField, _mul_arrays
 from .cf import PartialQuotients, continuants
 from .series import InsufficientPrecisionError, LaurentSeries
 
@@ -50,6 +51,17 @@ __all__ = [
 #: about half as many quotients for the cost of one composite map, which
 #: multiplies the full coefficients by continuants of about that degree.
 _WINDOW_MIN_LEN = 64
+
+
+class _Unit:
+    """The unit coefficient of a term map: a product by it is the other
+    factor, not formed, and it is its own Frobenius image."""
+
+    def frobenius(self) -> "_Unit":
+        return self
+
+
+_UNIT = _Unit()
 
 
 class NoAdmissibleQuotientError(RuntimeError):
@@ -109,7 +121,7 @@ class BiPoly:
         return max(int(c.degree) for c in self.terms.values())
 
     def __call__(self, value: Poly) -> Poly:
-        out = _evaluate(self, _terms(self.field, [(0, value)]), {0: self.field.one})
+        out = _evaluate(self, _terms(self.field, [(0, value)]), {0: _UNIT})
         return out.get(0, Poly(self.field))
 
     def _operand(self, other) -> Dict[int, object]:
@@ -174,15 +186,15 @@ def _plus(f: Mapping[int, object], items) -> Dict[int, object]:
 
 
 def _times(f: Mapping[int, object], g: Mapping[int, object]) -> Dict[int, object]:
-    """The product of two term maps.  The FieldElement 1 is the unit marker:
-    a product by it is the other factor, not formed.  Products of Polys
-    share one `spectra`, which transforms each operand once."""
+    """The product of two term maps.  A product by the unit marker is the
+    other factor, not formed.  Products of Polys share one `spectra`,
+    which transforms each operand once."""
     spectra, items = {}, []
     for e1, c1 in f.items():
         for e2, c2 in g.items():
-            if c1.__class__ is FieldElement and c1.value == 1:
+            if c1 is _UNIT:
                 c = c2
-            elif c2.__class__ is FieldElement and c2.value == 1:
+            elif c2 is _UNIT:
                 c = c1
             elif c1.__class__ is Poly is c2.__class__:
                 c = Poly._raw(c1.field, _mul_arrays(c1.coeffs, c2.coeffs, c1.field.p, spectra))
@@ -227,7 +239,7 @@ def next_step(P: BiPoly) -> Tuple[Poly, Optional[BiPoly]]:
         if not _nonzero(P(bar)):
             return bar, None
         raise NoAdmissibleQuotientError(1, bar, ())
-    tail = _evaluate(P, {1: bar, 0: P.field.one}, {1: P.field.one})  # x = bar + 1/y
+    tail = _evaluate(P, {1: bar, 0: _UNIT}, {1: _UNIT})  # x = bar + 1/y
     return bar, (BiPoly._raw(P.field, tail) if n in tail else None)  # tail[n] is P(bar)
 
 
@@ -359,7 +371,7 @@ def _mobius(P: BiPoly, x, y, x_prev, y_prev) -> BiPoly:
 def eval_at_series(P: BiPoly, s: LaurentSeries) -> LaurentSeries:
     """P(s) with propagated validity: the result being zero to its floor
     certifies s as a root of P down to that order."""
-    return _evaluate(P, {0: s}, {0: P.field.one})[0]
+    return _evaluate(P, {0: s}, {0: _UNIT})[0]
 
 
 def _horner(terms: Mapping[int, Mapping], z, w, top: int):

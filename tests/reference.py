@@ -179,6 +179,15 @@ def rcontinuants(quotients: list, p: int) -> list:
     return out
 
 
+def rfibonacci(n: int, p: int) -> list:
+    """[f_0, ..., f_n] from f_0 = 1, f_1 = T, f_k = T*f_(k-1) + f_(k-2)."""
+    out, prev = [{0: 1}], {}
+    for _ in range(n):
+        out.append(radd(rmul({1: 1}, out[-1], p), prev, p))
+        prev = out[-2]
+    return out
+
+
 def poly_dict(poly) -> dict:
     """Sparse view of a package Poly, for comparisons."""
     return {e: int(c) for e, c in enumerate(poly.coeffs) if c}

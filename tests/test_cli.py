@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import re
+import time
 
 import pytest
 
@@ -292,6 +293,25 @@ class TestIdentities:
         code, out, _ = run(capsys, "identities", "--p", "5", "--fib-count", "1")
         assert code == 0
         assert out[-1] == "cf(f_n/f_(n-1)) = [t]*n for n <= 1: ok"
+
+
+class TestFamilyBound:
+    @pytest.mark.parametrize("p", ("65537", "2147483647"))
+    @pytest.mark.parametrize(
+        "argv",
+        (
+            ("expand", "--u", "2,4,5", "--steps", "5"),
+            ("expand", "--u1", "1", "--steps", "5"),
+            ("verify", "--u", "2,4,5", "--steps", "5"),
+            ("identities",),
+        ),
+    )
+    def test_refused_at_once(self, capsys, p, argv):
+        start = time.perf_counter()
+        code, out, err = run(capsys, argv[0], "--p", p, *argv[1:])
+        assert code == 2 and out == []
+        assert "p must be below 2^16 = 65536" in err
+        assert time.perf_counter() - start < 1.0
 
 
 class TestMeasure:

@@ -31,6 +31,7 @@ from hypercf import (
 )
 
 from conftest import FIELDS
+from reference import poly_dict, rfibonacci
 
 
 class TestBuildSpec:
@@ -60,6 +61,24 @@ class TestBuildSpec:
     def test_triple_field_coherence(self):
         with pytest.raises(ValueError):
             Triple(FIELDS[3](1), FIELDS[5](1), FIELDS[5](2))
+
+    @pytest.mark.parametrize("p", (65537, 2147483647))
+    def test_family_refuses_p_beyond_its_bound_at_once(self, p):
+        K = PrimeField(p)
+        start = time.perf_counter()
+        for build in (
+            lambda: build_spec(K, (1, 2, 3)),
+            lambda: mills_robbins_equation(K, 1),
+            lambda: check_identities(K),
+        ):
+            with pytest.raises(ValueError, match=r"below 2\^16 = 65536"):
+                build()
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("p", sorted(FIELDS))
+    def test_family_builds_below_its_bound(self, p):
+        spec = build_spec(FIELDS[p], (1, 1, 1))
+        assert spec.F.degree == p - 1
 
 
 class TestBuildPn:
@@ -237,6 +256,12 @@ class TestFibonacci:
     def test_sum_identity_at_p7(self):
         K = FIELDS[7]
         assert fibonacci_poly(K, 7) + fibonacci_poly(K, 5) == K.T ** 7
+
+    @pytest.mark.parametrize("p", sorted(FIELDS))
+    def test_matches_reference_recurrence(self, p):
+        expected = rfibonacci(60, p)
+        for n in range(61):
+            assert poly_dict(fibonacci_poly(FIELDS[p], n)) == expected[n]
 
 
 class TestIdentities:

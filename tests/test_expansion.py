@@ -118,7 +118,11 @@ class TestBiPoly:
     def test_only_the_unit_is_left_unmultiplied(self):
         K = FIELDS[5]
         T = K.T
-        assert expansion._times({0: K.one}, {1: T}) == {1: T}
+        assert expansion._times({0: expansion._UNIT}, {1: T})[1] is T
+        assert expansion._times({1: T}, {0: expansion._UNIT})[1] is T
+        # a FieldElement coefficient, 1 included, is an ordinary factor
+        one = expansion._times({0: K.one}, {1: T})[1]
+        assert one == T and one is not T
         assert expansion._times({0: K(2)}, {1: T}) == {1: 2 * T}
 
     @settings(max_examples=100, deadline=None)
