@@ -8,9 +8,14 @@ rounding is checked, with exact convolution as the fallback.  Every
 division, of polynomials and of Laurent series alike, takes the top
 coefficients of one truncated power-series quotient by Newton inversion
 over that product; only divmod and % go on to form a remainder.
+
+One rule, `_residue`, turns a value into a residue of F_p; every
+constructor and operator here and in `series` and `expansion` lifts
+scalars through it.
 """
 from __future__ import annotations
 
+import operator
 from typing import Iterable, Optional, Union
 
 import numpy as np
@@ -113,47 +118,31 @@ class FieldElement:
     __slots__ = ("field", "value")
 
     def __init__(self, field: PrimeField, value: Union[int, "FieldElement"]):
-        if isinstance(value, FieldElement):
-            if value.field != field:
-                raise ValueError("field mismatch")
-            value = value.value
         self.field = field
-        self.value = int(value) % field.p
+        self.value = _residue(field, value)
 
-    def _coerce(self, other) -> int:
-        if isinstance(other, FieldElement):
-            if other.field != self.field:
-                raise ValueError("field mismatch")
-            return other.value
-        if isinstance(other, (int, np.integer)):
-            return int(other) % self.field.p
-        return NotImplemented
+    def _op(self, other, f):
+        """f(self's value, other's residue) as an element; NotImplemented
+        for an operand that _residue does not take."""
+        try:
+            v = _residue(self.field, other)
+        except TypeError:
+            return NotImplemented
+        return FieldElement(self.field, f(self.value, v))
 
     def __add__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.value + v)
+        return self._op(other, operator.add)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.value - v)
+        return self._op(other, operator.sub)
 
     def __rsub__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, v - self.value)
+        return self._op(other, lambda a, b: b - a)
 
     def __mul__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.value * v)
+        return self._op(other, operator.mul)
 
     __rmul__ = __mul__
 
@@ -172,16 +161,10 @@ class FieldElement:
         return FieldElement(self.field, pow(self.value, self.field.p - 2, self.field.p))
 
     def __truediv__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return self * FieldElement(self.field, v).inverse()
+        return self._op(other, lambda a, b: a * FieldElement(self.field, b).inverse().value)
 
     def __rtruediv__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, v) * self.inverse()
+        return self._op(other, lambda a, b: b * self.inverse().value)
 
     def __bool__(self) -> bool:
         return self.value != 0
@@ -204,16 +187,27 @@ class FieldElement:
 # coefficient-array kernels
 # ---------------------------------------------------------------------------
 
-def _residues(coeffs: Iterable, p: int) -> np.ndarray:
-    """An array, or ints and FieldElements, as an int64 array of residues."""
+def _residue(field: PrimeField, x) -> int:
+    """x as a residue of `field`, the one rule for what enters F_p: an int
+    or numpy integer mod p, or an element of the field; an element of
+    another field raises ValueError and any other value TypeError."""
+    if isinstance(x, (int, np.integer)):
+        return int(x) % field.p
+    if isinstance(x, FieldElement):
+        if x.field != field:
+            raise ValueError("field mismatch")
+        return x.value
+    raise TypeError(f"a {type(x).__name__} is not an element of F_{field.p}")
+
+
+def _residues(coeffs: Iterable, field: PrimeField) -> np.ndarray:
+    """An array of integer dtype, or a sequence of values each taken by
+    _residue, as an int64 array of residues."""
     if isinstance(coeffs, np.ndarray):
-        return coeffs.astype(np.int64) % p
-    arr = np.array(
-        [c.value if isinstance(c, FieldElement) else int(c) for c in coeffs],
-        dtype=np.int64,
-    )
-    arr %= p
-    return arr
+        if not np.issubdtype(coeffs.dtype, np.integer):
+            raise TypeError(f"a {coeffs.dtype} array is not a sequence of residues")
+        return coeffs.astype(np.int64) % field.p
+    return np.array([_residue(field, c) for c in coeffs], dtype=np.int64)
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -391,7 +385,7 @@ class Poly:
 
     def __init__(self, field: PrimeField, coeffs: Iterable = ()):
         self.field = field
-        self.coeffs = _frozen(_trim(_residues(coeffs, field.p)))
+        self.coeffs = _frozen(_trim(_residues(coeffs, field)))
 
     @classmethod
     def _raw(cls, field: PrimeField, arr: np.ndarray) -> "Poly":
@@ -426,62 +420,54 @@ class Poly:
 
     # -- arithmetic ---------------------------------------------------------
 
-    def _coerce(self, other):
-        if isinstance(other, Poly):
-            if other.field != self.field:
+    @staticmethod
+    def _coerce(field: PrimeField, x) -> "Poly":
+        """x as a Poly over `field`: a Poly of that field as it is, a scalar
+        as a constant by _residue; a Poly of another field raises ValueError."""
+        if isinstance(x, Poly):
+            if x.field is not field and x.field != field:  # `is` spares an __eq__ call
                 raise ValueError("field mismatch")
-            return other
-        if isinstance(other, FieldElement):
-            if other.field != self.field:
-                raise ValueError("field mismatch")
-            return Poly(self.field, (other.value,))
-        if isinstance(other, (int, np.integer)):
-            return Poly(self.field, (int(other),))
-        return NotImplemented
+            return x
+        return Poly(field, (x,))
+
+    def _op(self, other, kernel, reflected: bool = False):
+        """kernel(self, other) on coefficient arrays, kernel(other, self)
+        when reflected, as Polys; NotImplemented for an operand that
+        _coerce does not take, so that its own type can answer."""
+        try:
+            o = Poly._coerce(self.field, other).coeffs
+        except TypeError:
+            return NotImplemented
+        p = self.field.p
+        out = kernel(o, self.coeffs, p) if reflected else kernel(self.coeffs, o, p)
+        if isinstance(out, tuple):  # divmod's (q, r)
+            return tuple(Poly._raw(self.field, arr) for arr in out)
+        return Poly._raw(self.field, out)
 
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return Poly._raw(self.field, _add_arrays(self.coeffs, o.coeffs, self.field.p))
+        return self._op(other, _add_arrays)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return Poly._raw(self.field, _sub_arrays(self.coeffs, o.coeffs, self.field.p))
+        return self._op(other, _sub_arrays)
 
     def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return Poly._raw(self.field, _sub_arrays(o.coeffs, self.coeffs, self.field.p))
+        return self._op(other, _sub_arrays, reflected=True)
 
     def __neg__(self):
         return Poly._raw(self.field, _trim((-self.coeffs) % self.field.p))
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return Poly._raw(self.field, _mul_arrays(self.coeffs, o.coeffs, self.field.p))
+        return self._op(other, _mul_arrays)
 
     __rmul__ = __mul__
 
     def __divmod__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        q, r = _divmod_arrays(self.coeffs, o.coeffs, self.field.p)
-        return Poly._raw(self.field, q), Poly._raw(self.field, r)
+        return self._op(other, _divmod_arrays)
 
     def __floordiv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return Poly._raw(self.field, _floordiv_arrays(self.coeffs, o.coeffs, self.field.p))
+        return self._op(other, _floordiv_arrays)
 
     def __mod__(self, other):
         return divmod(self, other)[1]
@@ -517,7 +503,7 @@ class Poly:
         return Poly._raw(self.field, out)
 
     def __call__(self, value: Union[int, FieldElement]) -> FieldElement:
-        v = FieldElement(self.field, value).value  # raises on a field mismatch
+        v = _residue(self.field, value)
         acc = 0
         p = self.field.p
         for c in self.coeffs[::-1]:

@@ -216,12 +216,10 @@ def _cmd_verify(args) -> int:
                     f"residuals zero to order {r['residual_order']}"
                 )
             elif not r["match"]:
-                where = (
-                    "engine aborted"
-                    if r["engine_aborted"] and r["first_mismatch"] is None
-                    else f"first mismatch at index {r['first_mismatch']}"
+                print(
+                    f"p={r['p']} u={u} steps={r['steps']}: "
+                    f"MISMATCH (first mismatch at index {r['first_mismatch']})"
                 )
-                print(f"p={r['p']} u={u} steps={r['steps']}: MISMATCH ({where})")
             else:
                 print(f"p={r['p']} u={u} steps={r['steps']}: RESIDUAL NONZERO")
     return 0 if all_ok else 1

@@ -85,18 +85,19 @@ class BiPoly:
     Stored sparsely as `terms`, a read-only map from x-exponent to nonzero
     coefficient: the hyperquadratic equations keep only the exponents
     {0, 1, p, p+1} through every extraction step.  The constructor takes
-    either that map or a dense sequence indexed by exponent.  `+` and `*`
-    take a BiPoly or a bare Poly (or scalar), which is the x^0 term.
-    Inside the engine, coefficients may also be LaurentSeries windows,
-    which are kept even when zero to their floor: below it they are
-    unknown, not zero.
+    either that map or a dense sequence indexed by exponent.  Its public
+    operands, the coefficients, the value of P(value) and the bare operand
+    of `+` and `*` (the x^0 term), are Polys of the field or scalars.
+    Only the engine, through `_raw`, makes term maps of LaurentSeries
+    windows, which are kept even when zero to their floor: below it they
+    are unknown, not zero.
     """
 
     __slots__ = ("field", "terms")
 
     def __init__(self, field: PrimeField, coeffs: Union[Mapping, Sequence]):
         items = coeffs.items() if isinstance(coeffs, Mapping) else enumerate(coeffs)
-        terms = _terms(field, items, Poly)  # LaurentSeries are the engine's alone
+        terms = _terms(field, items)
         if not terms or max(terms) < 1:
             raise ValueError("degree in x must be at least 1")
         self.field = field
@@ -124,7 +125,7 @@ class BiPoly:
         out = _evaluate(self, _terms(self.field, [(0, value)]), {0: _UNIT})
         return out.get(0, Poly(self.field))
 
-    def _operand(self, other) -> Dict[int, object]:
+    def _operand(self, other) -> Dict[int, Poly]:
         """The terms of a BiPoly operand; a bare one is the x^0 term."""
         items = other.terms.items() if isinstance(other, BiPoly) else [(0, other)]
         return _terms(self.field, items)
@@ -159,18 +160,15 @@ def _nonzero(c) -> bool:
     return isinstance(c, LaurentSeries) or bool(c)
 
 
-def _terms(field: PrimeField, items, kinds=(Poly, LaurentSeries)) -> Dict[int, object]:
-    """The nonzero coefficients of (exponent, coefficient) items; one not of
-    `kinds` is taken as a constant Poly."""
-    terms: Dict[int, object] = {}
+def _terms(field: PrimeField, items) -> Dict[int, Poly]:
+    """The nonzero coefficients of (exponent, coefficient) items, each a
+    Poly of the field or a scalar, as Polys."""
+    terms: Dict[int, Poly] = {}
     for e, c in items:
         if e < 0:
             raise ValueError("x-exponents must be nonnegative")
-        if not isinstance(c, kinds):
-            c = Poly(field, (c,))
-        elif c.field != field:
-            raise ValueError("field mismatch")
-        if _nonzero(c):
+        c = Poly._coerce(field, c)
+        if c:
             terms[e] = c
     return terms
 

@@ -13,7 +13,8 @@ Precision rules (window of a runs [V_a, top_a], similarly for b):
 * exact operands: an int, FieldElement or Poly c is known to every
              order: a + c keeps V = V_a, a*c has V = V_a + deg c
              (a constant, zero included, keeps V_a), and a/c, for c
-             nonzero, has V = V_a - deg c
+             nonzero, has V = V_a - deg c; an operand that is neither
+             a series nor exact raises TypeError, as Poly's do
 * div a/b:   V = max(V_a - top_b, V_b + top_a - 2*top_b)
              (the second term bounds the leakage of b's unknown tail
              through the quotient; for an exactly known divisor it is
@@ -37,7 +38,7 @@ import numpy as np
 
 from .algebra import (
     _EMPTY, FieldElement, Poly, PrimeField, _add_arrays, _fit, _frozen, _mul_arrays,
-    _render, _residues, _sub_arrays, _top_quotient, _trim,
+    _render, _residue, _residues, _sub_arrays, _top_quotient, _trim,
 )
 
 __all__ = ["LaurentSeries", "series_from_rational", "InsufficientPrecisionError"]
@@ -68,7 +69,7 @@ class LaurentSeries:
     ):
         # entries not covered by `coeffs` are asserted zero
         size = max(top_degree - valid_order + 1, 0)
-        window = _fit(_residues(coeffs, field.p), size)
+        window = _fit(_residues(coeffs, field), size)
         self.field = field
         self.valid_order = valid_order
         self.coeffs = _frozen(_trim(window[::-1]))
@@ -102,8 +103,9 @@ class LaurentSeries:
         top = max(terms, default=valid_order - 1)
         arr = np.zeros(max(top - valid_order + 1, 0), dtype=np.int64)
         for e, c in terms.items():
+            c = _residue(field, c)
             if e >= valid_order:
-                arr[e - valid_order] = c % field.p
+                arr[e - valid_order] = c
         return cls._raw(field, valid_order, _trim(arr))
 
     # -- structure -----------------------------------------------------------
@@ -152,20 +154,13 @@ class LaurentSeries:
     # -- arithmetic ----------------------------------------------------------
 
     def _check(self, other: "LaurentSeries"):
-        if not isinstance(other, LaurentSeries) or other.field != self.field:
+        if other.field != self.field:
             raise ValueError("operands must be series over the same field")
-
-    def _exact(self, other) -> Poly:
-        """An int, FieldElement or Poly operand as an exact polynomial."""
-        c = Poly._raw(self.field, _EMPTY)._coerce(other)  # raises on a field mismatch
-        if c is NotImplemented:
-            raise ValueError("operands must be series or polynomials over one field")
-        return c
 
     def _addsub(self, other, kernel) -> "LaurentSeries":
         if not isinstance(other, LaurentSeries):
             # an exact polynomial is known to every order, so at self's floor
-            other = LaurentSeries.from_poly(self._exact(other), self.valid_order)
+            other = LaurentSeries.from_poly(Poly._coerce(self.field, other), self.valid_order)
         self._check(other)
         v = max(self.valid_order, other.valid_order)
         a = self.coeffs[v - self.valid_order :]
@@ -197,7 +192,7 @@ class LaurentSeries:
         else:
             # the unknown terms below V reach up to V - 1 + deg c (a
             # constant, zero included, keeps V)
-            b = self._exact(other).coeffs
+            b = Poly._coerce(self.field, other).coeffs
             top_b = b.size - 1
             v = self.valid_order + max(top_b, 0)
         if self.is_zero_to_floor or b.size == 0:
@@ -221,7 +216,7 @@ class LaurentSeries:
             v_q = max(v_a - top_b, other.valid_order + top_a - 2 * top_b)
         else:
             # an exact divisor has no unknown tail to leak into the quotient
-            b = self._exact(other).coeffs
+            b = Poly._coerce(self.field, other).coeffs
             top_b = b.size - 1
             v_q = v_a - top_b
         if b.size == 0:
@@ -238,6 +233,8 @@ class LaurentSeries:
         terms of each window.  Raises InsufficientPrecisionError when a
         window holds fewer, or when the divisor is zero to its floor, of
         unknown degree."""
+        if not isinstance(other, LaurentSeries):
+            return NotImplemented
         self._check(other)
         if other.is_zero_to_floor:
             raise InsufficientPrecisionError("the divisor's degree is below its floor")
@@ -255,7 +252,7 @@ class LaurentSeries:
 
     def __rfloordiv__(self, other) -> Poly:
         # an exact dividend is known to every order, so at the divisor's floor
-        return LaurentSeries.from_poly(self._exact(other), self.valid_order) // self
+        return LaurentSeries.from_poly(Poly._coerce(self.field, other), self.valid_order) // self
 
     def frobenius(self) -> "LaurentSeries":
         """self**p: exponents map to p*k, coefficients are Frobenius-fixed."""

@@ -66,6 +66,16 @@ class TestFieldElement:
         K = FIELDS[7]
         assert (K(3) + 11) == K(0)
         assert (2 * K(4)) == K(1)
+        assert K(np.int64(-9)) == K(-2) == K(K(5)) == K(5)
+        assert K(True) == K(1) and K(3) + np.int64(5) == K(1)
+
+    def test_rejects_what_is_not_a_residue(self):
+        K = FIELDS[7]
+        for bad in (2.5, "3", np.float64(2.0)):
+            with pytest.raises(TypeError):
+                K(bad)
+        with pytest.raises(ValueError, match="field mismatch"):
+            K(FIELDS[5](3))
 
     def test_every_unit_has_inverse(self):
         for p in (3, 5, 7, 11, 13):
@@ -98,6 +108,22 @@ class TestPolyBasics:
     def test_modular_reduction_on_input(self):
         K = FIELDS[3]
         assert Poly(K, (4, -1)) == Poly(K, (1, 2))
+        for form in ([True, np.int64(-1)], [K(1), K(2)], np.array([4, -1]),
+                     np.array([4, -1], dtype=np.int32)):
+            assert Poly(K, form) == Poly(K, (1, 2))
+
+    def test_rejects_what_is_not_in_the_field(self):
+        K7, K5 = FIELDS[7], FIELDS[5]
+        with pytest.raises(ValueError, match="field mismatch"):
+            Poly(K7, [K5(3), 1])
+        with pytest.raises(ValueError, match="field mismatch"):
+            K7.T + K5(3)
+        for bad in ([2.5, 1], ["3"], np.array([2.5, 1.0]), np.array([True])):
+            with pytest.raises(TypeError):
+                Poly(K7, bad)
+        for op in (lambda T: T * 2.5, lambda T: 2.5 + T, lambda T: T // "3"):
+            with pytest.raises(TypeError):
+                op(K7.T)
 
     def test_immutable(self):
         poly = Poly(FIELDS[3], (1, 2))
@@ -183,8 +209,11 @@ class TestRendering:
         poly = K.T ** 3 + 2 * K.T + 5
         assert poly(2) == K((8 + 4 + 5) % 7)
         assert poly(K(0)) == K(5)
+        assert poly(np.int64(9)) == poly(-5) == poly(2)
         with pytest.raises(ValueError, match="field mismatch"):
             poly(FIELDS[11](9))
+        with pytest.raises(TypeError):
+            poly(2.5)
 
 
 class TestMultiplicationPaths:

@@ -104,6 +104,10 @@ class TestBiPoly:
         with pytest.raises(ValueError, match="field mismatch"):
             eq * BiPoly(FIELDS[7], [1, 1])
         assert eq + 1 == 1 + eq == BiPoly(K, [T + 1, Poly(K, (1,))])
+        assert eq + np.int64(-4) == eq + True == eq + K(1) == eq + 1
+        assert eq * K(3) == 3 * eq == BiPoly(K, [3 * T, Poly(K, (3,))])
+        with pytest.raises(ValueError, match="field mismatch"):
+            eq + FIELDS[7](3)
         no_constant = BiPoly(K, {1: T})
         assert no_constant + 1 == BiPoly(K, [1, T])
         with pytest.raises(ValueError, match="field mismatch"):
@@ -111,9 +115,20 @@ class TestBiPoly:
 
     def test_coefficients_are_polynomials(self):
         K = FIELDS[5]
-        s = series_from_rational(K.T + 1, K.T ** 2, -10)
-        with pytest.raises(TypeError):
-            BiPoly(K, {1: s})
+        T = K.T
+        s = series_from_rational(T + 1, T ** 2, -10)
+        assert BiPoly(K, [np.int64(-2), True, K(3), T]) == BiPoly(K, [3, 1, 3, T])
+        for bad in (s, 2.5, "3", np.array([1, 2])):
+            with pytest.raises(TypeError):
+                BiPoly(K, {1: T, 0: bad})
+        with pytest.raises(ValueError, match="field mismatch"):
+            BiPoly(K, {1: T, 0: FIELDS[7](3)})
+        # a series is no public operand: windows are the engine's alone
+        eq = BiPoly(K, [T, Poly(K, (1,))])
+        for op in (lambda: eq + s, lambda: eq * s, lambda: eq(s),
+                   lambda: s + eq, lambda: s * eq):
+            with pytest.raises(TypeError):
+                op()
 
     def test_only_the_unit_is_left_unmultiplied(self):
         K = FIELDS[5]

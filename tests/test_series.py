@@ -51,6 +51,29 @@ class TestFromRational:
             assert fine.term(e) == coarse.term(e)
 
 
+class TestConstruction:
+    def test_valid_forms_give_the_same_series(self):
+        K = FIELDS[7]
+        expected = LaurentSeries.from_terms(K, {1: 4, 0: 2, -1: 1}, -1)
+        for form in ([-3, 2, 1], [np.int64(-3), K(2), True], np.array([4, 2, 1])):
+            assert LaurentSeries(K, 1, form, -1) == expected
+        assert LaurentSeries.from_terms(K, {1: np.int64(-3), 0: K(2), -1: True}, -1) == expected
+
+    def test_rejects_what_is_not_in_the_field(self):
+        K7, K5 = FIELDS[7], FIELDS[5]
+        with pytest.raises(ValueError, match="field mismatch"):
+            LaurentSeries(K7, 0, [K5(3)], 0)
+        with pytest.raises(ValueError, match="field mismatch"):
+            LaurentSeries.from_terms(K7, {0: K5(3)}, 0)
+        for bad in (2.5, "3"):
+            with pytest.raises(TypeError):
+                LaurentSeries(K7, 0, [bad], 0)
+            with pytest.raises(TypeError):
+                LaurentSeries.from_terms(K7, {0: bad}, 0)
+        with pytest.raises(TypeError):
+            LaurentSeries(K7, 1, np.array([2.5, 1.0]), 0)
+
+
 class TestFrobenius:
     def test_exponent_map(self):
         K = FIELDS[3]
@@ -127,6 +150,12 @@ class TestArithmetic:
         s = LaurentSeries.from_terms(K, {1: 2, -1: 3}, -4)
         assert (s * 4).terms() == {1: 1, -1: 5}
         assert (s / 2).terms() == {1: 1, -1: 5}
+        # an operand that is neither a series nor exact is refused as Poly
+        # refuses it
+        for op in (lambda: s + 2.5, lambda: s * "3", lambda: s / 2.5,
+                   lambda: 2.5 - s, lambda: s // 3):
+            with pytest.raises(TypeError):
+                op()
 
     def test_scalar_addition(self):
         K = FIELDS[7]
