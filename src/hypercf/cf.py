@@ -7,9 +7,11 @@ quotient, matching the continuant initial conditions x_1 = a_1, y_1 = 1.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
+from itertools import accumulate
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from .algebra import Poly
+from .algebra import _FFT_MIN_LEN, Poly
 from .series import InsufficientPrecisionError, LaurentSeries, series_from_rational
 
 __all__ = [
@@ -89,40 +91,69 @@ class PartialQuotients:
 
 def continuants(pqs: PartialQuotients) -> Tuple[Poly, Poly, Poly, Poly]:
     """The final convergent pair and its predecessor, (x_N, y_N, x_{N-1},
-    y_{N-1}), via K_n = a_n*K_{n-1} + K_{n-2} from (x_1, x_0) = (a_1, 1)
-    and (y_1, y_0) = (1, 0).  Only the pair in flight is kept, so memory
-    stays at the size of the last convergent whatever N is.
+    y_{N-1}): the entries of M(a_1)...M(a_N) = [[x_N, x_{N-1}], [y_N,
+    y_{N-1}]], M(a) = [[a, 1], [1, 0]], multiplied in a product tree.
 
-    The determinant identity x_n*y_{n-1} - x_{n-1}*y_n = (-1)^n is checked
-    once, on the final pair, and a failure raises RuntimeError.  That one
-    check catches any single faulty step: every exact step maps
-    det_n to -det_{n-1}, whatever its inputs, so a step that gets x_n
-    wrong by e (or y_n wrong by e) shifts det_n by e*y_{n-1} (or by
-    -e*x_{n-1}), a nonzero polynomial, and the later steps carry that
-    shift to det_N with only its sign flipped.
+    The tree splits the quotients where their degree sum reaches half, so
+    a deep quotient becomes a leaf of its own.  A run of degree sum at most
+    _FFT_MIN_LEN, whose products are short convolutions anyway, is a leaf
+    folded by K_n = a_n*K_{n-1} + K_{n-2} from (x_1, x_0) = (a_1, 1) and
+    (y_1, y_0) = (1, 0).  A node multiplies its halves' matrices in eight
+    products, so each tree level costs a few products of the final size
+    where the fold paid one per quotient.  One pair is held per tree
+    level, O(total degree) in all, not every convergent.
+
+    The determinant identity x_N*y_{N-1} - x_{N-1}*y_N = (-1)^N is checked
+    once, at the root, and a failure raises RuntimeError.  That one check
+    catches any single faulty product.  In a leaf, every exact step maps
+    det_n to -det_{n-1}, whatever its inputs, so a step that gets x_n wrong
+    by e (or y_n wrong by e) shifts det_n by e*y_{n-1} (or by -e*x_{n-1}),
+    a nonzero polynomial.  In a node, a product wrong by e shifts the
+    determinant by e times a cofactor, an entry of the node's matrix and a
+    nonzero continuant, as a node spans at least two quotients.  Every
+    other factor above it is exact and unimodular, so the shift reaches
+    the root times a sign.
     """
-    if not pqs.items:
+    items = pqs.items
+    if not items:
         raise ValueError("continuants need at least one partial quotient")
-    field = pqs.items[0].field
+    sums = [0, *accumulate(a.coeffs.size - 1 for a in items)]
+    return _checked(*_product(items, sums, 0, len(items)), len(items))
+
+
+def _product(items, sums, lo: int, hi: int):
+    """M(a) over items[lo:hi] as (x, y, x', y'), sums[i] being the degree
+    sum of items[:i]: a fold for a single quotient or a short run, else the
+    product of the halves split where the degree sum reaches half."""
+    if hi - lo == 1 or sums[hi] - sums[lo] <= _FFT_MIN_LEN:
+        return _fold(items[lo:hi])
+    mid = bisect_left(sums, (sums[lo] + sums[hi]) / 2, lo + 1, hi - 1)
+    x, y, x1, y1 = _product(items, sums, lo, mid)
+    X, Y, X1, Y1 = _product(items, sums, mid, hi)
+    return x * X + x1 * Y, y * X + y1 * Y, x * X1 + x1 * Y1, y * X1 + y1 * Y1
+
+
+def _fold(items):
+    """M(a) over the nonempty items as (x, y, x', y'), by the recurrence."""
+    field = items[0].field
     x_prev, y_prev = Poly(field, (1,)), Poly(field, ())
-    x, y = pqs.items[0], Poly(field, (1,))
-    for a in pqs.items[1:]:
+    x, y = items[0], Poly(field, (1,))
+    for a in items[1:]:
         x, x_prev = a * x + x_prev, x
         y, y_prev = a * y + y_prev, y
-    return _checked(x, y, x_prev, y_prev, len(pqs.items))
+    return x, y, x_prev, y_prev
 
 
 def prefixed_continuants(prefix: Sequence[Poly], tail: PartialQuotients):
-    """The continuant pairs of prefix + tail and of tail: one pass over the
-    tail, then M(a_1)...M(a_k) times its pair, M(a) = [[a, 1], [1, 0]] taking
-    (x, y, x', y') to (a*x + y, x, a*x' + y', x'), checked as in continuants.
+    """The continuant pairs of prefix + tail and of tail: the tail's product
+    tree, then M(a_1)...M(a_k) times its pair, M(a) taking (x, y, x', y')
+    to (a*x + y, x, a*x' + y', x'), checked as in continuants.
 
-    The prefix is not folded into `continuants` as one right fold: a
-    stream's largest quotient comes last (degree 4801 at p=7 through n_4),
-    which a right fold meets at every step and this left fold once; such a
-    version took 1.3-1.5 times as long to certify that stream (2-vCPU
-    host).  A fold from the identity would also hide a wrong first
-    product, which against y' = 0 leaves the determinant unchanged."""
+    Passing prefix + tail to `continuants` as well would multiply the
+    tail's tree a second time; the prefix costs 2k products on the tail's
+    pair instead, each by a short quotient.  A fold from the identity
+    would also hide a wrong first product, which against y' = 0 leaves the
+    determinant unchanged."""
     x, y, x_prev, y_prev = pair = continuants(tail)
     for a in reversed(prefix):
         x, y, x_prev, y_prev = a * x + y, x, a * x_prev + y_prev, x_prev

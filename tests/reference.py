@@ -17,7 +17,9 @@ product per x-degree with every coefficient padded to a deep floor, the
 oracle for the Frobenius-split evaluation, and `stepwise_expand`, the
 package's former extraction loop, one `next_step` on the full equation
 per quotient, the oracle for the jumps that decide quotients on top
-windows and apply their composite map once.
+windows and apply their composite map once, and `fold_continuants`, the
+package's former continuant loop, one left fold over the quotients on
+Poly, the oracle for the product tree.
 """
 from __future__ import annotations
 
@@ -177,6 +179,20 @@ def rcontinuants(quotients: list, p: int) -> list:
         y, y_prev = radd(rmul(a, y, p), y_prev, p), y
         out.append((x, y))
     return out
+
+
+def fold_continuants(pqs) -> tuple:
+    """(x_N, y_N, x_(N-1), y_(N-1)) of package quotients by one left fold
+    of K_n = a_n*K_(n-1) + K_(n-2) on the package's Poly."""
+    from hypercf import Poly
+
+    field = pqs.items[0].field
+    x_prev, y_prev = Poly(field, (1,)), Poly(field, ())
+    x, y = pqs.items[0], Poly(field, (1,))
+    for a in pqs.items[1:]:
+        x, x_prev = a * x + x_prev, x
+        y, y_prev = a * y + y_prev, y
+    return x, y, x_prev, y_prev
 
 
 def rfibonacci(n: int, p: int) -> list:

@@ -112,6 +112,16 @@ class TestPolyBasics:
                      np.array([4, -1], dtype=np.int32)):
             assert Poly(K, form) == Poly(K, (1, 2))
 
+    def test_arrays_of_every_integer_dtype_reduce_exactly(self):
+        # widened before `%`: a uint64 cast to int64 would wrap, and an int8
+        # array cannot take `% 131` under numpy 2
+        K7, K131 = FIELDS[7], PrimeField(131)
+        cases = ((K7, np.uint64, 2 ** 64 - 1, 1), (K131, np.uint8, 255, 124),
+                 (K131, np.int8, -1, 130), (K7, np.int64, -(2 ** 63), 6))
+        for K, dtype, value, residue in cases:
+            assert list(Poly(K, np.array([value, 1], dtype=dtype)).coeffs) == [residue, 1]
+            assert Poly(K, [dtype(value)]) == Poly(K, (residue,))
+
     def test_rejects_what_is_not_in_the_field(self):
         K7, K5 = FIELDS[7], FIELDS[5]
         with pytest.raises(ValueError, match="field mismatch"):
@@ -358,6 +368,21 @@ class TestNewtonDivision:
             q, r = _divmod_arrays(a, b, p)
             rq, rr = schoolbook_divmod(a, b, p)
             assert np.array_equal(q, rq) and np.array_equal(r, rr)
+
+    @pytest.mark.parametrize("p", (7, 13))
+    def test_every_quotient_length_matches_schoolbook(self, p):
+        # quotient lengths 1..40 around the schoolbook seed of the Newton
+        # inversion, over divisors shorter than, as long as and longer
+        # than the quotient
+        rng = np.random.default_rng(p)
+        for n in range(1, 41):
+            for m in {1, 2, max(1, n // 2), n, n + 7}:
+                a = rng.integers(0, p, n + m - 1).astype(np.int64)
+                b = rng.integers(0, p, m).astype(np.int64)
+                a[-1], b[-1] = 1 + n % (p - 1), 1 + m % (p - 1)
+                q, r = _divmod_arrays(a, b, p)
+                rq, rr = schoolbook_divmod(a, b, p)
+                assert np.array_equal(q, rq) and np.array_equal(r, rr), (n, m)
 
     def test_floordiv_multiplies_only_the_quotient_length(self, monkeypatch):
         # a quotient of 10 terms over a divisor of 1000 reads the top 10

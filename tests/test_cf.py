@@ -2,11 +2,13 @@ from __future__ import annotations
 
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hypercf.algebra as algebra
+import hypercf.cf as cf
 from hypercf import (
     InsufficientPrecisionError,
     PartialQuotients,
@@ -24,7 +26,25 @@ from hypercf import (
 
 from conftest import FIELDS, quotient_lists
 from hypercf.cf import prefixed_continuants
-from reference import poly_dict, rcontinuants
+from reference import fold_continuants, poly_dict, rcontinuants
+
+
+def _fault_at(k: int, calls: list):
+    """algebra._mul_arrays with its k-th product off by one in the constant
+    term; a zero product comes back as the constant 1."""
+    exact = algebra._mul_arrays
+
+    def faulty(a, b, p):
+        out = exact(a, b, p)
+        calls.append(1)
+        if len(calls) == k:
+            if out.size == 0:
+                return np.ones(1, dtype=np.int64)
+            out = out.copy()
+            out[0] = (out[0] + 1) % p
+        return out
+
+    return faulty
 
 
 class TestPartialQuotients:
@@ -99,10 +119,41 @@ class TestContinuants:
             assert poly_dict(x) == rx
             assert poly_dict(y) == ry
 
+    @pytest.mark.parametrize("stream", ("p7 n_5", "[T]*3000 at p=3"))
+    def test_matches_the_fold_at_depth(self, stream):
+        # a tree of many levels, its deepest quotient (degree 33613) a leaf
+        # of its own, against the former left fold
+        if stream == "p7 n_5":
+            pqs = pattern(build_spec(FIELDS[7], (2, 4, 5)), pattern_position(7, 5))
+        else:
+            pqs = PartialQuotients([FIELDS[3].T] * 3000)
+        assert continuants(pqs) == fold_continuants(pqs)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_deep_trees_match_reference(self, data):
+        # with the leaf bound at 2 every run of degree sum above 2 splits,
+        # so lists of a few quotients build trees several levels deep
+        p = data.draw(st.sampled_from((3, 5, 7)))
+        pqs = data.draw(quotient_lists(p, max_len=24))
+        ref = rcontinuants([poly_dict(a) for a in pqs], p)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cf, "_FFT_MIN_LEN", 2)
+            x, y, x_prev, y_prev = continuants(pqs)
+        assert (poly_dict(x), poly_dict(y)) == ref[-1]
+        prev = ref[-2] if len(ref) > 1 else ({0: 1}, {})
+        assert (poly_dict(x_prev), poly_dict(y_prev)) == prev
+
 
 class TestContinuantChecks:
-    # eight quotients: 14 products in the recurrence, 2 in the final check
+    # eight short quotients, one leaf: 14 products in the recurrence, 2 in
+    # the final check
     QUOTIENTS = 8
+    # thirteen quotients of degrees 40 (six), 200, 40 (six): leaves of 3, 3,
+    # 1, 3 and 3 quotients under a tree of 4 nodes, so 4*4 products in the
+    # leaves, 4*8 in the nodes and 2 in the final check
+    TREE_DEGREES = (40,) * 6 + (200,) + (40,) * 6
+    TREE_PRODUCTS = 50
 
     def _stream(self):
         K = FIELDS[7]
@@ -111,40 +162,59 @@ class TestContinuantChecks:
             [(n % 6 + 1) * T ** (n % 3 + 1) + n for n in range(self.QUOTIENTS)]
         )
 
+    def _tree_stream(self):
+        rng = np.random.default_rng(40)
+        return PartialQuotients(
+            Poly(FIELDS[7], rng.integers(0, 7, d).tolist() + [1 + d % 6])
+            for d in self.TREE_DEGREES
+        )
+
     @pytest.mark.parametrize("k", range(1, 2 * QUOTIENTS + 1))
     def test_single_faulty_product_is_caught(self, monkeypatch, k):
-        pqs = self._stream()
-        exact = algebra._mul_arrays
-        calls = []
-
-        def faulty(a, b, p):
-            # the k-th product comes back off by one in its constant term
-            out = exact(a, b, p)
-            calls.append(1)
-            if len(calls) == k:
-                out = out.copy()
-                out[0] = (out[0] + 1) % p
-            return out
-
-        monkeypatch.setattr(algebra, "_mul_arrays", faulty)
+        pqs, calls = self._stream(), []
+        monkeypatch.setattr(algebra, "_mul_arrays", _fault_at(k, calls))
         with pytest.raises(RuntimeError, match=f"n={self.QUOTIENTS}"):
             continuants(pqs)
         assert len(calls) == 2 * self.QUOTIENTS
 
-    def test_two_products_per_quotient(self, monkeypatch):
-        # the recurrence needs two products per step and the final check two
-        # more; a determinant check at every step would double that
-        pqs = pattern(build_spec(FIELDS[7], (2, 4, 5)), 65)
-        exact = algebra._mul_arrays
-        calls = []
+    @pytest.mark.parametrize("k", range(1, TREE_PRODUCTS + 1))
+    def test_single_faulty_tree_product_is_caught(self, monkeypatch, k):
+        # every product of a three-level tree, in leaves and nodes alike;
+        # the single-quotient leaf's y' = 0 enters two node products
+        pqs, calls = self._tree_stream(), []
+        monkeypatch.setattr(algebra, "_mul_arrays", _fault_at(k, calls))
+        with pytest.raises(RuntimeError, match=f"n={len(pqs)}"):
+            continuants(pqs)
+        assert len(calls) == self.TREE_PRODUCTS
+
+    @pytest.mark.parametrize("stream", ("pattern", "tree"))
+    def test_product_count_is_exact(self, monkeypatch, stream):
+        # 2 products per folded quotient after each leaf's first, 8 per
+        # node and 2 for the final check; a determinant check at every
+        # step or node would add 2 per step or node
+        if stream == "pattern":
+            pqs = pattern(build_spec(FIELDS[7], (2, 4, 5)), 65)
+        else:
+            pqs = self._tree_stream()
+        fold, exact = cf._fold, algebra._mul_arrays
+        leaves, calls = [], []
+
+        def recording(items):
+            leaves.append(len(items))
+            return fold(items)
 
         def counting(a, b, p):
             calls.append(1)
             return exact(a, b, p)
 
+        monkeypatch.setattr(cf, "_fold", recording)
         monkeypatch.setattr(algebra, "_mul_arrays", counting)
-        continuants(pqs)
-        assert len(calls) <= 2 * len(pqs)
+        result, products = continuants(pqs), len(calls)
+        assert sum(leaves) == len(pqs) and len(leaves) > 2
+        assert products == 2 * (len(pqs) - len(leaves)) + 8 * (len(leaves) - 1) + 2
+        assert result == fold_continuants(pqs)
+        if stream == "tree":
+            assert leaves == [3, 3, 1, 3, 3]
 
     def test_prefixed_pair_is_the_whole_streams(self):
         pqs = self._stream()
@@ -156,18 +226,7 @@ class TestContinuantChecks:
     def test_single_faulty_prefixed_product_is_caught(self, monkeypatch, k):
         # 8 + 2 products for the five-quotient tail, 6 + 2 for the prefix
         pqs = self._stream()
-        exact = algebra._mul_arrays
-        calls = []
-
-        def faulty(a, b, p):
-            out = exact(a, b, p)
-            calls.append(1)
-            if len(calls) == k:
-                out = out.copy()
-                out[0] = (out[0] + 1) % p
-            return out
-
-        monkeypatch.setattr(algebra, "_mul_arrays", faulty)
+        monkeypatch.setattr(algebra, "_mul_arrays", _fault_at(k, []))
         with pytest.raises(RuntimeError, match="determinant identity failed"):
             prefixed_continuants(pqs.items[:3], PartialQuotients(pqs.items[3:]))
 
@@ -249,8 +308,8 @@ class TestCfToSeries:
             cf_to_series(pqs, -3)
 
     def test_keeps_one_convergent_in_flight(self):
-        # the p=7 (2,4,5) stream through n_4: only the last pair and its
-        # predecessor may be held, not every convergent of the stream
+        # the p=7 (2,4,5) stream through n_4: one pair per tree level may
+        # be held, not every convergent of the stream
         pqs = pattern(build_spec(FIELDS[7], (2, 4, 5)), pattern_position(7, 4))
         order = convergent_validity_floor(pqs)
         tracemalloc.start()
