@@ -281,14 +281,19 @@ def _fft_product(a: np.ndarray, b: np.ndarray, p: int, spectra: Optional[dict] =
     further than _FFT_TRIPWIRE from an integer, i.e. when rounding may
     have corrupted the product.  The check is sound only for coefficients
     well below 2^53, which _FFT_EXACT_BOUND ensures.  `spectra` keeps the
-    transforms, by operand and length, for the other products of a batch."""
+    transforms, by operand and length, for the other products of a batch;
+    without it the transforms are this product's own, so a's takes the
+    product spectrum in place and b's goes before the inverse transform."""
     n = a.size + b.size - 1
     size = _fft_length(n)
-    spectra = {} if spectra is None else spectra
+    lone = spectra is None
+    spectra = {} if lone else spectra
     for x in (a, b):
         if (id(x), size) not in spectra:  # x is kept, so its id stays its own
             spectra[id(x), size] = (x, np.fft.rfft(_balanced(x, p), size))
-    spectrum = spectra[id(a), size][1] * spectra[id(b), size][1]
+    fa, fb = spectra[id(a), size][1], spectra[id(b), size][1]
+    spectrum = np.multiply(fa, fb, out=fa if lone else None)
+    del fa, fb, spectra
     c = np.fft.irfft(spectrum, size)[:n]
     del spectrum
     exact = np.rint(c)

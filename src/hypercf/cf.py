@@ -11,6 +11,9 @@ from bisect import bisect_left
 from itertools import accumulate
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
+import numpy as np
+
+from . import algebra
 from .algebra import _FFT_MIN_LEN, Poly
 from .series import InsufficientPrecisionError, LaurentSeries, series_from_rational
 
@@ -101,7 +104,9 @@ def continuants(pqs: PartialQuotients) -> Tuple[Poly, Poly, Poly, Poly]:
     (y_1, y_0) = (1, 0).  A node multiplies its halves' matrices in eight
     products, so each tree level costs a few products of the final size
     where the fold paid one per quotient.  One pair is held per tree
-    level, O(total degree) in all, not every convergent.
+    level, O(total degree) in all, not every convergent.  The tree runs on
+    coefficient arrays, through the kernels `algebra` holds at the time of
+    the call, and only the root's pair becomes Polys.
 
     The determinant identity x_N*y_{N-1} - x_{N-1}*y_N = (-1)^N is checked
     once, at the root, and a failure raises RuntimeError.  That one check
@@ -117,30 +122,37 @@ def continuants(pqs: PartialQuotients) -> Tuple[Poly, Poly, Poly, Poly]:
     items = pqs.items
     if not items:
         raise ValueError("continuants need at least one partial quotient")
-    sums = [0, *accumulate(a.coeffs.size - 1 for a in items)]
-    return _checked(*_product(items, sums, 0, len(items)), len(items))
-
-
-def _product(items, sums, lo: int, hi: int):
-    """M(a) over items[lo:hi] as (x, y, x', y'), sums[i] being the degree
-    sum of items[:i]: a fold for a single quotient or a short run, else the
-    product of the halves split where the degree sum reaches half."""
-    if hi - lo == 1 or sums[hi] - sums[lo] <= _FFT_MIN_LEN:
-        return _fold(items[lo:hi])
-    mid = bisect_left(sums, (sums[lo] + sums[hi]) / 2, lo + 1, hi - 1)
-    x, y, x1, y1 = _product(items, sums, lo, mid)
-    X, Y, X1, Y1 = _product(items, sums, mid, hi)
-    return x * X + x1 * Y, y * X + y1 * Y, x * X1 + x1 * Y1, y * X1 + y1 * Y1
-
-
-def _fold(items):
-    """M(a) over the nonempty items as (x, y, x', y'), by the recurrence."""
     field = items[0].field
-    x_prev, y_prev = Poly(field, (1,)), Poly(field, ())
-    x, y = items[0], Poly(field, (1,))
+    if any(a.field != field for a in items):
+        raise ValueError("field mismatch")
+    sums = [0, *accumulate(a.coeffs.size - 1 for a in items)]
+    pair = _product([a.coeffs for a in items], sums, 0, len(items), field.p)
+    return _checked(*(Poly._raw(field, c) for c in pair), len(items))
+
+
+def _product(items, sums, lo: int, hi: int, p: int):
+    """M(a) over the arrays items[lo:hi] as (x, y, x', y'), sums[i] being
+    the degree sum of items[:i]: a fold, or the product of the halves split
+    where the degree sum reaches half, whose eight products share one
+    `spectra` and so transform each operand once per FFT length."""
+    if hi - lo == 1 or sums[hi] - sums[lo] <= _FFT_MIN_LEN:
+        return _fold(items[lo:hi], p)
+    mid = bisect_left(sums, (sums[lo] + sums[hi]) / 2, lo + 1, hi - 1)
+    x, y, x1, y1 = _product(items, sums, lo, mid, p)
+    X, Y, X1, Y1 = _product(items, sums, mid, hi, p)
+    mul, add, spectra = algebra._mul_arrays, algebra._add_arrays, {}
+    return tuple(add(mul(u, U, p, spectra), mul(v, V, p, spectra), p)
+                 for U, V in ((X, Y), (X1, Y1)) for u, v in ((x, x1), (y, y1)))
+
+
+def _fold(items, p: int):
+    """M(a) over the nonempty arrays items as (x, y, x', y'), by the
+    recurrence on arrays: no Poly is formed per quotient."""
+    mul, add, one = algebra._mul_arrays, algebra._add_arrays, np.ones(1, np.int64)
+    x, y, x_prev, y_prev = items[0], one, one, algebra._EMPTY
     for a in items[1:]:
-        x, x_prev = a * x + x_prev, x
-        y, y_prev = a * y + y_prev, y
+        x, x_prev = add(mul(a, x, p), x_prev, p), x
+        y, y_prev = add(mul(a, y, p), y_prev, p), y
     return x, y, x_prev, y_prev
 
 

@@ -34,8 +34,8 @@ def _fault_at(k: int, calls: list):
     term; a zero product comes back as the constant 1."""
     exact = algebra._mul_arrays
 
-    def faulty(a, b, p):
-        out = exact(a, b, p)
+    def faulty(a, b, p, spectra=None):
+        out = exact(a, b, p, spectra)
         calls.append(1)
         if len(calls) == k:
             if out.size == 0:
@@ -96,6 +96,11 @@ class TestContinuants:
         x4, y4, _, _ = continuants(PartialQuotients([T, T, T, T]))
         assert x4 == T ** 4 + 1
         assert y4 == T ** 3 + 2 * T
+
+    def test_rejects_mixed_fields(self):
+        pqs = PartialQuotients([FIELDS[5].T] * 200 + [FIELDS[7].T])
+        with pytest.raises(ValueError, match="field mismatch"):
+            continuants(pqs)
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
@@ -199,13 +204,13 @@ class TestContinuantChecks:
         fold, exact = cf._fold, algebra._mul_arrays
         leaves, calls = [], []
 
-        def recording(items):
+        def recording(items, p):
             leaves.append(len(items))
-            return fold(items)
+            return fold(items, p)
 
-        def counting(a, b, p):
+        def counting(a, b, p, spectra=None):
             calls.append(1)
-            return exact(a, b, p)
+            return exact(a, b, p, spectra)
 
         monkeypatch.setattr(cf, "_fold", recording)
         monkeypatch.setattr(algebra, "_mul_arrays", counting)
@@ -215,6 +220,38 @@ class TestContinuantChecks:
         assert result == fold_continuants(pqs)
         if stream == "tree":
             assert leaves == [3, 3, 1, 3, 3]
+
+    def test_node_transforms_each_operand_once(self, monkeypatch):
+        # 300 random linear quotients: the root's halves split again into
+        # leaves of 75, so only the root's operands (149 to 151 terms) reach
+        # the FFT, and its eight products share one transform length
+        rng = np.random.default_rng(16)
+        K, p = FIELDS[7], 7
+        pqs = PartialQuotients(
+            Poly(K, (int(c), int(d))) for c, d in zip(rng.integers(0, 7, 300), rng.integers(1, 7, 300))
+        )
+        arrays, sums = [a.coeffs for a in pqs], list(range(301))
+        halves = cf._product(arrays, sums, 0, 150, p) + cf._product(arrays, sums, 150, 300, p)
+        assert min(h.size for h in halves) >= algebra._FFT_MIN_LEN
+        rfft, irfft, transformed, inverted = np.fft.rfft, np.fft.irfft, [], []
+
+        def counting_rfft(x, n):
+            transformed.append(x.copy())
+            return rfft(x, n)
+
+        def counting_irfft(x, n):
+            inverted.append(n)
+            return irfft(x, n)
+
+        monkeypatch.setattr(np.fft, "rfft", counting_rfft)
+        monkeypatch.setattr(np.fft, "irfft", counting_irfft)
+        root = cf._product(arrays, sums, 0, 300, p)
+        monkeypatch.undo()
+        assert len(inverted) == 8 and len(set(inverted)) == 1
+        operands = sorted(algebra._balanced(h, p).tobytes() for h in halves)
+        assert sorted(x.tobytes() for x in transformed) == operands
+        assert len(set(operands)) == 8
+        assert tuple(Poly._raw(K, c) for c in root) == continuants(pqs) == fold_continuants(pqs)
 
     def test_prefixed_pair_is_the_whole_streams(self):
         pqs = self._stream()
