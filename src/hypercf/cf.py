@@ -14,7 +14,7 @@ from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import algebra
-from .algebra import _FFT_MIN_LEN, Poly
+from .algebra import _FFT_MIN_LEN, Poly, _trim
 from .series import InsufficientPrecisionError, LaurentSeries, series_from_rational
 
 __all__ = [
@@ -100,24 +100,33 @@ def continuants(pqs: PartialQuotients) -> Tuple[Poly, Poly, Poly, Poly]:
     The tree splits the quotients where their degree sum reaches half, so
     a deep quotient becomes a leaf of its own.  A run of degree sum at most
     _FFT_MIN_LEN, whose products are short convolutions anyway, is a leaf
-    folded by K_n = a_n*K_{n-1} + K_{n-2} from (x_1, x_0) = (a_1, 1) and
-    (y_1, y_0) = (1, 0).  A node multiplies its halves' matrices in eight
-    products, so each tree level costs a few products of the final size
-    where the fold paid one per quotient.  One pair is held per tree
-    level, O(total degree) in all, not every convergent.  The tree runs on
-    coefficient arrays, through the kernels `algebra` holds at the time of
-    the call, and only the root's pair becomes Polys.
+    stepped by K_n = a_n*K_{n-1} + K_{n-2} from (x_1, x_0) = (a_1, 1) and
+    (y_1, y_0) = (1, 0) on packed arrays, x and y in the low and high half
+    of one array, so a step is one product (see _fold).  A node multiplies
+    its halves' matrices in eight products, so each tree level costs a few
+    products of the final size where a fold paid one per quotient.  One
+    pair is held per tree level, O(total degree) in all, not every
+    convergent.  The tree runs on coefficient arrays, through the
+    `algebra._convolve` (leaves) and `algebra._mul_arrays` (nodes) held at
+    the time of the call, and only the root's pair becomes Polys.
 
     The determinant identity x_N*y_{N-1} - x_{N-1}*y_N = (-1)^N is checked
     once, at the root, and a failure raises RuntimeError.  That one check
-    catches any single faulty product.  In a leaf, every exact step maps
-    det_n to -det_{n-1}, whatever its inputs, so a step that gets x_n wrong
-    by e (or y_n wrong by e) shifts det_n by e*y_{n-1} (or by -e*x_{n-1}),
-    a nonzero polynomial.  In a node, a product wrong by e shifts the
-    determinant by e times a cofactor, an entry of the node's matrix and a
-    nonzero continuant, as a node spans at least two quotients.  Every
-    other factor above it is exact and unimodular, so the shift reaches
-    the root times a sign.
+    catches any single faulty node product and the leaf faults below.  In
+    a leaf, every exact step maps det_n to -det_{n-1}, whatever its
+    inputs.  A packed step that shifts x_n by e_x and y_n by e_y shifts
+    det_n by e_x*y_{n-1} - e_y*x_{n-1}, and as gcd(x_{n-1}, y_{n-1}) = 1
+    that is zero only when (e_x, e_y) = c*(x_{n-1}, y_{n-1}).  So every
+    fault confined to one half is caught, and with it every
+    single-coefficient fault, as long as the shifted entries lie at or
+    below deg x_n in their half: the shifted x and y then stay below
+    degree g to the leaf's end, so the later steps carry them exactly.  (A
+    term put above deg x_n, where the exact product has none, may cross
+    between the halves later, which this argument leaves out.)  In a node,
+    a product wrong by e shifts the determinant by e times a cofactor, an
+    entry of the node's matrix and a nonzero continuant, as a node spans
+    at least two quotients.  Every other factor above it is exact and
+    unimodular, so the shift reaches the root times a sign.
     """
     items = pqs.items
     if not items:
@@ -147,13 +156,20 @@ def _product(items, sums, lo: int, hi: int, p: int):
 
 def _fold(items, p: int):
     """M(a) over the nonempty arrays items as (x, y, x', y'), by the
-    recurrence on arrays: no Poly is formed per quotient."""
-    mul, add, one = algebra._mul_arrays, algebra._add_arrays, np.ones(1, np.int64)
-    x, y, x_prev, y_prev = items[0], one, one, algebra._EMPTY
+    recurrence on one packed array per column: x in entries [0, g) and y
+    in [g, 2g), g being the degree sum plus one, which lies above every
+    degree x or y reaches.  A step is one product, X = (a*X)[:2g] + X',
+    and no term crosses into y's half or past the cut, as deg(a_n*x_(n-1))
+    = deg x_n < g and deg(a_n*y_(n-1)) = deg y_n < g."""
+    g = sum(a.size - 1 for a in items) + 1
+    X, X_prev = np.zeros(2 * g, np.int64), np.zeros(2 * g, np.int64)
+    X[: items[0].size], X[g], X_prev[0] = items[0], 1, 1
+    convolve = algebra._convolve
     for a in items[1:]:
-        x, x_prev = add(mul(a, x, p), x_prev, p), x
-        y, y_prev = add(mul(a, y, p), y_prev, p), y
-    return x, y, x_prev, y_prev
+        X, X_prev = (convolve(a, X, p)[: 2 * g] + X_prev) % p, X
+    # copies, so the tree above does not hold a leaf's packed arrays: for a
+    # deep single-quotient leaf they are four times the size of its x
+    return tuple(_trim(half).copy() for half in (X[:g], X[g:], X_prev[:g], X_prev[g:]))
 
 
 def prefixed_continuants(prefix: Sequence[Poly], tail: PartialQuotients):

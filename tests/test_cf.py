@@ -13,6 +13,7 @@ from hypercf import (
     InsufficientPrecisionError,
     PartialQuotients,
     Poly,
+    PrimeField,
     build_spec,
     cf_to_series,
     continuants,
@@ -29,22 +30,38 @@ from hypercf.cf import prefixed_continuants
 from reference import fold_continuants, poly_dict, rcontinuants
 
 
-def _fault_at(k: int, calls: list):
-    """algebra._mul_arrays with its k-th product off by one in the constant
-    term; a zero product comes back as the constant 1."""
-    exact = algebra._mul_arrays
+def _fault_at(monkeypatch, k: int, calls: list, entry=lambda b: 0):
+    """Count every product in calls, by patching algebra._mul_arrays (node
+    and check products) and algebra._convolve (the leaves' packed products),
+    and put the k-th off by one at entry(b), b its second operand; a zero
+    product comes back as the constant 1.  A convolution made inside
+    _mul_arrays is part of that product and is not counted again."""
+    mul, convolve, inside = algebra._mul_arrays, algebra._convolve, []
 
-    def faulty(a, b, p, spectra=None):
-        out = exact(a, b, p, spectra)
+    def counted(out, b, p):
         calls.append(1)
-        if len(calls) == k:
-            if out.size == 0:
-                return np.ones(1, dtype=np.int64)
-            out = out.copy()
-            out[0] = (out[0] + 1) % p
+        if len(calls) != k:
+            return out
+        if out.size == 0:
+            return np.ones(1, dtype=np.int64)
+        out, i = out.copy(), entry(b)
+        out[i] = (out[i] + 1) % p
         return out
 
-    return faulty
+    def faulty_mul(a, b, p, spectra=None):
+        inside.append(1)
+        try:
+            out = mul(a, b, p, spectra)
+        finally:
+            inside.pop()
+        return counted(out, b, p)
+
+    def faulty_convolve(a, b, p):
+        out = convolve(a, b, p)
+        return out if inside else counted(out, b, p)
+
+    monkeypatch.setattr(algebra, "_mul_arrays", faulty_mul)
+    monkeypatch.setattr(algebra, "_convolve", faulty_convolve)
 
 
 class TestPartialQuotients:
@@ -140,25 +157,56 @@ class TestContinuants:
         # with the leaf bound at 2 every run of degree sum above 2 splits,
         # so lists of a few quotients build trees several levels deep
         p = data.draw(st.sampled_from((3, 5, 7)))
-        pqs = data.draw(quotient_lists(p, max_len=24))
-        ref = rcontinuants([poly_dict(a) for a in pqs], p)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(cf, "_FFT_MIN_LEN", 2)
-            x, y, x_prev, y_prev = continuants(pqs)
-        assert (poly_dict(x), poly_dict(y)) == ref[-1]
-        prev = ref[-2] if len(ref) > 1 else ({0: 1}, {})
-        assert (poly_dict(x_prev), poly_dict(y_prev)) == prev
+        _assert_reference_pair(data.draw(quotient_lists(p, max_len=24)), p, 2)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_one_leaf_matches_reference(self, data):
+        # with the leaf bound out of reach every list is one packed leaf
+        p = data.draw(st.sampled_from((3, 5, 7)))
+        _assert_reference_pair(data.draw(quotient_lists(p, max_len=24)), p, 10**6)
+
+    @pytest.mark.parametrize("p", (65537, 2**31 - 1))
+    def test_one_leaf_at_large_p(self, p):
+        # 30 quotients in one leaf; at 2^31 - 1, (p-1)^2 * 2 passes 2^62
+        # and _convolve takes its object-dtype path
+        rng = np.random.default_rng(p)
+        K = PrimeField(p)
+        pqs = PartialQuotients(
+            Poly(K, rng.integers(0, p, d).tolist() + [int(rng.integers(1, p))])
+            for d in rng.integers(1, 5, 30)
+        )
+        _assert_reference_pair(pqs, p, 10**6)
+
+    def test_deepest_quotient_last_in_its_leaf(self):
+        # a_6 of degree 100 after five linear quotients: the last packed
+        # product runs furthest past 2g, and every term beyond is zero
+        K = FIELDS[7]
+        pqs = PartialQuotients([K.T + n for n in range(5)] + [K.T ** 100 + 3])
+        _assert_reference_pair(pqs, 7, 10**6)
+
+
+def _assert_reference_pair(pqs, p: int, leaf_bound: int):
+    """continuants(pqs), with cf's leaf bound at leaf_bound, against the
+    last two pairs of reference.rcontinuants."""
+    ref = rcontinuants([poly_dict(a) for a in pqs], p)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cf, "_FFT_MIN_LEN", leaf_bound)
+        x, y, x_prev, y_prev = continuants(pqs)
+    assert (poly_dict(x), poly_dict(y)) == ref[-1]
+    prev = ref[-2] if len(ref) > 1 else ({0: 1}, {})
+    assert (poly_dict(x_prev), poly_dict(y_prev)) == prev
 
 
 class TestContinuantChecks:
-    # eight short quotients, one leaf: 14 products in the recurrence, 2 in
-    # the final check
-    QUOTIENTS = 8
-    # thirteen quotients of degrees 40 (six), 200, 40 (six): leaves of 3, 3,
-    # 1, 3 and 3 quotients under a tree of 4 nodes, so 4*4 products in the
-    # leaves, 4*8 in the nodes and 2 in the final check
-    TREE_DEGREES = (40,) * 6 + (200,) + (40,) * 6
-    TREE_PRODUCTS = 50
+    # fifteen short quotients, one leaf: 14 packed products in the
+    # recurrence, 2 in the final check
+    QUOTIENTS = 15
+    # twenty-five quotients of degrees 20 (twelve), 400, 20 (twelve): leaves
+    # of 6, 6, 1, 6 and 6 quotients under a tree of 4 nodes, so 4*5 products
+    # in the leaves, 4*8 in the nodes and 2 in the final check
+    TREE_DEGREES = (20,) * 12 + (400,) + (20,) * 12
+    TREE_PRODUCTS = 54
 
     def _stream(self):
         K = FIELDS[7]
@@ -174,52 +222,70 @@ class TestContinuantChecks:
             for d in self.TREE_DEGREES
         )
 
-    @pytest.mark.parametrize("k", range(1, 2 * QUOTIENTS + 1))
+    @pytest.mark.parametrize("k", range(1, QUOTIENTS + 2))
     def test_single_faulty_product_is_caught(self, monkeypatch, k):
         pqs, calls = self._stream(), []
-        monkeypatch.setattr(algebra, "_mul_arrays", _fault_at(k, calls))
+        _fault_at(monkeypatch, k, calls)
         with pytest.raises(RuntimeError, match=f"n={self.QUOTIENTS}"):
             continuants(pqs)
-        assert len(calls) == 2 * self.QUOTIENTS
+        assert len(calls) == self.QUOTIENTS + 1
+
+    @pytest.mark.parametrize("k", range(1, QUOTIENTS))
+    def test_faulty_y_half_is_caught(self, monkeypatch, k):
+        # entry g of a packed product (a*X, X of 2g entries) is y_n's
+        # constant term: y_n off by one moves the determinant by -x_(n-1)
+        pqs, calls = self._stream(), []
+        _fault_at(monkeypatch, k, calls, entry=lambda b: b.size // 2)
+        with pytest.raises(RuntimeError, match="determinant identity failed"):
+            continuants(pqs)
+        assert len(calls) == self.QUOTIENTS + 1
+
+    def test_fault_at_every_packed_entry_is_caught(self):
+        # past the cases the determinant argument covers: a term put above
+        # deg x_n, where the exact product has none, crosses between the
+        # halves at a later step, and the check still fails
+        pqs = self._stream()
+        size = 2 * (sum(pqs.degrees()) + 1)
+        for k in range(1, self.QUOTIENTS):
+            for i in range(size):
+                with pytest.MonkeyPatch.context() as mp:
+                    _fault_at(mp, k, [], entry=lambda b: i)
+                    with pytest.raises(RuntimeError, match="determinant identity failed"):
+                        continuants(pqs)
 
     @pytest.mark.parametrize("k", range(1, TREE_PRODUCTS + 1))
     def test_single_faulty_tree_product_is_caught(self, monkeypatch, k):
         # every product of a three-level tree, in leaves and nodes alike;
         # the single-quotient leaf's y' = 0 enters two node products
         pqs, calls = self._tree_stream(), []
-        monkeypatch.setattr(algebra, "_mul_arrays", _fault_at(k, calls))
+        _fault_at(monkeypatch, k, calls)
         with pytest.raises(RuntimeError, match=f"n={len(pqs)}"):
             continuants(pqs)
         assert len(calls) == self.TREE_PRODUCTS
 
     @pytest.mark.parametrize("stream", ("pattern", "tree"))
     def test_product_count_is_exact(self, monkeypatch, stream):
-        # 2 products per folded quotient after each leaf's first, 8 per
-        # node and 2 for the final check; a determinant check at every
-        # step or node would add 2 per step or node
+        # 1 product per folded quotient after each leaf's first, 8 per node
+        # and 2 for the final check; a determinant check at every step or
+        # node would add 2 per step or node
         if stream == "pattern":
             pqs = pattern(build_spec(FIELDS[7], (2, 4, 5)), 65)
         else:
             pqs = self._tree_stream()
-        fold, exact = cf._fold, algebra._mul_arrays
-        leaves, calls = [], []
+        fold, leaves, calls = cf._fold, [], []
 
         def recording(items, p):
             leaves.append(len(items))
             return fold(items, p)
 
-        def counting(a, b, p, spectra=None):
-            calls.append(1)
-            return exact(a, b, p, spectra)
-
         monkeypatch.setattr(cf, "_fold", recording)
-        monkeypatch.setattr(algebra, "_mul_arrays", counting)
+        _fault_at(monkeypatch, 0, calls)
         result, products = continuants(pqs), len(calls)
         assert sum(leaves) == len(pqs) and len(leaves) > 2
-        assert products == 2 * (len(pqs) - len(leaves)) + 8 * (len(leaves) - 1) + 2
+        assert products == (len(pqs) - len(leaves)) + 8 * (len(leaves) - 1) + 2
         assert result == fold_continuants(pqs)
         if stream == "tree":
-            assert leaves == [3, 3, 1, 3, 3]
+            assert leaves == [6, 6, 1, 6, 6]
 
     def test_node_transforms_each_operand_once(self, monkeypatch):
         # 300 random linear quotients: the root's halves split again into
@@ -253,17 +319,23 @@ class TestContinuantChecks:
         assert len(set(operands)) == 8
         assert tuple(Poly._raw(K, c) for c in root) == continuants(pqs) == fold_continuants(pqs)
 
+    def test_leaf_outputs_own_their_arrays(self):
+        # a deep quotient is a leaf of its own; views of its packed arrays
+        # would keep four times its size alive in the tree above
+        a = FIELDS[7].T ** 5000 + 1
+        assert all(h.base is None for h in cf._fold([a.coeffs], 7))
+
     def test_prefixed_pair_is_the_whole_streams(self):
         pqs = self._stream()
         tail = PartialQuotients(pqs.items[3:])
         full, pair = prefixed_continuants(pqs.items[:3], tail)
         assert full == continuants(pqs) and pair == continuants(tail)
 
-    @pytest.mark.parametrize("k", range(1, 2 * QUOTIENTS + 3))
+    @pytest.mark.parametrize("k", range(1, QUOTIENTS + 7))
     def test_single_faulty_prefixed_product_is_caught(self, monkeypatch, k):
-        # 8 + 2 products for the five-quotient tail, 6 + 2 for the prefix
+        # 11 + 2 products for the twelve-quotient tail, 6 + 2 for the prefix
         pqs = self._stream()
-        monkeypatch.setattr(algebra, "_mul_arrays", _fault_at(k, []))
+        _fault_at(monkeypatch, k, [])
         with pytest.raises(RuntimeError, match="determinant identity failed"):
             prefixed_continuants(pqs.items[:3], PartialQuotients(pqs.items[3:]))
 
