@@ -7,7 +7,6 @@ parameter error.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
 import os
 import sys
@@ -199,6 +198,10 @@ def _cmd_verify(args) -> int:
     jobs = [(args.p, u, args.steps, args.order, args.r_convention) for u in triples]
     workers = min(args.jobs, len(jobs), os.cpu_count() or 1)
     if workers > 1:
+        # imported here: it and its logging import cost every other run
+        # several milliseconds of start-up
+        import concurrent.futures
+
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_verify_one, jobs))
     else:

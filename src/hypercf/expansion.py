@@ -15,25 +15,38 @@ Frobenius images, so A*x^(p+1) + B*x^p + C*x + D goes to
 N^p*(A*N + B*D) + D^p*(C*N + D*D), and with the unit a marker of this
 module never multiplied, a step makes just the 4 coefficient products of
 that form.
-A product of term maps transforms each long operand once, for all its products.
+
+The Horner runs once per shape of the equation and of N and D, on
+placeholder slots, and traces a straight-line schedule of products,
+sums and Frobenius images; every evaluation replays the schedule of its
+shape on raw values, (floor, array) pairs, by the rules of `series`,
+where an exact Poly has no floor.  The products of one product of term
+maps share their transforms, so each long operand is transformed once,
+and each value is dropped after its last use.
 
 `expand` extracts in jumps.  A quotient reads only the tops of P[n] and
 P[n-1], so the steps run on top windows of the coefficients, Laurent
 series whose floors track what they still determine, for as long as the
 windows decide each quotient, its degree >= 1, P(bar) nonzero and every
-tail coefficient's degree.  The composite map of the quotients found is
-then applied to the full equation once, and the result's tops must equal
-the windows.  What the windows leave open, a deep quotient, a constant
-one or a possibly rational root, falls to one full-size step.
+tail coefficient's degree.  The windows are cut once per jump and stay
+raw values through its steps, about 65 us each at p=7 on windows of 190
+terms (2-vCPU host), of which numpy's small-array calls are most.  The
+composite map of the quotients found is then applied to the full
+equation once, and the result's tops must equal the windows.  What the
+windows leave open, a deep quotient, a constant one or a possibly
+rational root, falls to one full-size step.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
-from .algebra import Poly, PrimeField, _mul_arrays
+from .algebra import _EMPTY, Poly, PrimeField, _mul_arrays, _trim
 from .cf import PartialQuotients, continuants
-from .series import InsufficientPrecisionError, LaurentSeries
+from .series import (
+    InsufficientPrecisionError, LaurentSeries, Raw, _raw_add, _raw_floordiv,
+    _raw_frobenius, _raw_mul,
+)
 
 __all__ = [
     "BiPoly",
@@ -122,8 +135,7 @@ class BiPoly:
         return max(int(c.degree) for c in self.terms.values())
 
     def __call__(self, value: Poly) -> Poly:
-        out = _evaluate(self, _terms(self.field, [(0, value)]), {0: _UNIT})
-        return out.get(0, Poly(self.field))
+        return _at(self, _terms(self.field, [(0, value)]), {0: _UNIT}).get(0, Poly(self.field))
 
     def _operand(self, other) -> Dict[int, Poly]:
         """The terms of a BiPoly operand; a bare one is the x^0 term."""
@@ -156,10 +168,6 @@ class BiPoly:
         )
 
 
-def _nonzero(c) -> bool:
-    return isinstance(c, LaurentSeries) or bool(c)
-
-
 def _terms(field: PrimeField, items) -> Dict[int, Poly]:
     """The nonzero coefficients of (exponent, coefficient) items, each a
     Poly of the field or a scalar, as Polys."""
@@ -174,28 +182,30 @@ def _terms(field: PrimeField, items) -> Dict[int, Poly]:
 
 
 def _plus(f: Mapping[int, object], items) -> Dict[int, object]:
-    """f plus (exponent, coefficient) items, a term dropped if it cancels."""
+    """f plus (exponent, coefficient) items, a Poly dropped if it cancels
+    (a slot, whose value is not known yet, is kept)."""
     out = dict(f)
     for e, c in items:
         c = out.pop(e) + c if e in out else c
-        if _nonzero(c):
+        if c:
             out[e] = c
     return out
 
 
 def _times(f: Mapping[int, object], g: Mapping[int, object]) -> Dict[int, object]:
     """The product of two term maps.  A product by the unit marker is the
-    other factor, not formed.  Products of Polys share one `spectra`,
-    which transforms each operand once."""
-    spectra, items = {}, []
+    other factor, not formed.  The products of slots make one batch of
+    the schedule, which shares one `spectra`, so that the replay
+    transforms each operand once."""
+    batch, items = [], []
     for e1, c1 in f.items():
         for e2, c2 in g.items():
             if c1 is _UNIT:
                 c = c2
             elif c2 is _UNIT:
                 c = c1
-            elif c1.__class__ is Poly is c2.__class__:
-                c = Poly._raw(c1.field, _mul_arrays(c1.coeffs, c2.coeffs, c1.field.p, spectra))
+            elif c1.__class__ is _Slot:
+                c = _Slot(c1.ops, _product, (c1.index, c2.index), batch)
             else:
                 c = c1 * c2
             items.append((e1 + e2, c))
@@ -229,16 +239,22 @@ def next_step(P: BiPoly) -> Tuple[Poly, Optional[BiPoly]]:
     On an equation of windows the step is the same, and a window's
     InsufficientPrecisionError says it cannot decide bar.
     """
-    n = P.degree_x
-    bar = -(P.coefficient(n - 1) // P.terms[n])
+    bar, tail = _step(P.field, {e: _raw_value(c) for e, c in P.terms.items()})
+    return bar, None if tail is None else BiPoly._raw(P.field, _cooked(P.field, tail))
+
+
+def _step(field: PrimeField, P: Dict[int, Raw]) -> Tuple[Poly, Optional[Dict[int, Raw]]]:
+    """`next_step` on the raw values of P's coefficients, with the tail's."""
+    p, n = field.p, max(P)
+    bar = Poly._raw(field, _trim(-_raw_floordiv(P.get(n - 1, (None, _EMPTY)), P[n], p) % p))
     if bar.degree < 1:
         # no tail follows a constant bar: the run ends, rationally if P(bar)
         # is zero (a window, a series, is never known to be)
-        if not _nonzero(P(bar)):
+        if 0 not in _evaluate(p, P, {0: (None, bar.coeffs)} if bar else {}, {0: _UNIT}):
             return bar, None
         raise NoAdmissibleQuotientError(1, bar, ())
-    tail = _evaluate(P, {1: bar, 0: _UNIT}, {1: _UNIT})  # x = bar + 1/y
-    return bar, (BiPoly._raw(P.field, tail) if n in tail else None)  # tail[n] is P(bar)
+    tail = _evaluate(p, P, {1: (None, bar.coeffs), 0: _UNIT}, {1: _UNIT})  # x = bar + 1/y
+    return bar, (tail if n in tail else None)  # tail[n] is P(bar)
 
 
 def expand(P: BiPoly, m: int) -> ExpansionResult:
@@ -325,22 +341,26 @@ def _jump(P: BiPoly, budget: int) -> Tuple[List[Poly], List[int], Optional[BiPol
 
     The run stops at a step whose bar needs a term below a floor or has
     degree < 1, or whose tail has a coefficient zero to its floor: that
-    coefficient's degree, P(bar) among them, is unknown.
+    coefficient's degree, P(bar) among them, is unknown.  The steps run
+    on the windows' raw values; only the last are made series again.
     """
     bars: List[Poly] = []
     heights: List[int] = []
     windows = _windows(P)
-    while windows is not None and len(bars) < budget:
+    if windows is None:
+        return bars, heights, None
+    terms = {e: _raw_value(w) for e, w in windows.terms.items()}
+    while len(bars) < budget:
         try:
-            bar, tail = next_step(windows)
+            bar, tail = _step(P.field, terms)
         except (InsufficientPrecisionError, NoAdmissibleQuotientError):
             break
-        if any(c.is_zero_to_floor for c in tail.terms.values()):
+        if not all(c.size for _, c in tail.values()):
             break
         bars.append(bar)
-        heights.append(max(c.top_degree for c in tail.terms.values()))
-        windows = tail
-    return bars, heights, windows
+        heights.append(max(v + c.size - 1 for v, c in tail.values()))
+        terms = tail
+    return bars, heights, BiPoly._raw(P.field, _cooked(P.field, terms))
 
 
 def _apply(P: BiPoly, bars: List[Poly], windows: BiPoly) -> BiPoly:
@@ -363,13 +383,127 @@ def _mobius(P: BiPoly, x, y, x_prev, y_prev) -> BiPoly:
     predecessors (x_prev, y_prev): sum of c_e * N^e * D^(n-e) for
     N = x*y' + x_prev and D = y*y' + y_prev in the new variable y'."""
     z, w = (_terms(P.field, [(1, a), (0, b)]) for a, b in ((x, x_prev), (y, y_prev)))
-    return BiPoly._raw(P.field, _evaluate(P, z, w))
+    return BiPoly._raw(P.field, _at(P, z, w))
 
 
 def eval_at_series(P: BiPoly, s: LaurentSeries) -> LaurentSeries:
     """P(s) with propagated validity: the result being zero to its floor
     certifies s as a root of P down to that order."""
-    return _evaluate(P, {0: s}, {0: _UNIT})[0]
+    return _at(P, {0: s}, {0: _UNIT})[0]
+
+
+def _raw_value(c) -> Raw:
+    """A Poly or a LaurentSeries as a raw value."""
+    return (c.valid_order, c.coeffs) if c.__class__ is LaurentSeries else (None, c.coeffs)
+
+
+def _cooked(field: PrimeField, terms: Mapping[int, Raw]) -> Dict[int, object]:
+    """A raw term map with Polys and LaurentSeries for coefficients."""
+    return {
+        e: Poly._raw(field, c) if v is None else LaurentSeries._raw(field, v, c)
+        for e, (v, c) in terms.items()
+    }
+
+
+def _at(P: BiPoly, z: Mapping[int, object], w: Mapping[int, object]) -> Dict[int, object]:
+    """`_evaluate` on P and term maps z and w of Polys, series and the unit."""
+    raw = ({e: c if c is _UNIT else _raw_value(c) for e, c in t.items()} for t in (P.terms, z, w))
+    return _cooked(P.field, _evaluate(P.field.p, *raw))
+
+
+class _Slot:
+    """A placeholder coefficient: the Horner run on slots traces a
+    schedule.  Each slot is one entry of `ops`, (operation, operand slot
+    numbers, batch), an input none; the products of one `_times` call
+    share its batch."""
+
+    __slots__ = ("ops", "index")
+
+    def __init__(self, ops: list, kind=None, args=(), batch=None):
+        self.ops, self.index = ops, len(ops)
+        ops.append((kind, args, batch))
+
+    def __add__(self, other: "_Slot") -> "_Slot":
+        return _Slot(self.ops, _raw_add, (self.index, other.index))
+
+    def frobenius(self) -> "_Slot":
+        return _Slot(self.ops, _raw_frobenius, (self.index,))
+
+
+def _product(a: Raw, b: Raw, p: int, spectra: Optional[dict]) -> Raw:
+    if a[0] is None is b[0]:
+        return None, _mul_arrays(a[1], b[1], p, spectra)
+    return _raw_mul(a, b, p, spectra) if b[0] is None else _raw_mul(b, a, p, spectra)
+
+
+#: the schedule of each shape traced so far, by `_evaluate`'s key
+_SCHEDULES: Dict[tuple, tuple] = {}
+
+
+def _evaluate(
+    p: int, P: Mapping[int, Raw], z: Mapping[int, object], w: Mapping[int, object]
+) -> Dict[int, Raw]:
+    """sum of c_e * z^e * w^(n-e) over the terms c_e*x^e of P, n = deg P,
+    as a term map in y, for term maps z and w of raw values and the unit;
+    P(z) when w is {0: unit}.  An exact zero is left out of the result.
+
+    It replays the schedule of the shape of P, z and w, traced the first
+    time that shape comes: steps of products, each batch sharing one
+    `spectra` (a batch of one is a lone product, whose transforms are
+    its own), sums and Frobenius images, and after each step the values
+    it read for the last time are dropped.
+    """
+    key = (p, tuple(P), tuple([(e, c is _UNIT) for e, c in z.items()]),
+           tuple([(e, c is _UNIT) for e, c in w.items()]))
+    steps, outputs, size = _SCHEDULES.get(key) or _SCHEDULES.setdefault(key, _trace(*key))
+    regs = [*P.values(), *[c for c in z.values() if c is not _UNIT],
+            *[c for c in w.values() if c is not _UNIT]]
+    regs += [None] * (size - len(regs))
+    for kind, items, dead in steps:
+        if kind is _product:
+            spectra = {} if len(items) > 1 else None
+            for a, b, out in items:
+                regs[out] = _product(regs[a], regs[b], p, spectra)
+            del spectra
+        elif kind is _raw_add:
+            for a, b, out in items:
+                regs[out] = _raw_add(regs[a], regs[b], p)
+        else:
+            for a, out in items:
+                regs[out] = _raw_frobenius(regs[a], p)
+        for r in dead:
+            regs[r] = None
+    values = ((e, regs[r]) for e, r in outputs)
+    return {e: c for e, c in values if c[0] is not None or c[1].size}
+
+
+def _trace(p: int, P: tuple, z: tuple, w: tuple) -> tuple:
+    """The schedule of one shape: p, P's exponents, and z's and w's, each
+    with a flag for the unit.  It runs `_split_horner` on slots, drops
+    what the result does not need, gathers each batch of products into
+    one step and marks after each step the slots read there last.
+    Returns (steps, outputs, number of slots); a step is (operation,
+    items, slots to drop), an item its operand slots and its result."""
+    ops: list = []
+    P, z, w = ({e: _Slot(ops) for e in P}, *(
+        {e: _UNIT if unit else _Slot(ops) for e, unit in t} for t in (z, w)))
+    outputs = tuple((e, c.index) for e, c in _split_horner(p, P, z, w).items())
+    # backwards: a slot is needed if an output reads it, and the first
+    # needed step met that reads it is the one after which it is dropped
+    need, steps = {r for _, r in outputs}, []
+    for i in range(len(ops) - 1, -1, -1):
+        kind, args, batch = ops[i]
+        if kind is None or i not in need:
+            continue
+        if kind is not _product or not steps or steps[-1][2] is not batch:
+            steps.append((kind, [], batch, []))
+        steps[-1][1].append((*args, i))
+        for r in args:
+            if r not in need:
+                need.add(r)
+                steps[-1][3].append(r)
+    steps = tuple((kind, tuple(items[::-1]), tuple(dead)) for kind, items, _, dead in steps[::-1])
+    return steps, outputs, len(ops)
 
 
 def _horner(terms: Mapping[int, Mapping], z, w, top: int):
@@ -387,9 +521,8 @@ def _horner(terms: Mapping[int, Mapping], z, w, top: int):
     return acc
 
 
-def _evaluate(P: BiPoly, z: Mapping[int, object], w: Mapping[int, object]) -> Dict[int, object]:
-    """sum of c_e * z^e * w^(n-e) over the terms c_e*x^e of P, n = deg P,
-    as a term map in y, for term maps z and w; P(z) when w is {0: unit}.
+def _split_horner(p: int, P: Mapping[int, object], z, w) -> Dict[int, object]:
+    """sum of c_e * z^e * w^(n-e) over the terms c_e of P, n = max(P).
 
     With e = p*q + r and r < p, z^e = (z^p)^q * z^r, and z^p is a
     Frobenius image: the sum is Horner in (z^p, w^p) over q of Horner in
@@ -397,10 +530,10 @@ def _evaluate(P: BiPoly, z: Mapping[int, object], w: Mapping[int, object]) -> Di
     r > n mod p needs p more inner degree; those terms make a second such
     sum, one outer degree lower.
     """
-    p, n = P.field.p, P.degree_x
+    n = max(P)
     low = n % p
     parts: Dict[int, Dict[int, Dict[int, object]]] = {}
-    for e, c in P.terms.items():
+    for e, c in P.items():
         q, r = divmod(e, p)
         parts.setdefault(int(r > low), {}).setdefault(q, {})[r] = {0: c}
     zp, wp = ({p * e: c.frobenius() for e, c in t.items()} for t in (z, w))

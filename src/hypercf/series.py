@@ -29,16 +29,22 @@ from V and trimmed at the top, so a series is T^V times a Poly-layout
 array and its arithmetic runs on the polynomial kernels.  A series that
 is zero everywhere above its floor is stored with an empty window; for
 the precision rules its nominal top degree is taken to be V - 1.
+
+The rules are written once, in functions on raw values, (floor, array)
+pairs: a series is (V, window) and an exact polynomial (None, coeffs),
+with no floor.  The methods below and the extraction engine's steps
+both call them.
 """
 from __future__ import annotations
 
-from typing import Dict, Iterable
+from typing import Dict, Iterable, Optional, Tuple
 
 import numpy as np
 
 from .algebra import (
-    _EMPTY, FieldElement, Poly, PrimeField, _add_arrays, _fit, _frozen, _mul_arrays,
-    _render, _residue, _residues, _sub_arrays, _top_quotient, _trim,
+    _EMPTY, FieldElement, Poly, PrimeField, _add_arrays, _fit, _floordiv_arrays,
+    _frozen, _mul_arrays, _render, _residue, _residues, _sub_arrays, _top_quotient,
+    _trim,
 )
 
 __all__ = ["LaurentSeries", "series_from_rational", "InsufficientPrecisionError"]
@@ -46,6 +52,87 @@ __all__ = ["LaurentSeries", "series_from_rational", "InsufficientPrecisionError"
 
 class InsufficientPrecisionError(ValueError):
     """Raised when a requested order lies below what the data supports."""
+
+
+#: a raw value: (floor, ascending array), the floor None for an exact one
+Raw = Tuple[Optional[int], np.ndarray]
+
+
+def _cut(a: Raw, v: int) -> np.ndarray:
+    """a's entries from exponent v up, for v at or above a's floor; an
+    exact value is known to every order, so zero below its constant term."""
+    floor, arr = a
+    if floor is not None:
+        return arr if v == floor else arr[v - floor :]
+    if v < 0 and arr.size:
+        return np.concatenate((np.zeros(-v, dtype=np.int64), arr))
+    return arr[max(v, 0) :]
+
+
+def _raw_add(a: Raw, b: Raw, p: int, kernel=_add_arrays) -> Raw:
+    """kernel (a sum or a difference) of a and b at the higher floor."""
+    (v_a, x), (v_b, y) = a, b
+    if v_a == v_b:  # both exact, or both at one floor
+        return v_a, kernel(x, y, p)
+    v = v_b if v_a is None else v_a if v_b is None else max(v_a, v_b)
+    return v, kernel(_cut(a, v), _cut(b, v), p)
+
+
+def _raw_mul(a: Raw, b: Raw, p: int, spectra=None) -> Raw:
+    """a*b for a series a and a series or exact b; `spectra` as in
+    `_mul_arrays`."""
+    (v_a, x), (v_b, y) = a, b
+    top_a = v_a + x.size - 1
+    if v_b is None:
+        # the unknown terms below V reach up to V - 1 + deg b (a
+        # constant, zero included, keeps V)
+        top_b = y.size - 1
+        v = v_a + max(top_b, 0)
+    else:
+        top_b = v_b + y.size - 1
+        v = max(v_a + top_b, v_b + top_a)
+    if x.size == 0 or y.size == 0:
+        return v, _EMPTY
+    # a term of exponent e reaches the floor v only if e >= v - (the
+    # other factor's top), which leaves top - v + 1 terms of each factor
+    keep = top_a + top_b - v + 1
+    x, y = x[-keep:] if keep < x.size else x, y[-keep:] if keep < y.size else y
+    low = top_a + top_b - x.size - y.size + 2  # the product's first exponent
+    return v, _mul_arrays(x, y, p, spectra)[v - low :]
+
+
+def _raw_frobenius(a: Raw, p: int) -> Raw:
+    """a**p: exponent k goes to p*k, coefficients are Frobenius-fixed; a
+    series' exponent V + i lands p*i + p - 1 above its new floor."""
+    v, x = a
+    lead = 0 if v is None else p - 1
+    out = np.zeros(lead + p * (x.size - 1) + 1 if x.size else 0, dtype=np.int64)
+    out[lead::p] = x
+    return (None if v is None else p * (v - 1) + 1), out
+
+
+def _raw_floordiv(a: Raw, b: Raw, p: int) -> np.ndarray:
+    """The polynomial part of a/b.  With a series among them, an exact
+    operand is taken at the other's floor, and the quotient reads the top
+    (quotient length) terms of each window: InsufficientPrecisionError
+    when a window holds fewer, or when the divisor is zero to its floor,
+    of unknown degree."""
+    if a[0] is None and b[0] is None:
+        return _floordiv_arrays(a[1], b[1], p)
+    v_a = b[0] if a[0] is None else a[0]
+    v_b = v_a if b[0] is None else b[0]
+    x, y = _cut(a, v_a), _cut(b, v_b)
+    if y.size == 0:
+        raise InsufficientPrecisionError("the divisor's degree is below its floor")
+    qlen = (v_a + x.size) - (v_b + y.size) + 1
+    if qlen <= 0:
+        return _EMPTY
+    if min(x.size, y.size) < qlen:
+        raise InsufficientPrecisionError(
+            f"the polynomial part of a quotient needs the top {qlen} terms "
+            "of each window"
+        )
+    return _top_quotient(x, y, qlen, p)
 
 
 class LaurentSeries:
@@ -91,10 +178,7 @@ class LaurentSeries:
 
     @classmethod
     def from_poly(cls, poly: Poly, valid_order: int) -> "LaurentSeries":
-        arr = poly.coeffs
-        if valid_order < 0 and arr.size:
-            arr = np.concatenate((np.zeros(-valid_order, dtype=np.int64), arr))
-        return cls._raw(poly.field, valid_order, arr[max(valid_order, 0):])
+        return cls._raw(poly.field, valid_order, _cut((None, poly.coeffs), valid_order))
 
     @classmethod
     def from_terms(
@@ -157,21 +241,27 @@ class LaurentSeries:
         if other.field != self.field:
             raise ValueError("operands must be series over the same field")
 
-    def _addsub(self, other, kernel) -> "LaurentSeries":
-        if not isinstance(other, LaurentSeries):
-            # an exact polynomial is known to every order, so at self's floor
-            other = LaurentSeries.from_poly(Poly._coerce(self.field, other), self.valid_order)
-        self._check(other)
-        v = max(self.valid_order, other.valid_order)
-        a = self.coeffs[v - self.valid_order :]
-        b = other.coeffs[v - other.valid_order :]
-        return LaurentSeries._raw(self.field, v, kernel(a, b, self.field.p))
+    @property
+    def _value(self) -> Raw:
+        return self.valid_order, self.coeffs
+
+    def _operand(self, other) -> Raw:
+        """A series of self's field, or an exact Poly or scalar, as a raw value."""
+        if isinstance(other, LaurentSeries):
+            self._check(other)
+            return other._value
+        return None, Poly._coerce(self.field, other).coeffs
+
+    def _series(self, value: Raw) -> "LaurentSeries":
+        return LaurentSeries._raw(self.field, *value)
 
     def __add__(self, other):
-        return self._addsub(other, _add_arrays)
+        return self._series(_raw_add(self._value, self._operand(other), self.field.p))
 
     def __sub__(self, other):
-        return self._addsub(other, _sub_arrays)
+        return self._series(
+            _raw_add(self._value, self._operand(other), self.field.p, _sub_arrays)
+        )
 
     def __rsub__(self, other):
         return -self + other
@@ -184,27 +274,7 @@ class LaurentSeries:
         )
 
     def __mul__(self, other):
-        top_a = self._nominal_top
-        if isinstance(other, LaurentSeries):
-            self._check(other)
-            b, top_b = other.coeffs, other._nominal_top
-            v = max(self.valid_order + top_b, other.valid_order + top_a)
-        else:
-            # the unknown terms below V reach up to V - 1 + deg c (a
-            # constant, zero included, keeps V)
-            b = Poly._coerce(self.field, other).coeffs
-            top_b = b.size - 1
-            v = self.valid_order + max(top_b, 0)
-        if self.is_zero_to_floor or b.size == 0:
-            return LaurentSeries.zero(self.field, v)
-        # a term of exponent e reaches the floor v only if e >= v - (the
-        # other factor's top), which leaves top - v + 1 terms of each factor
-        keep = top_a + top_b - v + 1
-        a, b = self.coeffs[-keep:], b[-keep:]
-        low = top_a + top_b - a.size - b.size + 2  # the product's first exponent
-        return LaurentSeries._raw(
-            self.field, v, _mul_arrays(a, b, self.field.p)[v - low :]
-        )
+        return self._series(_raw_mul(self._value, self._operand(other), self.field.p))
 
     __rmul__ = __mul__
 
@@ -229,38 +299,22 @@ class LaurentSeries:
         )
 
     def __floordiv__(self, other: "LaurentSeries") -> Poly:
-        """The polynomial part of self/other, from the top (quotient length)
-        terms of each window.  Raises InsufficientPrecisionError when a
-        window holds fewer, or when the divisor is zero to its floor, of
-        unknown degree."""
+        """The polynomial part of self/other, by `_raw_floordiv`."""
         if not isinstance(other, LaurentSeries):
             return NotImplemented
-        self._check(other)
-        if other.is_zero_to_floor:
-            raise InsufficientPrecisionError("the divisor's degree is below its floor")
-        qlen = self._nominal_top - other._nominal_top + 1
-        if qlen <= 0:
-            return Poly(self.field)
-        if min(self.coeffs.size, other.coeffs.size) < qlen:
-            raise InsufficientPrecisionError(
-                f"the polynomial part of a quotient needs the top {qlen} terms "
-                "of each window"
-            )
         return Poly._raw(
-            self.field, _top_quotient(self.coeffs, other.coeffs, qlen, self.field.p)
+            self.field, _raw_floordiv(self._value, self._operand(other), self.field.p)
         )
 
     def __rfloordiv__(self, other) -> Poly:
         # an exact dividend is known to every order, so at the divisor's floor
-        return LaurentSeries.from_poly(Poly._coerce(self.field, other), self.valid_order) // self
+        return Poly._raw(
+            self.field, _raw_floordiv(self._operand(other), self._value, self.field.p)
+        )
 
     def frobenius(self) -> "LaurentSeries":
-        """self**p: exponents map to p*k, coefficients are Frobenius-fixed."""
-        p = self.field.p
-        # exponent V + i goes to p*(V + i), entry p*i + p - 1 above the new floor
-        out = np.zeros(p * self.coeffs.size, dtype=np.int64)
-        out[p - 1 :: p] = self.coeffs
-        return LaurentSeries._raw(self.field, p * (self.valid_order - 1) + 1, out)
+        """self**p, by `_raw_frobenius`."""
+        return self._series(_raw_frobenius(self._value, self.field.p))
 
     # -- identity ------------------------------------------------------------
 

@@ -253,6 +253,20 @@ class TestMultiplicationPaths:
         assert np.array_equal(_fft_product(a, a.copy(), p), expected)
         assert np.array_equal(_mul_arrays(a, a, p), _trim(expected))
 
+    @pytest.mark.parametrize("p", (3, 7, 4093))
+    def test_balanced_matches_masked_form(self, p):
+        # the residues as floats in (-p/2, p/2) are the very floats of the
+        # former masked assignment, so every FFT product is unchanged
+        rng = np.random.default_rng(p)
+        for n in (1, 2, 129, 6500):
+            x = rng.integers(0, p, n).astype(np.int64)
+            x[: min(n, 3)] = (0, p // 2, p // 2 + 1)[: min(n, 3)]
+            old = x.astype(np.float64)
+            old[old > p // 2] -= p
+            got = algebra._balanced(x, p)
+            assert got.dtype == np.float64 and np.array_equal(got, old)
+            assert np.abs(got).max() <= p // 2
+
     def test_fft_at_exactness_bound(self):
         # (p-1)^2 * len at 0.998 of the bound, operands at the largest
         # residue and at the largest balanced magnitude

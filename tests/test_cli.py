@@ -1,8 +1,13 @@
 from __future__ import annotations
 
+import concurrent.futures
 import json
+import os
 import re
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -237,7 +242,8 @@ class TestVerify:
             def map(self, fn, jobs):
                 return map(fn, jobs)
 
-        monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", FakePool)
+        # the pool module is imported by the command itself, only for --jobs > 1
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
         for cpus, want in ((64, 5), (2, 2)):
             monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
             code, out, _ = run(
@@ -245,6 +251,19 @@ class TestVerify:
             )
             assert code == 0 and len(out) == 5
             assert requested.pop() == want
+
+    def test_import_leaves_out_the_process_pool(self):
+        # a fresh interpreter: this one may hold concurrent.futures already
+        code = (
+            "import sys, hypercf.cli; "
+            "print(sorted(m for m in ('concurrent.futures', 'logging') if m in sys.modules))"
+        )
+        src = str(Path(cli.__file__).resolve().parents[1])
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": src},
+        ).stdout
+        assert out.strip() == "[]"
 
     def test_jobs_below_one_rejected(self, capsys):
         code, _, err = run(

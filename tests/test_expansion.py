@@ -217,29 +217,30 @@ class TestLeanStep:
         return eq
 
     def test_windowed_step_makes_four_products_none_by_a_unit(self, monkeypatch):
+        # the step multiplies raw windows, so the products are counted at
+        # the series kernel; a product by the unit would have a 1-entry
+        # operand, and none goes through LaurentSeries or the exact path
         full = self._tall_equation(60)
         windows = expansion._windows(full)
         assert windows is not None
-        operands, kernel = [], []
-        for name in ("__mul__", "__rmul__"):
-            real = getattr(LaurentSeries, name)
-
-            def recording(self, other, real=real):
-                operands.append(other)
-                return real(self, other)
-
-            monkeypatch.setattr(LaurentSeries, name, recording)
+        kernel, elsewhere = [], []
         real_kernel = series._mul_arrays
 
-        def counting(a, b, p):
+        def counting(a, b, p, spectra=None):
             kernel.append((a.size, b.size))
-            return real_kernel(a, b, p)
+            return real_kernel(a, b, p, spectra)
+
+        def unexpected(*args, **kwargs):
+            elsewhere.append(args)
+            raise AssertionError("a windowed product left the raw series rule")
 
         monkeypatch.setattr(series, "_mul_arrays", counting)
+        monkeypatch.setattr(expansion, "_mul_arrays", unexpected)
+        for name in ("__mul__", "__rmul__"):
+            monkeypatch.setattr(LaurentSeries, name, unexpected)
         bar, tail = next_step(windows)
         monkeypatch.undo()
-        assert len(operands) == 4
-        assert not any(o == Poly(FIELDS[7], (1,)) or o == FIELDS[7].one for o in operands)
+        assert not elsewhere
         assert len(kernel) == 4 and all(min(sizes) > 1 for sizes in kernel)
         full_bar, full_tail = next_step(full)
         assert bar == full_bar and tail.terms.keys() == full_tail.terms.keys()
@@ -314,6 +315,152 @@ class TestLeanStep:
         terms = {e: poly_dict(c) for e, c in P.terms.items()}
         want = rhomogeneous(terms, P.degree_x, num, den, p)
         assert reval({e: poly_dict(c) for e, c in tail.terms.items()}, v, p) == want
+
+
+#: where a z/w entry is the unit marker; w keeps one non-unit entry,
+#: since w's powers would add two units
+UNIT_PLACES = st.sets(st.sampled_from(("z1", "z0", "w1", "w0"))).filter(
+    lambda places: not {"w1", "w0"} <= places
+)
+
+
+def _raw_map(terms) -> dict:
+    return {e: c if c is expansion._UNIT else expansion._raw_value(c) for e, c in terms.items()}
+
+
+def _array_dict(arr) -> dict:
+    return {i: int(c) for i, c in enumerate(arr) if c}
+
+
+class TestSchedule:
+    """`_evaluate` replays one straight-line schedule per shape, traced
+    from the Frobenius-split Horner on placeholder slots, on raw
+    (floor, array) values."""
+
+    @staticmethod
+    def _maps(data, p: int, entry):
+        """z and w, {1: ., 0: .} each, an entry the unit, absent or drawn."""
+        units = data.draw(UNIT_PLACES)
+        maps = []
+        for name in ("z", "w"):
+            terms = {}
+            for e in (1, 0):
+                if f"{name}{e}" in units:
+                    terms[e] = expansion._UNIT
+                elif data.draw(st.booleans()):
+                    terms[e] = data.draw(entry)
+            maps.append(terms)
+        return maps
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_matches_reference_on_polys(self, data):
+        # y -> T^K, K above every coefficient degree, maps the result
+        # one-to-one to a polynomial in T: the whole term map is checked
+        p = data.draw(st.sampled_from((3, 5, 7, 11)))
+        P = data.draw(_equations(p, 2 * p + 2))
+        terms = {e: poly_dict(c) for e, c in P.terms.items()}
+        z, w = self._maps(data, p, polys(p, 0, 3))
+        value = data.draw(st.booleans())
+        if value:  # P(z[0]), the unit or a Poly or zero
+            z, w = {e: c for e, c in z.items() if e == 0}, {0: expansion._UNIT}
+        got = expansion._evaluate(p, _raw_map(P.terms), _raw_map(z), _raw_map(w))
+        assert all(v is None and c.size for v, c in got.values())
+        K = 4 + 4 * P.degree_x
+
+        def at_y(t):
+            out = {}
+            for e, c in t.items():
+                c = {0: 1} if c is expansion._UNIT else poly_dict(c)
+                out = radd(out, rmul(c, {K * e: 1}, p), p)
+            return out
+
+        flat = {}
+        for e, (_, c) in got.items():
+            flat = radd(flat, rmul(_array_dict(c), {K * e: 1}, p), p)
+        assert flat == rhomogeneous(terms, P.degree_x, at_y(z), at_y(w), p)
+        if value:
+            assert got.keys() <= {0}
+            want = reval(terms, at_y(z), p)
+            assert (_array_dict(got[0][1]) if got else {}) == want
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_windows_are_exact_above_their_floors(self, data):
+        # coefficients cut to windows at drawn floors: each value the
+        # replay returns equals the exact one cut at its floor
+        p = data.draw(st.sampled_from((3, 5, 7, 11)))
+        K = FIELDS[p]
+        P = data.draw(_equations(p, 2 * p + 2))
+        z, w = self._maps(data, p, polys(p, 0, 3))
+        exact = expansion._evaluate(p, _raw_map(P.terms), _raw_map(z), _raw_map(w))
+
+        def cut(terms):
+            out = {}
+            for e, c in terms.items():
+                if c is not expansion._UNIT and data.draw(st.booleans()):
+                    c = LaurentSeries.from_poly(c, data.draw(st.integers(-2, 4)))
+                out[e] = c
+            return out
+
+        windows = expansion._evaluate(
+            p, *(_raw_map(cut(t)) for t in (P.terms, z, w))
+        )
+        assert exact.keys() <= windows.keys()
+        for e, (v, c) in windows.items():
+            want = Poly._raw(K, exact[e][1]) if e in exact else Poly(K, ())
+            if v is None:
+                assert np.array_equal(c, want.coeffs)
+            else:
+                assert LaurentSeries._raw(K, v, c) == LaurentSeries.from_poly(want, v)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_matches_horner_at_a_series(self, data):
+        p = data.draw(st.sampled_from((3, 5, 7, 11)))
+        K = FIELDS[p]
+        P = data.draw(_equations(p, 2 * p + 2))
+        top = data.draw(st.integers(-3, 3))
+        size = data.draw(st.integers(0, 30))
+        coeffs = data.draw(st.lists(st.integers(0, p - 1), min_size=size, max_size=size))
+        s = LaurentSeries(K, top, coeffs, top - size + 1)
+        (v, c), = expansion._evaluate(
+            p, _raw_map(P.terms), {0: expansion._raw_value(s)}, {0: expansion._UNIT}
+        ).values()
+        want = horner_eval_at_series(P, s)
+        assert v <= want.valid_order
+        assert LaurentSeries._raw(K, v, c).truncated(want.valid_order) == want
+
+    def test_each_shape_is_traced_once(self, monkeypatch):
+        keys = []
+        real = expansion._trace
+
+        def trace(*key):
+            keys.append(key)
+            return real(*key)
+
+        monkeypatch.setattr(expansion, "_SCHEDULES", {})
+        monkeypatch.setattr(expansion, "_trace", trace)
+        K = FIELDS[7]
+        eq = pattern_equation(build_spec(K, (2, 4, 5)))
+        m = pattern_position(7, 3)
+        run = expand(eq, m)
+        first = len(keys)
+        assert 0 < first == len(set(keys)) <= 6
+        assert expand(eq, m).quotients == run.quotients
+        assert expand(pattern_equation(build_spec(K, (3, 1, 6))), m).quotients
+        assert len(keys) == first
+        # every slot read and not returned is dropped after its last read
+        for steps, outputs, size in expansion._SCHEDULES.values():
+            returned = {r for _, r in outputs}
+            last = {}
+            for k, (_, items, _) in enumerate(steps):
+                for item in items:
+                    for r in item[:-1]:
+                        last[r] = k
+            for k, (_, _, dead) in enumerate(steps):
+                assert sorted(dead) == sorted(r for r, at in last.items()
+                                              if at == k and r not in returned)
 
 
 def _outcome(engine, equation: BiPoly, m: int) -> tuple:
@@ -444,31 +591,46 @@ def _single_root_equations(p: int, max_degree_x: int = 5):
 class TestJumps:
     def test_small_windows_jump_exhaust_and_fall_back(self, monkeypatch):
         # p=5 through n_3 on 8-term windows: jumps of several quotients,
-        # windows that run out, and full-size steps after them
+        # windows that run out, and full-size steps after them.  A jump
+        # steps on raw windows, so exhaustion shows at its stop: short of
+        # its budget, the windows it returns cannot decide the next bar
         K = FIELDS[5]
         spec = build_spec(K, (2, 3, 3))
         jumps, exhausted = [], []
-        real_jump, real_step = expansion._jump, expansion.next_step
+        real_jump = expansion._jump
 
         def jump(P, budget):
             result = real_jump(P, budget)
-            jumps.append(len(result[0]))
+            bars, _, windows = result
+            jumps.append(len(bars))
+            if windows is not None and len(bars) < budget:
+                try:
+                    next_step(windows)
+                except InsufficientPrecisionError:
+                    exhausted.append(windows)
             return result
-
-        def step(P):
-            try:
-                return real_step(P)
-            except InsufficientPrecisionError:
-                exhausted.append(P)
-                raise
 
         monkeypatch.setattr(expansion, "_WINDOW_MIN_LEN", 8)
         monkeypatch.setattr(expansion, "_jump", jump)
-        monkeypatch.setattr(expansion, "next_step", step)
         m = verification_steps(5)
         assert expand(pattern_equation(spec), m).quotients == pattern(spec, m)
         assert max(jumps) >= 4 and 0 in jumps and exhausted
         assert len(jumps) < m // 2
+
+    def test_a_tail_zero_to_its_floor_ends_the_jump(self, monkeypatch):
+        # den*x - q*den: the first step's tail coefficient den*q - q*den is
+        # exactly zero, so on windows it is zero to its floor, of unknown
+        # degree; the jump stops before that step, and the rational end
+        # falls to a full-size step
+        K = FIELDS[5]
+        den = Poly(K, [1, 2, 0, 3] * 5 + [1])
+        q = Poly(K, (3, 2))
+        monkeypatch.setattr(expansion, "_WINDOW_MIN_LEN", 4)
+        eq = BiPoly(K, [-(q * den), den])
+        bars, _, windows = expansion._jump(eq, 5)
+        assert bars == [] and windows is not None
+        run = expand(eq, 5)
+        assert run.rational and list(run.quotients) == [q]
 
     def test_next_step_is_the_one_quotient_jump(self):
         K = FIELDS[7]

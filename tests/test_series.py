@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hypercf import InsufficientPrecisionError, LaurentSeries, Poly, series_from_rational
+from hypercf import InsufficientPrecisionError, LaurentSeries, Poly, series, series_from_rational
 
 from conftest import FIELDS, polys
 from reference import poly_dict, radd, rmul, rseries, rsub, untrimmed_series_mul
@@ -302,6 +302,43 @@ class TestPolynomialPart:
         else:
             with pytest.raises(InsufficientPrecisionError):
                 wa // wb
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_raw_floordiv_matches_the_method(self, data):
+        # the engine's steps divide raw (floor, array) values; an exact one
+        # has no floor and is taken at the other's, as `__rfloordiv__` does.
+        # Decided, the quotient is the polynomial part of the windows'
+        # quotient by the dict oracle; undecided, both refuse alike
+        p = data.draw(st.sampled_from((3, 5, 7)))
+        K = FIELDS[p]
+        top_a, top_b = data.draw(st.integers(-6, 12)), data.draw(st.integers(-6, 8))
+        a = _random_series(data, K, top_a, top_a - data.draw(st.integers(-1, 14)))
+        b = _random_series(data, K, top_b, top_b - data.draw(st.integers(-1, 10)))
+        exact = data.draw(st.one_of(polys(p, 0, 10), st.just(Poly(K, ()))))
+        at_b = LaurentSeries.from_poly(exact, b.valid_order)
+        for x, y, raw, window in (
+            (a, b, (a.valid_order, a.coeffs), a),
+            (exact, b, (None, exact.coeffs), at_b),
+        ):
+            v_a, v_b = window.valid_order, b.valid_order
+            qlen = (v_a + window.coeffs.size) - (v_b + b.coeffs.size) + 1
+            shorter = min(window.coeffs.size, b.coeffs.size)
+            decided = b.coeffs.size and (qlen <= 0 or shorter >= qlen)
+            try:
+                want = x // y
+            except InsufficientPrecisionError as err:
+                assert not decided
+                with pytest.raises(InsufficientPrecisionError, match=str(err)):
+                    series._raw_floordiv(raw, (v_b, b.coeffs), p)
+            else:
+                assert decided
+                got = series._raw_floordiv(raw, (v_b, b.coeffs), p)
+                assert np.array_equal(got, want.coeffs)
+                num = {e - v_a: c for e, c in window.terms().items()}
+                den = {e - v_b: c for e, c in b.terms().items()}
+                oracle = rseries(num, den, p, v_b - v_a)
+                assert poly_dict(want) == {e + v_a - v_b: c for e, c in oracle.items()}
 
     def test_zero_window_divisor_is_undecided(self):
         K = FIELDS[5]
