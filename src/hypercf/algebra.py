@@ -333,6 +333,14 @@ def _mul_arrays(a: np.ndarray, b: np.ndarray, p: int, spectra=None) -> np.ndarra
     return _trim(_convolve(a, b, p))
 
 
+def _frobenius_array(x: np.ndarray, p: int, lead: int = 0) -> np.ndarray:
+    """x's entries at every p-th place from `lead` on, zeros between: the
+    Frobenius image's array, exponent k going to p*k."""
+    out = np.zeros(lead + p * (x.size - 1) + 1 if x.size else 0, dtype=np.int64)
+    out[lead::p] = x
+    return out
+
+
 def _fit(arr: np.ndarray, n: int) -> np.ndarray:
     """arr truncated or zero-padded to exactly n entries."""
     if arr.size >= n:
@@ -526,12 +534,7 @@ class Poly:
 
     def frobenius(self) -> "Poly":
         """self**p via the exponent map i -> p*i (coefficients are fixed)."""
-        if self.is_zero:
-            return self
-        p = self.field.p
-        out = np.zeros(p * (self.coeffs.size - 1) + 1, dtype=np.int64)
-        out[::p] = self.coeffs
-        return Poly._raw(self.field, out)
+        return Poly._raw(self.field, _frobenius_array(self.coeffs, self.field.p))
 
     def __call__(self, value: Union[int, FieldElement]) -> FieldElement:
         v = _residue(self.field, value)

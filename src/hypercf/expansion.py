@@ -20,31 +20,36 @@ The Horner runs once per shape of the equation and of N and D, on
 placeholder slots, and traces a straight-line schedule of products,
 sums and Frobenius images; every evaluation replays the schedule of its
 shape on raw values, (floor, array) pairs, by the rules of `series`,
-where an exact Poly has no floor.  The products of one product of term
+where an exact value has no floor.  The products of one product of term
 maps share their transforms, so each long operand is transformed once,
 and each value is dropped after its last use.
 
-`expand` extracts in jumps.  A quotient reads only the tops of P[n] and
-P[n-1], so the steps run on top windows of the coefficients, Laurent
-series whose floors track what they still determine, for as long as the
-windows decide each quotient, its degree >= 1, P(bar) nonzero and every
-tail coefficient's degree.  The windows are cut once per jump and stay
-raw values through its steps, about 65 us each at p=7 on windows of 190
-terms (2-vCPU host), of which numpy's small-array calls are most.  The
-composite map of the quotients found is then applied to the full
-equation once, and the result's tops must equal the windows.  What the
-windows leave open, a deep quotient, a constant one or a possibly
-rational root, falls to one full-size step.
+`expand` works on raw term maps, x-exponent to raw value, from its
+input's coefficient arrays to the quotients it emits: no BiPoly and no
+LaurentSeries is made in between.  It extracts in jumps.  A quotient
+reads only the tops of P[n] and P[n-1], so the steps run on top windows
+of the coefficients, views of the exact arrays cut at one floor, whose
+floors track what they still determine, for as long as the windows
+decide each quotient, its degree >= 1, P(bar) nonzero and every tail
+coefficient's degree.  A step on windows of 190 terms at p=7 takes about
+65 us (2-vCPU host), of which numpy's small-array calls are most.  The
+composite map of the quotients found is then applied to the exact
+equation once, and each of its coefficients cut at its window's floor
+must equal the window.  What the windows leave open, a deep quotient, a
+constant one or a possibly rational root, falls to the same step on the
+exact term map.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
-from .algebra import _EMPTY, Poly, PrimeField, _mul_arrays, _trim
+import numpy as np
+
+from .algebra import _EMPTY, Poly, PrimeField, _trim
 from .cf import PartialQuotients, continuants
 from .series import (
-    InsufficientPrecisionError, LaurentSeries, Raw, _raw_add, _raw_floordiv,
+    InsufficientPrecisionError, LaurentSeries, Raw, _cut, _raw_add, _raw_floordiv,
     _raw_frobenius, _raw_mul,
 )
 
@@ -98,12 +103,11 @@ class BiPoly:
     Stored sparsely as `terms`, a read-only map from x-exponent to nonzero
     coefficient: the hyperquadratic equations keep only the exponents
     {0, 1, p, p+1} through every extraction step.  The constructor takes
-    either that map or a dense sequence indexed by exponent.  Its public
+    either that map or a dense sequence indexed by exponent.  Its
     operands, the coefficients, the value of P(value) and the bare operand
-    of `+` and `*` (the x^0 term), are Polys of the field or scalars.
-    Only the engine, through `_raw`, makes term maps of LaurentSeries
-    windows, which are kept even when zero to their floor: below it they
-    are unknown, not zero.
+    of `+` and `*` (the x^0 term), are Polys of the field or scalars.  A
+    sum or product goes through the constructor too, so one that cancels
+    to x-degree below 1 raises its ValueError.
     """
 
     __slots__ = ("field", "terms")
@@ -116,14 +120,6 @@ class BiPoly:
         self.field = field
         self.terms = terms
 
-    @classmethod
-    def _raw(cls, field: PrimeField, terms: Dict[int, object]) -> "BiPoly":
-        # the nonzero terms of an intermediate result, of any x-degree
-        self = object.__new__(cls)
-        self.field = field
-        self.terms = terms
-        return self
-
     @property
     def degree_x(self) -> int:
         return max(self.terms)
@@ -135,7 +131,14 @@ class BiPoly:
         return max(int(c.degree) for c in self.terms.values())
 
     def __call__(self, value: Poly) -> Poly:
-        return _at(self, _terms(self.field, [(0, value)]), {0: _UNIT}).get(0, Poly(self.field))
+        value = Poly._coerce(self.field, value)
+        z = {0: (None, value.coeffs)} if value else {}
+        out = _evaluate(self.field.p, self._raw_terms(), z, {0: _UNIT})
+        return Poly._raw(self.field, out[0][1] if out else _EMPTY)
+
+    def _raw_terms(self) -> Dict[int, Raw]:
+        """The terms as an exact raw term map, the engine's equations."""
+        return {e: (None, c.coeffs) for e, c in self.terms.items()}
 
     def _operand(self, other) -> Dict[int, Poly]:
         """The terms of a BiPoly operand; a bare one is the x^0 term."""
@@ -143,10 +146,10 @@ class BiPoly:
         return _terms(self.field, items)
 
     def __add__(self, other) -> "BiPoly":
-        return BiPoly._raw(self.field, _plus(self.terms, self._operand(other).items()))
+        return BiPoly(self.field, _plus(self.terms, self._operand(other).items()))
 
     def __mul__(self, other) -> "BiPoly":
-        return BiPoly._raw(self.field, _times(self.terms, self._operand(other)))
+        return BiPoly(self.field, _times(self.terms, self._operand(other)))
 
     __radd__ = __add__
     __rmul__ = __mul__
@@ -205,7 +208,7 @@ def _times(f: Mapping[int, object], g: Mapping[int, object]) -> Dict[int, object
             elif c2 is _UNIT:
                 c = c1
             elif c1.__class__ is _Slot:
-                c = _Slot(c1.ops, _product, (c1.index, c2.index), batch)
+                c = _Slot(c1.ops, _raw_mul, (c1.index, c2.index), batch)
             else:
                 c = c1 * c2
             items.append((e1 + e2, c))
@@ -236,15 +239,17 @@ def next_step(P: BiPoly) -> Tuple[Poly, Optional[BiPoly]]:
     Returns (bar, next_equation); next_equation is None when P(bar) = 0,
     i.e. the root is rational and bar is its final quotient.  Raises
     NoAdmissibleQuotientError when the extracted bar has degree < 1.
-    On an equation of windows the step is the same, and a window's
-    InsufficientPrecisionError says it cannot decide bar.
+    `expand` takes the same step, `_step`, on raw term maps.
     """
-    bar, tail = _step(P.field, {e: _raw_value(c) for e, c in P.terms.items()})
-    return bar, None if tail is None else BiPoly._raw(P.field, _cooked(P.field, tail))
+    bar, tail = _step(P.field, P._raw_terms())
+    if tail is None:
+        return bar, None
+    return bar, BiPoly(P.field, {e: Poly._raw(P.field, c) for e, (_, c) in tail.items()})
 
 
 def _step(field: PrimeField, P: Dict[int, Raw]) -> Tuple[Poly, Optional[Dict[int, Raw]]]:
-    """`next_step` on the raw values of P's coefficients, with the tail's."""
+    """One step on a raw term map, exact or of windows, with the tail's
+    map.  A window's InsufficientPrecisionError says it cannot decide bar."""
     p, n = field.p, max(P)
     bar = Poly._raw(field, _trim(-_raw_floordiv(P.get(n - 1, (None, _EMPTY)), P[n], p) % p))
     if bar.degree < 1:
@@ -272,7 +277,7 @@ def expand(P: BiPoly, m: int) -> ExpansionResult:
     max_seen = base_height
     rational_value: Optional[Poly] = None
     try:
-        for step, (bar, height) in enumerate(_quotients(P, m), start=1):
+        for step, (bar, height) in enumerate(_quotients(P.field, P._raw_terms(), m), start=1):
             if bar.degree >= 1:
                 emitted.append(bar)
                 degree_sum += int(bar.degree)
@@ -299,78 +304,85 @@ def expand(P: BiPoly, m: int) -> ExpansionResult:
     )
 
 
-def _quotients(P: BiPoly, m: int) -> Iterator[Tuple[Poly, Optional[int]]]:
-    """The first m quotients of P's root, each with the largest coefficient
-    degree of the tail equation it leaves, or None for a rational end:
-    jumps, each followed by one full-size step for what its windows left
-    open."""
+def _quotients(
+    field: PrimeField, P: Dict[int, Raw], m: int
+) -> Iterator[Tuple[Poly, Optional[int]]]:
+    """The first m quotients of the root of the exact term map P, each with
+    the largest coefficient degree of the tail equation it leaves, or None
+    for a rational end: jumps, each followed by one full-size step for
+    what its windows left open."""
     left = m
     while True:
-        bars, heights, windows = _jump(P, left)
+        bars, heights, windows = _jump(field, P, left)
         if bars:
-            P = _apply(P, bars, windows)
+            P = _apply(field.p, P, bars, windows)
             yield from zip(bars, heights)
             left -= len(bars)
             if not left:
                 return
-        bar, P = next_step(P)
-        yield bar, None if P is None else P.max_coeff_degree()
+        bar, P = _step(field, P)
+        yield bar, None if P is None else _height(P)
         left -= 1
         if P is None or not left:
             return
 
 
-def _windows(P: BiPoly) -> Optional[BiPoly]:
+def _height(P: Mapping[int, Raw]) -> int:
+    """The largest coefficient degree of a raw term map, read from the
+    array sizes (an exact array starts at degree 0)."""
+    return max((v or 0) + c.size for v, c in P.values()) - 1
+
+
+def _windows(P: Mapping[int, Raw]) -> Optional[Dict[int, Raw]]:
     """P's coefficients as top windows at one floor below its height, or
     None when the equation is less than four windows high: a step on it
     then costs about as much as on its windows, and a jump gains nothing."""
-    height = P.max_coeff_degree()
+    height = _height(P)
     length = max(_WINDOW_MIN_LEN, height // 32)
     if height < 4 * length:
         return None
     floor = height - length
-    return BiPoly._raw(
-        P.field, {e: LaurentSeries.from_poly(c, floor) for e, c in P.terms.items()}
-    )
+    return {e: (floor, _cut(c, floor)) for e, c in P.items()}
 
 
-def _jump(P: BiPoly, budget: int) -> Tuple[List[Poly], List[int], Optional[BiPoly]]:
+def _jump(
+    field: PrimeField, P: Dict[int, Raw], budget: int
+) -> Tuple[List[Poly], List[int], Optional[Dict[int, Raw]]]:
     """Up to `budget` quotients of P decided by steps on its windows, the
     largest coefficient degree after each, and the windowed tail equation
     (none at all for an equation too short for windows).
 
     The run stops at a step whose bar needs a term below a floor or has
     degree < 1, or whose tail has a coefficient zero to its floor: that
-    coefficient's degree, P(bar) among them, is unknown.  The steps run
-    on the windows' raw values; only the last are made series again.
+    coefficient's degree, P(bar) among them, is unknown.
     """
     bars: List[Poly] = []
     heights: List[int] = []
     windows = _windows(P)
     if windows is None:
         return bars, heights, None
-    terms = {e: _raw_value(w) for e, w in windows.terms.items()}
     while len(bars) < budget:
         try:
-            bar, tail = _step(P.field, terms)
+            bar, tail = _step(field, windows)
         except (InsufficientPrecisionError, NoAdmissibleQuotientError):
             break
         if not all(c.size for _, c in tail.values()):
             break
         bars.append(bar)
-        heights.append(max(v + c.size - 1 for v, c in tail.values()))
-        terms = tail
-    return bars, heights, BiPoly._raw(P.field, _cooked(P.field, terms))
+        heights.append(_height(tail))
+        windows = tail
+    return bars, heights, windows
 
 
-def _apply(P: BiPoly, bars: List[Poly], windows: BiPoly) -> BiPoly:
+def _apply(
+    p: int, P: Dict[int, Raw], bars: List[Poly], windows: Dict[int, Raw]
+) -> Dict[int, Raw]:
     """The tail of P after `bars`, by their composite map, checked against
     the windowed tail: each coefficient cut at its window's floor must
     equal the window."""
-    tail = _mobius(P, *continuants(PartialQuotients(bars)))
-    if tail.terms.keys() != windows.terms.keys() or any(
-        LaurentSeries.from_poly(tail.terms[e], w.valid_order) != w
-        for e, w in windows.terms.items()
+    tail = _mobius(p, P, *(c.coeffs for c in continuants(PartialQuotients(bars))))
+    if tail.keys() != windows.keys() or not all(
+        np.array_equal(_cut(tail[e], v), w) for e, (v, w) in windows.items()
     ):
         raise RuntimeError(
             f"a jump of {len(bars)} quotients disagrees with its windows"
@@ -378,37 +390,20 @@ def _apply(P: BiPoly, bars: List[Poly], windows: BiPoly) -> BiPoly:
     return tail
 
 
-def _mobius(P: BiPoly, x, y, x_prev, y_prev) -> BiPoly:
-    """P's tail equation after quotients with continuants (x, y) and
+def _mobius(p: int, P: Mapping[int, Raw], x, y, x_prev, y_prev) -> Dict[int, Raw]:
+    """P's tail equation after quotients with continuant arrays (x, y) and
     predecessors (x_prev, y_prev): sum of c_e * N^e * D^(n-e) for
     N = x*y' + x_prev and D = y*y' + y_prev in the new variable y'."""
-    z, w = (_terms(P.field, [(1, a), (0, b)]) for a, b in ((x, x_prev), (y, y_prev)))
-    return BiPoly._raw(P.field, _at(P, z, w))
+    z, w = ({e: (None, c) for e, c in ((1, a), (0, b)) if c.size}
+            for a, b in ((x, x_prev), (y, y_prev)))
+    return _evaluate(p, P, z, w)
 
 
 def eval_at_series(P: BiPoly, s: LaurentSeries) -> LaurentSeries:
     """P(s) with propagated validity: the result being zero to its floor
     certifies s as a root of P down to that order."""
-    return _at(P, {0: s}, {0: _UNIT})[0]
-
-
-def _raw_value(c) -> Raw:
-    """A Poly or a LaurentSeries as a raw value."""
-    return (c.valid_order, c.coeffs) if c.__class__ is LaurentSeries else (None, c.coeffs)
-
-
-def _cooked(field: PrimeField, terms: Mapping[int, Raw]) -> Dict[int, object]:
-    """A raw term map with Polys and LaurentSeries for coefficients."""
-    return {
-        e: Poly._raw(field, c) if v is None else LaurentSeries._raw(field, v, c)
-        for e, (v, c) in terms.items()
-    }
-
-
-def _at(P: BiPoly, z: Mapping[int, object], w: Mapping[int, object]) -> Dict[int, object]:
-    """`_evaluate` on P and term maps z and w of Polys, series and the unit."""
-    raw = ({e: c if c is _UNIT else _raw_value(c) for e, c in t.items()} for t in (P.terms, z, w))
-    return _cooked(P.field, _evaluate(P.field.p, *raw))
+    value = _evaluate(P.field.p, P._raw_terms(), {0: (s.valid_order, s.coeffs)}, {0: _UNIT})
+    return LaurentSeries._raw(P.field, *value[0])
 
 
 class _Slot:
@@ -428,12 +423,6 @@ class _Slot:
 
     def frobenius(self) -> "_Slot":
         return _Slot(self.ops, _raw_frobenius, (self.index,))
-
-
-def _product(a: Raw, b: Raw, p: int, spectra: Optional[dict]) -> Raw:
-    if a[0] is None is b[0]:
-        return None, _mul_arrays(a[1], b[1], p, spectra)
-    return _raw_mul(a, b, p, spectra) if b[0] is None else _raw_mul(b, a, p, spectra)
 
 
 #: the schedule of each shape traced so far, by `_evaluate`'s key
@@ -460,10 +449,10 @@ def _evaluate(
             *[c for c in w.values() if c is not _UNIT]]
     regs += [None] * (size - len(regs))
     for kind, items, dead in steps:
-        if kind is _product:
+        if kind is _raw_mul:
             spectra = {} if len(items) > 1 else None
             for a, b, out in items:
-                regs[out] = _product(regs[a], regs[b], p, spectra)
+                regs[out] = _raw_mul(regs[a], regs[b], p, spectra)
             del spectra
         elif kind is _raw_add:
             for a, b, out in items:
@@ -495,7 +484,7 @@ def _trace(p: int, P: tuple, z: tuple, w: tuple) -> tuple:
         kind, args, batch = ops[i]
         if kind is None or i not in need:
             continue
-        if kind is not _product or not steps or steps[-1][2] is not batch:
+        if kind is not _raw_mul or not steps or steps[-1][2] is not batch:
             steps.append((kind, [], batch, []))
         steps[-1][1].append((*args, i))
         for r in args:

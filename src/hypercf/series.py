@@ -30,10 +30,11 @@ array and its arithmetic runs on the polynomial kernels.  A series that
 is zero everywhere above its floor is stored with an empty window; for
 the precision rules its nominal top degree is taken to be V - 1.
 
-The rules are written once, in functions on raw values, (floor, array)
-pairs: a series is (V, window) and an exact polynomial (None, coeffs),
-with no floor.  The methods below and the extraction engine's steps
-both call them.
+The rules of +, -, *, // and Frobenius are written once, in functions on
+raw values, (floor, array) pairs: a series is (V, window) and an exact
+polynomial (None, coeffs), with no floor.  The methods below and the
+extraction engine's steps both call them.  Only `/`, which the engine
+never takes, keeps its rule in `LaurentSeries.__truediv__`.
 """
 from __future__ import annotations
 
@@ -43,8 +44,8 @@ import numpy as np
 
 from .algebra import (
     _EMPTY, FieldElement, Poly, PrimeField, _add_arrays, _fit, _floordiv_arrays,
-    _frozen, _mul_arrays, _render, _residue, _residues, _sub_arrays, _top_quotient,
-    _trim,
+    _frobenius_array, _frozen, _mul_arrays, _render, _residue, _residues, _sub_arrays,
+    _top_quotient, _trim,
 )
 
 __all__ = ["LaurentSeries", "series_from_rational", "InsufficientPrecisionError"]
@@ -79,8 +80,12 @@ def _raw_add(a: Raw, b: Raw, p: int, kernel=_add_arrays) -> Raw:
 
 
 def _raw_mul(a: Raw, b: Raw, p: int, spectra=None) -> Raw:
-    """a*b for a series a and a series or exact b; `spectra` as in
+    """a*b for any two raw values, exact or series; `spectra` as in
     `_mul_arrays`."""
+    if a[0] is None:
+        if b[0] is None:
+            return None, _mul_arrays(a[1], b[1], p, spectra)
+        a, b = b, a
     (v_a, x), (v_b, y) = a, b
     top_a = v_a + x.size - 1
     if v_b is None:
@@ -105,10 +110,9 @@ def _raw_frobenius(a: Raw, p: int) -> Raw:
     """a**p: exponent k goes to p*k, coefficients are Frobenius-fixed; a
     series' exponent V + i lands p*i + p - 1 above its new floor."""
     v, x = a
-    lead = 0 if v is None else p - 1
-    out = np.zeros(lead + p * (x.size - 1) + 1 if x.size else 0, dtype=np.int64)
-    out[lead::p] = x
-    return (None if v is None else p * (v - 1) + 1), out
+    if v is None:
+        return None, _frobenius_array(x, p)
+    return p * (v - 1) + 1, _frobenius_array(x, p, p - 1)
 
 
 def _raw_floordiv(a: Raw, b: Raw, p: int) -> np.ndarray:

@@ -83,9 +83,15 @@ class TestBiPoly:
         assert eq.degree_x == 1
 
     def test_requires_degree_one(self):
+        # of a sum or product too, not left for expand to trip on
         K = FIELDS[5]
-        with pytest.raises(ValueError, match="at least 1"):
-            BiPoly(K, [K.T])
+        T = K.T
+        for make in (lambda: BiPoly(K, [T]),
+                     lambda: BiPoly(K, [T, 1]) + BiPoly(K, [T, 4]),
+                     lambda: BiPoly(K, [T, 1]) * 0,
+                     lambda: Poly(K, ()) * BiPoly(K, [T, 1])):
+            with pytest.raises(ValueError, match="degree in x must be at least 1"):
+                make()
 
     def test_evaluation(self):
         K = FIELDS[5]
@@ -154,8 +160,15 @@ class TestBiPoly:
         assert poly_dict(P(v)) == ref["P"]
         assert poly_dict((P * Q)(v)) == rmul(ref["P"], ref["Q"], p)
         assert (P * Q)(v) == P(v) * Q(v)
-        if P.degree_x != Q.degree_x:  # a sum that cancels to x-degree 0 is no BiPoly
+        summed = [e for e in P.terms.keys() | Q.terms.keys()
+                  if radd(poly_dict(P.coefficient(e)), poly_dict(Q.coefficient(e)), p)]
+        if max(summed, default=0) < 1:  # a sum that cancels to x-degree 0 is no BiPoly
+            with pytest.raises(ValueError, match="at least 1"):
+                P + Q
+        else:
             assert poly_dict((P + Q)(v)) == radd(ref["P"], ref["Q"], p)
+        with pytest.raises(ValueError, match="at least 1"):
+            P * 0
 
 
 class TestNextStep:
@@ -219,44 +232,53 @@ class TestLeanStep:
     def test_windowed_step_makes_four_products_none_by_a_unit(self, monkeypatch):
         # the step multiplies raw windows, so the products are counted at
         # the series kernel; a product by the unit would have a 1-entry
-        # operand, and none goes through LaurentSeries or the exact path
+        # operand, none goes through LaurentSeries, and each has a window
+        # for one factor (the schedule is traced afresh, so that its
+        # products are the counting `_raw_mul`)
         full = self._tall_equation(60)
-        windows = expansion._windows(full)
+        K = full.field
+        windows = expansion._windows(full._raw_terms())
         assert windows is not None
-        kernel, elsewhere = [], []
-        real_kernel = series._mul_arrays
+        kernel, floors, elsewhere = [], [], []
+        real_kernel, real_mul = series._mul_arrays, expansion._raw_mul
 
         def counting(a, b, p, spectra=None):
             kernel.append((a.size, b.size))
             return real_kernel(a, b, p, spectra)
+
+        def product(a, b, p, spectra=None):
+            floors.append((a[0], b[0]))
+            return real_mul(a, b, p, spectra)
 
         def unexpected(*args, **kwargs):
             elsewhere.append(args)
             raise AssertionError("a windowed product left the raw series rule")
 
         monkeypatch.setattr(series, "_mul_arrays", counting)
-        monkeypatch.setattr(expansion, "_mul_arrays", unexpected)
+        monkeypatch.setattr(expansion, "_raw_mul", product)
+        monkeypatch.setattr(expansion, "_SCHEDULES", {})
         for name in ("__mul__", "__rmul__"):
             monkeypatch.setattr(LaurentSeries, name, unexpected)
-        bar, tail = next_step(windows)
+        bar, tail = expansion._step(K, windows)
         monkeypatch.undo()
         assert not elsewhere
         assert len(kernel) == 4 and all(min(sizes) > 1 for sizes in kernel)
-        full_bar, full_tail = next_step(full)
-        assert bar == full_bar and tail.terms.keys() == full_tail.terms.keys()
-        for e, w in tail.terms.items():
-            assert LaurentSeries.from_poly(full_tail.terms[e], w.valid_order) == w
+        assert len(floors) == 4 and all(pair.count(None) == 1 for pair in floors)
+        full_bar, full_tail = expansion._step(K, full._raw_terms())
+        assert bar == full_bar and tail.keys() == full_tail.keys()
+        for e, (v, w) in tail.items():
+            assert np.array_equal(series._cut(full_tail[e], v), w)
 
     def test_full_size_step_makes_four_products(self, monkeypatch):
         full = self._tall_equation(60)
         pairs = []
-        real = expansion._mul_arrays
+        real = series._mul_arrays
 
         def counting(a, b, p, spectra=None):
             pairs.append((a.size, b.size))
             return real(a, b, p, spectra)
 
-        monkeypatch.setattr(expansion, "_mul_arrays", counting)
+        monkeypatch.setattr(series, "_mul_arrays", counting)
         next_step(full)
         assert len(pairs) == 4 and all(min(sizes) > 1 for sizes in pairs)
 
@@ -305,16 +327,20 @@ class TestLeanStep:
         x, y, x_prev, y_prev = (data.draw(entry) for _ in range(4))
         v = poly_dict(data.draw(polys(p, 0, 2)))
 
-        def ref(c):
-            return poly_dict(c if isinstance(c, Poly) else Poly(K, (c,)))
+        def poly(c):
+            return c if isinstance(c, Poly) else Poly(K, (c,))
 
-        tail = expansion._mobius(P, x, y, x_prev, y_prev)
-        assert all(isinstance(c, Poly) and not c.is_zero for c in tail.terms.values())
+        def ref(c):
+            return poly_dict(poly(c))
+
+        arrays = (poly(c).coeffs for c in (x, y, x_prev, y_prev))
+        tail = expansion._mobius(p, P._raw_terms(), *arrays)
+        assert all(floor is None and c.size for floor, c in tail.values())
         num = radd(rmul(ref(x), v, p), ref(x_prev), p)
         den = radd(rmul(ref(y), v, p), ref(y_prev), p)
         terms = {e: poly_dict(c) for e, c in P.terms.items()}
         want = rhomogeneous(terms, P.degree_x, num, den, p)
-        assert reval({e: poly_dict(c) for e, c in tail.terms.items()}, v, p) == want
+        assert reval({e: _array_dict(c) for e, (_, c) in tail.items()}, v, p) == want
 
 
 #: where a z/w entry is the unit marker; w keeps one non-unit entry,
@@ -324,8 +350,13 @@ UNIT_PLACES = st.sets(st.sampled_from(("z1", "z0", "w1", "w0"))).filter(
 )
 
 
+def _raw_value(c) -> tuple:
+    """A Poly or a LaurentSeries as a raw value."""
+    return (c.valid_order, c.coeffs) if isinstance(c, LaurentSeries) else (None, c.coeffs)
+
+
 def _raw_map(terms) -> dict:
-    return {e: c if c is expansion._UNIT else expansion._raw_value(c) for e, c in terms.items()}
+    return {e: c if c is expansion._UNIT else _raw_value(c) for e, c in terms.items()}
 
 
 def _array_dict(arr) -> dict:
@@ -425,7 +456,7 @@ class TestSchedule:
         coeffs = data.draw(st.lists(st.integers(0, p - 1), min_size=size, max_size=size))
         s = LaurentSeries(K, top, coeffs, top - size + 1)
         (v, c), = expansion._evaluate(
-            p, _raw_map(P.terms), {0: expansion._raw_value(s)}, {0: expansion._UNIT}
+            p, _raw_map(P.terms), {0: _raw_value(s)}, {0: expansion._UNIT}
         ).values()
         want = horner_eval_at_series(P, s)
         assert v <= want.valid_order
@@ -599,13 +630,13 @@ class TestJumps:
         jumps, exhausted = [], []
         real_jump = expansion._jump
 
-        def jump(P, budget):
-            result = real_jump(P, budget)
+        def jump(field, P, budget):
+            result = real_jump(field, P, budget)
             bars, _, windows = result
             jumps.append(len(bars))
             if windows is not None and len(bars) < budget:
                 try:
-                    next_step(windows)
+                    expansion._step(field, windows)
                 except InsufficientPrecisionError:
                     exhausted.append(windows)
             return result
@@ -627,7 +658,7 @@ class TestJumps:
         q = Poly(K, (3, 2))
         monkeypatch.setattr(expansion, "_WINDOW_MIN_LEN", 4)
         eq = BiPoly(K, [-(q * den), den])
-        bars, _, windows = expansion._jump(eq, 5)
+        bars, _, windows = expansion._jump(K, eq._raw_terms(), 5)
         assert bars == [] and windows is not None
         run = expand(eq, 5)
         assert run.rational and list(run.quotients) == [q]
@@ -638,7 +669,34 @@ class TestJumps:
         run = expand(eq, 20)
         bar, tail = next_step(eq)
         assert bar == run.quotients[0]
-        assert tail == expansion._mobius(eq, *continuants(run.quotients[:1]))
+        arrays = (c.coeffs for c in continuants(run.quotients[:1]))
+        mobius = expansion._mobius(7, eq._raw_terms(), *arrays)
+        assert tail == BiPoly(K, {e: Poly._raw(K, c) for e, (_, c) in mobius.items()})
+
+    def test_the_loop_stays_on_raw_term_maps(self, monkeypatch):
+        # p=7 through n_4: jumps, applies and full-size steps, and not one
+        # series or equation object made between the input and the quotients
+        spec = build_spec(FIELDS[7], (2, 4, 5))
+        eq = pattern_equation(spec)
+        m = pattern_position(7, 4)
+        applies = []
+        real_apply = expansion._apply
+
+        def apply(*args):
+            applies.append(len(args[2]))
+            return real_apply(*args)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the engine left raw term maps")
+
+        monkeypatch.setattr(expansion, "_apply", apply)
+        for owner, name in ((LaurentSeries, "_raw"), (LaurentSeries, "from_poly"),
+                            (LaurentSeries, "__init__"), (BiPoly, "__init__")):
+            monkeypatch.setattr(owner, name, refuse)
+        run = expand(eq, m)
+        monkeypatch.undo()
+        assert run.quotients == pattern(spec, m)
+        assert applies and sum(applies) < m
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
@@ -672,14 +730,13 @@ def _misclaimed_outcome(equation: BiPoly, m: int, window: int, pick: int, delta:
         windows = real(P)
         if windows is None:
             return None
-        e = sorted(windows.terms)[pick % len(windows.terms)]
-        w = windows.terms[e]
-        v = w.valid_order - 1
-        true = LaurentSeries.from_poly(P.terms[e], v)
-        terms = {**true.terms(), v: int(true.term(v).value) + delta}
-        return BiPoly._raw(
-            P.field, {**windows.terms, e: LaurentSeries.from_terms(P.field, terms, v)}
-        )
+        e = sorted(windows)[pick % len(windows)]
+        v = windows[e][0] - 1
+        true = series._cut(P[e], v)
+        window = np.zeros(max(true.size, 1), dtype=np.int64)
+        window[: true.size] = true
+        window[0] = (window[0] + delta) % equation.field.p
+        return {**windows, e: (v, algebra._trim(window))}
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(expansion, "_WINDOW_MIN_LEN", window)
@@ -814,7 +871,9 @@ class TestCertifiedOutput:
         if run.rational:
             # a finite expansion: its convergent is the root itself
             x, y, _, _ = continuants(run.quotients)
-            assert expansion._mobius(eq, x, y, 1, 0).coefficient(eq.degree_x).is_zero
+            one = Poly(eq.field, (1,)).coeffs
+            arrays = (x.coeffs, y.coeffs, one, algebra._EMPTY)
+            assert eq.degree_x not in expansion._mobius(eq.field.p, eq._raw_terms(), *arrays)
         else:
             self._certify(eq, run.quotients)
 

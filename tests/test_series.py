@@ -483,6 +483,36 @@ class TestTrimmedProduct:
             _assert_same_series(x * y, untrimmed_series_mul(x, y))
 
 
+class TestRawMul:
+    """`_raw_mul` takes any two raw values: exact by exact is the Poly
+    product, with no floor, and an exact factor on either side of a
+    series gives the series product, at floor V + deg (a constant keeps
+    V)."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_matches_poly_series_and_dict_products(self, data):
+        p = data.draw(st.sampled_from((3, 5, 7, 11)))
+        K = FIELDS[p]
+        exact = st.one_of(polys(p, 0, 12), st.just(Poly(K, ())))
+        c, d = data.draw(exact), data.draw(exact)
+        top = data.draw(st.integers(-6, 6))
+        s = _random_series(data, K, top, top - data.draw(st.integers(-1, 40)))
+        spectra = data.draw(st.sampled_from((None, {})))
+        v, got = series._raw_mul((None, c.coeffs), (None, d.coeffs), p, spectra)
+        assert v is None and np.array_equal(got, (c * d).coeffs)
+        assert {e: int(x) for e, x in enumerate(got) if x} == rmul(poly_dict(c), poly_dict(d), p)
+        floor = s.valid_order + max(c.coeffs.size - 1, 0)
+        want = {e: x for e, x in rmul(s.terms(), poly_dict(c), p).items() if e >= floor}
+        for a, b in (((s.valid_order, s.coeffs), (None, c.coeffs)),
+                     ((None, c.coeffs), (s.valid_order, s.coeffs))):
+            v, got = series._raw_mul(a, b, p, spectra)
+            assert v == floor
+            product = LaurentSeries._raw(K, v, got)
+            _assert_same_series(product, s * c)
+            assert product.terms() == want
+
+
 class TestExactOperands:
     """An int, FieldElement or Poly operand is exact: the sum keeps the
     series' floor V, the product is known down to V + deg and the
