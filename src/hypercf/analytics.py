@@ -110,10 +110,6 @@ class IrrationalityReport:
     ratio_samples: List[Tuple[int, Fraction]]
     empirical_max_ratio: Optional[Fraction]
 
-    @property
-    def bounds_consistent(self) -> bool:
-        return Fraction(2) < self.nu <= Fraction(self.liouville_upper)
-
 
 def irrationality_report(
     field_or_p: Union[PrimeField, int],

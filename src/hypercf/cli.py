@@ -29,7 +29,7 @@ from .construction import (
 from .expansion import BiPoly, NoAdmissibleQuotientError, expand
 from .grids import VERIFICATION_TRIPLES
 
-__all__ = ["main", "render_json", "quotient_lines", "parse_equation_file"]
+__all__ = ["main", "render_json", "parse_equation_file"]
 
 
 def _validate_args(args) -> None:
@@ -46,9 +46,6 @@ def _validate_args(args) -> None:
         raise ValueError("k must be >= 1")
     if getattr(args, "fib_count", 1) < 1:
         raise ValueError("fib-count must be >= 1")
-    order = getattr(args, "order", None)
-    if order is not None and order >= 0:
-        raise ValueError("order must be < 0: residuals are certified below t^0")
     u = getattr(args, "u", None)
     if isinstance(u, list):  # verify accumulates triples; validate each
         for triple in u:
@@ -69,22 +66,13 @@ def _validate_args(args) -> None:
         )
 
 
-def quotient_lines(pqs: PartialQuotients) -> List[str]:
-    """The three reference lines: quotients, degrees, leading coefficients."""
-    cfe = ", ".join(str(a) for a in pqs)
-    return [
-        f"cfe [{cfe}]",
-        f"degrees {pqs.degrees()}",
-        f"lead.coef. {pqs.leading_coefficients()}",
-    ]
-
-
 def render_json(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True, separators=(", ", ": "))
 
 
 def _print_quotients(args, u: Sequence[int], pqs: PartialQuotients) -> None:
-    """The quotients as one JSON object, or as the three reference lines."""
+    """The quotients as one JSON object, or as the three reference lines:
+    quotients, degrees, leading coefficients."""
     if args.format == "json":
         print(render_json({
             "p": args.p,
@@ -94,8 +82,9 @@ def _print_quotients(args, u: Sequence[int], pqs: PartialQuotients) -> None:
             "leading_coefficients": pqs.leading_coefficients(),
         }))
     else:
-        for line in quotient_lines(pqs):
-            print(line)
+        print(f"cfe [{', '.join(str(a) for a in pqs)}]")
+        print(f"degrees {pqs.degrees()}")
+        print(f"lead.coef. {pqs.leading_coefficients()}")
 
 
 def parse_equation_file(field: PrimeField, path: str) -> BiPoly:
@@ -162,12 +151,12 @@ def _cmd_pattern(args) -> int:
     return 0
 
 
-def _verify_one(job: Tuple[int, Tuple[int, int, int], int, Optional[int], str]) -> dict:
-    p, u, steps, order, r_convention = job
+def _verify_one(job: Tuple[int, Tuple[int, int, int], int, str]) -> dict:
+    p, u, steps, r_convention = job
     field = PrimeField(p)
     spec = build_spec(field, u)
     r_override = field.T ** p if r_convention == "tp" else None
-    report = verify_pattern(spec, steps, order=order, r_override=r_override)
+    report = verify_pattern(spec, steps, r_override=r_override)
     residuals = [
         r.floor
         for r in (report.tail_relation_residual, report.equation_residual)
@@ -195,7 +184,7 @@ def _cmd_verify(args) -> int:
         triples.extend(args.u)
     if not triples:
         raise ValueError("verify needs --u or --grid")
-    jobs = [(args.p, u, args.steps, args.order, args.r_convention) for u in triples]
+    jobs = [(args.p, u, args.steps, args.r_convention) for u in triples]
     workers = min(args.jobs, len(jobs), os.cpu_count() or 1)
     if workers > 1:
         # imported here: it and its logging import cost every other run
@@ -328,7 +317,6 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(sp)
     sp.add_argument("--u", type=_parse_triple, action="append", default=[])
     sp.add_argument("--grid", action="store_true", help="sweep the committed triples for p")
-    sp.add_argument("--order", type=int, help="residual inspection depth (clamped to the achievable floor)")
     sp.add_argument(
         "--r-convention",
         choices=("remainder", "tp"),

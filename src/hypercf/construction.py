@@ -333,16 +333,14 @@ class PatternVerification:
 def verify_pattern(
     spec: PatternSpec,
     steps: int,
-    order: Optional[int] = None,
     r_override: Optional[Poly] = None,
 ) -> PatternVerification:
     """Compare the predicted stream against the extraction engine and
     measure both residuals from truncated series.
 
     Any mismatch lands in the report (with the first differing index);
-    nothing raises.  With order=None each series is taken to its own
-    convergent validity floor; requested orders deeper than the quotients
-    support are clamped to that floor.
+    nothing raises.  Each series is taken to its own convergent validity
+    floor, the deepest order its quotients support.
     """
     predicted = pattern(spec, steps)
 
@@ -365,13 +363,9 @@ def verify_pattern(
     tail_res = eq_res = None
     if steps >= 5:
         tail = predicted.tail(4)
-        alpha_order = convergent_validity_floor(predicted)
-        tail_order = convergent_validity_floor(tail)
-        if order is not None:
-            alpha_order, tail_order = max(order, alpha_order), max(order, tail_order)
         (x, y, _, _), (x4, y4, _, _) = prefixed_continuants(predicted.items[:3], tail)
-        alpha = series_from_rational(x, y, alpha_order)
-        alpha4 = series_from_rational(x4, y4, tail_order)
+        alpha = series_from_rational(x, y, convergent_validity_floor(predicted))
+        alpha4 = series_from_rational(x4, y4, convergent_validity_floor(tail))
         G, H = _tail_relation(spec, spec.R)
         tail_res = ResidualSummary.of(alpha.frobenius() - alpha4 * G - H)
         if r_override is not None:

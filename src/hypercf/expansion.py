@@ -57,7 +57,6 @@ __all__ = [
     "BiPoly",
     "ExpansionResult",
     "NoAdmissibleQuotientError",
-    "next_step",
     "expand",
     "eval_at_series",
 ]
@@ -103,11 +102,9 @@ class BiPoly:
     Stored sparsely as `terms`, a read-only map from x-exponent to nonzero
     coefficient: the hyperquadratic equations keep only the exponents
     {0, 1, p, p+1} through every extraction step.  The constructor takes
-    either that map or a dense sequence indexed by exponent.  Its
-    operands, the coefficients, the value of P(value) and the bare operand
-    of `+` and `*` (the x^0 term), are Polys of the field or scalars.  A
-    sum or product goes through the constructor too, so one that cancels
-    to x-degree below 1 raises its ValueError.
+    either that map or a dense sequence indexed by exponent.  The
+    coefficients and the value of P(value) are Polys of the field or
+    scalars.
     """
 
     __slots__ = ("field", "terms")
@@ -140,20 +137,6 @@ class BiPoly:
         """The terms as an exact raw term map, the engine's equations."""
         return {e: (None, c.coeffs) for e, c in self.terms.items()}
 
-    def _operand(self, other) -> Dict[int, Poly]:
-        """The terms of a BiPoly operand; a bare one is the x^0 term."""
-        items = other.terms.items() if isinstance(other, BiPoly) else [(0, other)]
-        return _terms(self.field, items)
-
-    def __add__(self, other) -> "BiPoly":
-        return BiPoly(self.field, _plus(self.terms, self._operand(other).items()))
-
-    def __mul__(self, other) -> "BiPoly":
-        return BiPoly(self.field, _times(self.terms, self._operand(other)))
-
-    __radd__ = __add__
-    __rmul__ = __mul__
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, BiPoly)
@@ -185,21 +168,19 @@ def _terms(field: PrimeField, items) -> Dict[int, Poly]:
 
 
 def _plus(f: Mapping[int, object], items) -> Dict[int, object]:
-    """f plus (exponent, coefficient) items, a Poly dropped if it cancels
-    (a slot, whose value is not known yet, is kept)."""
+    """f plus (exponent, coefficient) items: the sum of slots is a slot,
+    kept even if its value will be zero."""
     out = dict(f)
     for e, c in items:
-        c = out.pop(e) + c if e in out else c
-        if c:
-            out[e] = c
+        out[e] = out[e] + c if e in out else c
     return out
 
 
 def _times(f: Mapping[int, object], g: Mapping[int, object]) -> Dict[int, object]:
-    """The product of two term maps.  A product by the unit marker is the
-    other factor, not formed.  The products of slots make one batch of
-    the schedule, which shares one `spectra`, so that the replay
-    transforms each operand once."""
+    """The product of two term maps of slots and the unit marker.  A
+    product by the unit is the other factor, not formed.  The products of
+    slots make one batch of the schedule, which shares one `spectra`, so
+    that the replay transforms each operand once."""
     batch, items = [], []
     for e1, c1 in f.items():
         for e2, c2 in g.items():
@@ -207,10 +188,8 @@ def _times(f: Mapping[int, object], g: Mapping[int, object]) -> Dict[int, object
                 c = c2
             elif c2 is _UNIT:
                 c = c1
-            elif c1.__class__ is _Slot:
-                c = _Slot(c1.ops, _raw_mul, (c1.index, c2.index), batch)
             else:
-                c = c1 * c2
+                c = _Slot(c1.ops, _raw_mul, (c1.index, c2.index), batch)
             items.append((e1 + e2, c))
     return _plus({}, items)
 
@@ -231,20 +210,6 @@ class ExpansionResult:
     rational_value: Optional[Poly]
     max_coeff_degree: int
     coeff_degree_bound: int
-
-
-def next_step(P: BiPoly) -> Tuple[Poly, Optional[BiPoly]]:
-    """One extraction step.
-
-    Returns (bar, next_equation); next_equation is None when P(bar) = 0,
-    i.e. the root is rational and bar is its final quotient.  Raises
-    NoAdmissibleQuotientError when the extracted bar has degree < 1.
-    `expand` takes the same step, `_step`, on raw term maps.
-    """
-    bar, tail = _step(P.field, P._raw_terms())
-    if tail is None:
-        return bar, None
-    return bar, BiPoly(P.field, {e: Poly._raw(P.field, c) for e, (_, c) in tail.items()})
 
 
 def _step(field: PrimeField, P: Dict[int, Raw]) -> Tuple[Poly, Optional[Dict[int, Raw]]]:

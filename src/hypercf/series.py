@@ -33,8 +33,10 @@ the precision rules its nominal top degree is taken to be V - 1.
 The rules of +, -, *, // and Frobenius are written once, in functions on
 raw values, (floor, array) pairs: a series is (V, window) and an exact
 polynomial (None, coeffs), with no floor.  The methods below and the
-extraction engine's steps both call them.  Only `/`, which the engine
-never takes, keeps its rule in `LaurentSeries.__truediv__`.
+extraction engine's steps both call them, except `//`: the engine's
+steps alone take it, as `_raw_floordiv`, and a series has no `//`
+operator.  Only `/`, which the engine never takes, keeps its rule in
+`LaurentSeries.__truediv__`.
 """
 from __future__ import annotations
 
@@ -60,10 +62,13 @@ Raw = Tuple[Optional[int], np.ndarray]
 
 
 def _cut(a: Raw, v: int) -> np.ndarray:
-    """a's entries from exponent v up, for v at or above a's floor; an
-    exact value is known to every order, so zero below its constant term."""
+    """a's entries from exponent v up; an exact value is known to every
+    order, so zero below its constant term.  A cut below a series' floor
+    raises InsufficientPrecisionError: nothing is known there."""
     floor, arr = a
     if floor is not None:
+        if v < floor:
+            raise InsufficientPrecisionError(f"a cut at {v} is below the floor {floor}")
         return arr if v == floor else arr[v - floor :]
     if v < 0 and arr.size:
         return np.concatenate((np.zeros(-v, dtype=np.int64), arr))
@@ -233,12 +238,6 @@ class LaurentSeries:
             self.field, valid_order, self.coeffs[valid_order - self.valid_order :]
         )
 
-    def polynomial_part(self) -> Poly:
-        """The terms with exponent >= 0 (the "integer part")."""
-        if self.valid_order > 0:
-            raise ValueError("floor above 0: constant term unknown")
-        return Poly._raw(self.field, self.coeffs[-self.valid_order :])
-
     # -- arithmetic ----------------------------------------------------------
 
     def _check(self, other: "LaurentSeries"):
@@ -300,20 +299,6 @@ class LaurentSeries:
             return LaurentSeries.zero(self.field, v_q)
         return LaurentSeries._raw(
             self.field, v_q, _top_quotient(self.coeffs, b, nq, self.field.p)
-        )
-
-    def __floordiv__(self, other: "LaurentSeries") -> Poly:
-        """The polynomial part of self/other, by `_raw_floordiv`."""
-        if not isinstance(other, LaurentSeries):
-            return NotImplemented
-        return Poly._raw(
-            self.field, _raw_floordiv(self._value, self._operand(other), self.field.p)
-        )
-
-    def __rfloordiv__(self, other) -> Poly:
-        # an exact dividend is known to every order, so at the divisor's floor
-        return Poly._raw(
-            self.field, _raw_floordiv(self._operand(other), self._value, self.field.p)
         )
 
     def frobenius(self) -> "LaurentSeries":

@@ -14,10 +14,11 @@ multiplies whole windows on the package's kernel and is the oracle for
 the product that trims its factors first, and `horner_eval_at_series`,
 the package's former evaluation of an equation at a series, one Horner
 product per x-degree with every coefficient padded to a deep floor, the
-oracle for the Frobenius-split evaluation, and `stepwise_expand`, the
-package's former extraction loop, one `next_step` on the full equation
-per quotient, the oracle for the jumps that decide quotients on top
-windows and apply their composite map once, and `fold_continuants`, the
+oracle for the Frobenius-split evaluation, and `next_step`, one step of
+the package's engine on a BiPoly, and `stepwise_expand`, the package's
+former extraction loop, one `next_step` on the full equation per
+quotient, the oracle for the jumps that decide quotients on top windows
+and apply their composite map once, and `fold_continuants`, the
 package's former continuant loop, one left fold over the quotients on
 Poly, the oracle for the product tree.
 """
@@ -279,12 +280,25 @@ def dense_expand(coeffs: list, m: int) -> tuple:
     return ("done", emitted, rational_value, max_seen, bound)
 
 
+def next_step(P):
+    """One extraction step on a package BiPoly P: (bar, next equation), the
+    equation None when P(bar) = 0, i.e. the root is rational and bar is its
+    final quotient.  Raises NoAdmissibleQuotientError when bar has degree
+    < 1.  It is the engine's `_step` on P's exact raw term map."""
+    from hypercf import BiPoly, Poly
+    from hypercf.expansion import _step
+
+    bar, tail = _step(P.field, P._raw_terms())
+    if tail is None:
+        return bar, None
+    return bar, BiPoly(P.field, {e: Poly._raw(P.field, c) for e, (_, c) in tail.items()})
+
+
 def stepwise_expand(P, m: int):
     """The package's expand as it was before jumps: one `next_step` on the
     full equation per quotient, the height guard after every step.
     Returns the package's ExpansionResult or raises as expand does."""
     from hypercf import ExpansionResult, NoAdmissibleQuotientError, PartialQuotients
-    from hypercf.expansion import next_step
 
     if m < 1:
         raise ValueError("m must be >= 1")

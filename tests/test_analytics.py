@@ -98,4 +98,4 @@ class TestIrrationalityReport:
         prof = profile_from_degrees(REFERENCE_DEGREES_P7, 7)
         report = irrationality_report(7, kmax=3, degree_profile=prof)
         assert report.empirical_max_ratio == Fraction(685, 172)
-        assert report.bounds_consistent
+        assert 2 < report.nu <= report.liouville_upper

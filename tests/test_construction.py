@@ -304,7 +304,7 @@ class TestIdentities:
 class TestVerifyPattern:
     def test_p3_deep(self):
         spec = build_spec(FIELDS[3], (1, 1, 1))
-        report = verify_pattern(spec, 21, order=-60)
+        report = verify_pattern(spec, 21)
         assert report.match and report.ok
         assert report.tail_relation_residual.zero_to_floor
         assert report.tail_relation_residual.floor <= -50
@@ -319,15 +319,9 @@ class TestVerifyPattern:
     def test_alternate_r_fails_fast(self):
         K = FIELDS[3]
         spec = build_spec(K, (1, 1, 1))
-        report = verify_pattern(spec, 8, order=-40, r_override=K.T ** 3)
+        report = verify_pattern(spec, 8, r_override=K.T ** 3)
         assert not report.match
         assert report.engine_aborted or report.first_mismatch <= 4
-
-    def test_order_clamped_to_floor(self):
-        spec = build_spec(FIELDS[3], (1, 1, 1))
-        report = verify_pattern(spec, 10, order=-10 ** 6)
-        assert report.ok
-        assert report.tail_relation_residual.floor > -10 ** 6
 
 
 class TestResidualIdentity:

@@ -13,7 +13,7 @@ PUBLIC_NAMES = {
     "LaurentSeries", "series_from_rational", "InsufficientPrecisionError",
     "PartialQuotients", "continuants", "rational_to_cf", "cf_to_series",
     "convergent_validity_floor",
-    "BiPoly", "ExpansionResult", "NoAdmissibleQuotientError", "next_step",
+    "BiPoly", "ExpansionResult", "NoAdmissibleQuotientError",
     "expand", "eval_at_series",
     "Triple", "PatternSpec", "build_spec", "build_Pn", "pattern",
     "pattern_position", "pattern_degree", "pattern_equation",
@@ -26,7 +26,7 @@ PUBLIC_NAMES = {
 
 
 def test_public_surface():
-    assert len(hypercf.__all__) == len(PUBLIC_NAMES) == 43
+    assert len(hypercf.__all__) == len(PUBLIC_NAMES) == 42
     assert set(hypercf.__all__) == PUBLIC_NAMES
     for name in PUBLIC_NAMES:
         assert getattr(hypercf, name) is not None

@@ -123,7 +123,7 @@ class TestArithmetic:
         num = cubed - LaurentSeries.from_poly(2 * K.T, cubed.valid_order)
         den = LaurentSeries.from_poly(K.T ** 2 + 1, cubed.valid_order)
         quotient = num / den
-        assert quotient.polynomial_part() == K.T
+        assert quotient.truncated(0).terms() == {1: 1}  # the integer part t
         expected_prefix = {1: 1, -5: 1, -7: 2, -9: 1, -11: 1, -13: 2}
         for e, c in expected_prefix.items():
             assert quotient.term(e).value == c
@@ -151,9 +151,9 @@ class TestArithmetic:
         assert (s * 4).terms() == {1: 1, -1: 5}
         assert (s / 2).terms() == {1: 1, -1: 5}
         # an operand that is neither a series nor exact is refused as Poly
-        # refuses it
+        # refuses it; a series has no `//` at all
         for op in (lambda: s + 2.5, lambda: s * "3", lambda: s / 2.5,
-                   lambda: 2.5 - s, lambda: s // 3):
+                   lambda: 2.5 - s, lambda: s // 3, lambda: K.T // s):
             with pytest.raises(TypeError):
                 op()
 
@@ -280,8 +280,9 @@ class TestPrecisionRules:
 
 
 class TestPolynomialPart:
-    """`//` on windows: the polynomial part of a quotient, from the top
-    (quotient length) terms of each window, or InsufficientPrecisionError."""
+    """The engine's `//` on raw windows, `_raw_floordiv`: the polynomial
+    part of a quotient, from the top (quotient length) terms of each
+    window, or InsufficientPrecisionError."""
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
@@ -290,26 +291,28 @@ class TestPolynomialPart:
         a = data.draw(polys(p, 0, 12))
         b = data.draw(polys(p, 0, 8))
         floor_a, floor_b = data.draw(st.integers(-3, 13)), data.draw(st.integers(-3, 9))
-        wa, wb = LaurentSeries.from_poly(a, floor_a), LaurentSeries.from_poly(b, floor_b)
+        wa, wb = ((v, series._cut((None, c.coeffs), v)) for c, v in ((a, floor_a), (b, floor_b)))
         qlen = int(a.degree) - int(b.degree) + 1
         decided = (
             qlen <= 0 and floor_a <= b.degree
             or qlen > 0 and floor_a <= b.degree and floor_b <= 2 * b.degree - a.degree
         ) and floor_b <= b.degree
         if decided:
-            assert wa // wb == a // b
-            assert a // wb == a // b  # an exact dividend
+            want = (a // b).coeffs
+            assert np.array_equal(series._raw_floordiv(wa, wb, p), want)
+            # an exact dividend
+            assert np.array_equal(series._raw_floordiv((None, a.coeffs), wb, p), want)
         else:
             with pytest.raises(InsufficientPrecisionError):
-                wa // wb
+                series._raw_floordiv(wa, wb, p)
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
-    def test_raw_floordiv_matches_the_method(self, data):
+    def test_raw_floordiv_matches_the_dict_oracle(self, data):
         # the engine's steps divide raw (floor, array) values; an exact one
-        # has no floor and is taken at the other's, as `__rfloordiv__` does.
-        # Decided, the quotient is the polynomial part of the windows'
-        # quotient by the dict oracle; undecided, both refuse alike
+        # has no floor and is taken at the other's.  Decided, the quotient
+        # is the polynomial part of the windows' quotient by the dict
+        # oracle; undecided, it refuses
         p = data.draw(st.sampled_from((3, 5, 7)))
         K = FIELDS[p]
         top_a, top_b = data.draw(st.integers(-6, 12)), data.draw(st.integers(-6, 8))
@@ -317,34 +320,28 @@ class TestPolynomialPart:
         b = _random_series(data, K, top_b, top_b - data.draw(st.integers(-1, 10)))
         exact = data.draw(st.one_of(polys(p, 0, 10), st.just(Poly(K, ()))))
         at_b = LaurentSeries.from_poly(exact, b.valid_order)
-        for x, y, raw, window in (
-            (a, b, (a.valid_order, a.coeffs), a),
-            (exact, b, (None, exact.coeffs), at_b),
-        ):
+        for raw, window in (((a.valid_order, a.coeffs), a), ((None, exact.coeffs), at_b)):
             v_a, v_b = window.valid_order, b.valid_order
             qlen = (v_a + window.coeffs.size) - (v_b + b.coeffs.size) + 1
             shorter = min(window.coeffs.size, b.coeffs.size)
             decided = b.coeffs.size and (qlen <= 0 or shorter >= qlen)
-            try:
-                want = x // y
-            except InsufficientPrecisionError as err:
-                assert not decided
-                with pytest.raises(InsufficientPrecisionError, match=str(err)):
+            if not decided:
+                with pytest.raises(InsufficientPrecisionError):
                     series._raw_floordiv(raw, (v_b, b.coeffs), p)
-            else:
-                assert decided
-                got = series._raw_floordiv(raw, (v_b, b.coeffs), p)
-                assert np.array_equal(got, want.coeffs)
-                num = {e - v_a: c for e, c in window.terms().items()}
-                den = {e - v_b: c for e, c in b.terms().items()}
-                oracle = rseries(num, den, p, v_b - v_a)
-                assert poly_dict(want) == {e + v_a - v_b: c for e, c in oracle.items()}
+                continue
+            got = series._raw_floordiv(raw, (v_b, b.coeffs), p)
+            num = {e - v_a: c for e, c in window.terms().items()}
+            den = {e - v_b: c for e, c in b.terms().items()}
+            oracle = rseries(num, den, p, v_b - v_a)
+            assert poly_dict(Poly._raw(K, got)) == {e + v_a - v_b: c for e, c in oracle.items()}
 
     def test_zero_window_divisor_is_undecided(self):
         K = FIELDS[5]
         with pytest.raises(InsufficientPrecisionError):
-            LaurentSeries.from_poly(K.T, -3) // LaurentSeries.zero(K, -2)
-        assert Poly(K, ()) // LaurentSeries.from_poly(K.T, 0) == Poly(K, ())
+            series._raw_floordiv(
+                (-3, series._cut((None, K.T.coeffs), -3)), (-2, np.zeros(0, dtype=np.int64)), 5
+            )
+        assert series._raw_floordiv((None, Poly(K, ()).coeffs), (0, K.T.coeffs), 5).size == 0
 
 
 class TestAgainstReference:
@@ -411,10 +408,6 @@ class TestLayoutEdges:
         check(a.truncated(above), ta, above)
         for floor in (data.draw(st.integers(-10, 10)), d + 1 + data.draw(st.integers(0, 3))):
             check(LaurentSeries.from_poly(c, floor), tc, floor)
-        if va <= 0:
-            integer_part = {e: x for e, x in ta.items() if e >= 0}
-            assert poly_dict(a.polynomial_part()) == integer_part
-            assert poly_dict(a.truncated(0).polynomial_part()) == integer_part
 
 
 def _assert_same_series(got, want):
@@ -481,6 +474,22 @@ class TestTrimmedProduct:
         padded = LaurentSeries.from_poly(poly, -30000)
         for x, y in ((a, b), (b, a), (padded, a), (a, padded)):
             _assert_same_series(x * y, untrimmed_series_mul(x, y))
+
+
+class TestCut:
+    """`_cut` reads a series' window from one exponent up, at or above its
+    floor; nothing is known below it."""
+
+    def test_below_the_floor_raises(self):
+        with pytest.raises(InsufficientPrecisionError, match="a cut at 7 is below the floor 10"):
+            series._cut((10, np.arange(6)), 7)
+
+    def test_at_and_above_the_floor(self):
+        window = np.arange(6)
+        assert series._cut((10, window), 10) is window
+        for v in range(11, 18):
+            assert np.array_equal(series._cut((10, window), v), window[v - 10 :])
+        assert series._cut((10, window), 16).size == 0
 
 
 class TestRawMul:
