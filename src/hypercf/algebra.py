@@ -6,9 +6,9 @@ series windows share this layout) so the kernels run at C speed while
 every result stays exact: long products go through a float64 FFT whose
 rounding is checked, with exact convolution as the fallback.  Every
 division, of polynomials and of Laurent series alike, takes the top
-coefficients of one truncated power-series quotient by Newton inversion
-over that product, seeded by the schoolbook recurrence; only divmod and %
-go on to form a remainder.
+coefficients of one truncated power-series quotient, from the schoolbook
+recurrence up to 16 terms and by Newton inversion over that product
+beyond; only divmod and % go on to form a remainder.
 
 One rule, `_residue`, turns a value into a residue of F_p; every
 constructor and operator here and in `series` and `expansion` lifts
@@ -45,12 +45,11 @@ _FFT_EXACT_BOUND = 1 << 36
 #: which is then recomputed by the exact convolution.
 _FFT_TRIPWIRE = 2.0 ** -8
 
-#: terms of an inverse series taken by the schoolbook recurrence before
-#: Newton doubling starts, so the engine's usual 2-term quotient runs no
-#: Newton step: at p=7 over a 186-term divisor (2-vCPU host) a 2-term
-#: quotient took 10-17 us against 38 us from one term, and 16 beat 8 at
-#: 9 terms (24-31 against 41-48 us) and 32 at 40 terms (66-104 against
-#: 119-150 us).
+#: terms of a quotient or an inverse series taken by the schoolbook
+#: recurrence before Newton doubling starts: at p=7 over a 186-term
+#: divisor (2-vCPU host) a 2-term inverse took 10-17 us against 38 us
+#: from one term, and 16 beat 8 at 9 terms (24-31 against 41-48 us) and
+#: 32 at 40 terms (66-104 against 119-150 us).
 _NEWTON_SEED = 16
 
 # witnesses making Miller-Rabin deterministic for n < 3.3 * 10**24
@@ -282,26 +281,17 @@ def _balanced(x: np.ndarray, p: int) -> np.ndarray:
     return out
 
 
-def _fft_product(a: np.ndarray, b: np.ndarray, p: int, spectra: Optional[dict] = None):
-    """a*b mod p from a float64 FFT, or None when some coefficient lies
-    further than _FFT_TRIPWIRE from an integer, i.e. when rounding may
-    have corrupted the product.  The check is sound only for coefficients
-    well below 2^53, which _FFT_EXACT_BOUND ensures.  `spectra` keeps the
-    transforms, by operand and length, for the other products of a batch;
-    without it the transforms are this product's own, so a's takes the
-    product spectrum in place and b's goes before the inverse transform."""
-    n = a.size + b.size - 1
-    size = _fft_length(n)
-    lone = spectra is None
-    spectra = {} if lone else spectra
-    for x in (a, b):
-        if (id(x), size) not in spectra:  # x is kept, so its id stays its own
-            spectra[id(x), size] = (x, np.fft.rfft(_balanced(x, p), size))
-    fa, fb = spectra[id(a), size][1], spectra[id(b), size][1]
-    spectrum = np.multiply(fa, fb, out=fa if lone else None)
-    del fa, fb, spectra
+def _spectrum(x: np.ndarray, p: int, size: int) -> np.ndarray:
+    """The real transform of x's balanced residues at length `size`."""
+    return np.fft.rfft(_balanced(x, p), size)
+
+
+def _from_spectrum(spectrum: np.ndarray, size: int, n: int, p: int):
+    """The first n coefficients of the inverse transform, rounded and
+    reduced mod p (`x - p*(x//p)` halves the cost of `%` on long arrays),
+    or None when one lies further than _FFT_TRIPWIRE from an integer: a
+    check sound for coefficients well below 2^53, as _FFT_EXACT_BOUND keeps."""
     c = np.fft.irfft(spectrum, size)[:n]
-    del spectrum
     exact = np.rint(c)
     c -= exact
     np.abs(c, out=c)
@@ -309,8 +299,25 @@ def _fft_product(a: np.ndarray, b: np.ndarray, p: int, spectra: Optional[dict] =
         return None
     del c
     out = exact.astype(np.int64)
-    out %= p
-    return out
+    return out - p * (out // p)
+
+
+def _fft_product(a: np.ndarray, b: np.ndarray, p: int, spectra: Optional[dict] = None):
+    """a*b mod p from a float64 FFT, or None when its rounding check fails
+    (`_from_spectrum`).  `spectra` keeps the transforms, by operand and
+    length, for the other products of a batch; without it the transforms
+    are this product's own, so a's takes the product spectrum in place."""
+    n = a.size + b.size - 1
+    size = _fft_length(n)
+    lone = spectra is None
+    spectra = {} if lone else spectra
+    for x in (a, b):
+        if (id(x), size) not in spectra:  # x is kept, so its id stays its own
+            spectra[id(x), size] = (x, _spectrum(x, p, size))
+    fa, fb = spectra[id(a), size][1], spectra[id(b), size][1]
+    spectrum = np.multiply(fa, fb, out=fa if lone else None)
+    del fa, fb, spectra
+    return _from_spectrum(spectrum, size, n, p)
 
 
 def _mul_arrays(a: np.ndarray, b: np.ndarray, p: int, spectra=None) -> np.ndarray:
@@ -350,35 +357,37 @@ def _fit(arr: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def _inverse_series(f: np.ndarray, n: int, p: int) -> np.ndarray:
-    """g with f*g = 1 mod T^n, for f[0] a unit.  The first _NEWTON_SEED
-    terms come from the schoolbook recurrence g_i = -g_0 * sum_(j=1..i)
-    f_j*g_(i-j); then Newton iteration: if f*g = 1 + T^k*e mod T^2k then
-    g - T^k*(g*e) is correct to T^2k."""
-    k = min(n, _NEWTON_SEED)
-    head = f[:k].tolist()
+def _series_quotient(a: np.ndarray, b: np.ndarray, k: int, p: int) -> np.ndarray:
+    """The first k terms of the power series a/b, for b[0] a unit, by the
+    schoolbook recurrence q_i = (a_i - sum_(j=1..i) b_j*q_(i-j)) / b_0."""
+    head, top = b[:k].tolist(), a[:k].tolist() + [0] * k
     unit = pow(head[0], p - 2, p)
-    seed = [unit]
-    for i in range(1, k):
-        s = sum(map(operator.mul, head[1 : i + 1], reversed(seed)))
-        seed.append(-s * unit % p)
-    g = np.array(seed, dtype=np.int64)
+    q: list = []
+    for i in range(k):
+        q.append((top[i] - sum(map(operator.mul, head[1 : i + 1], reversed(q)))) * unit % p)
+    return np.array(q, dtype=np.int64)
+
+
+def _top_quotient(a: np.ndarray, b: np.ndarray, n: int, p: int) -> np.ndarray:
+    """The top n coefficients of a/b, ascending, for b's last entry a unit:
+    the one division kernel.  Reversed, a = q*b + r reads rev(a) =
+    rev(q)*rev(b) mod T^n, a power-series quotient, straight from the
+    recurrence up to _NEWTON_SEED terms.  Beyond, the recurrence seeds
+    g = 1/rev(b) and Newton iteration doubles it: if f*g = 1 + T^k*e
+    mod T^2k then g - T^k*(g*e) is correct to T^2k.  Only the top n
+    terms of a and of b are read."""
+    a, f = a[::-1][:n], b[::-1][:n]
+    if n <= _NEWTON_SEED:
+        return _series_quotient(a, f, n, p)[::-1]
+    k = _NEWTON_SEED
+    g = _series_quotient(np.ones(1, dtype=np.int64), f, k, p)
     while k < n:
         k2 = min(2 * k, n)
         e = _fit(_mul_arrays(f[:k2], g, p), k2)[k:]
         step = _fit(_mul_arrays(g[: k2 - k], e, p), k2 - k)
         g = np.concatenate([g, (-step) % p])
         k = k2
-    return g
-
-
-def _top_quotient(a: np.ndarray, b: np.ndarray, n: int, p: int) -> np.ndarray:
-    """The top n coefficients of a/b, ascending, for b's last entry a unit:
-    the one division kernel.  Reversed, a = q*b + r reads rev(a) =
-    rev(q)*rev(b) mod T^n, a power-series quotient taken by Newton
-    inversion; only the top n terms of a and of b are read."""
-    a, b = a[::-1][:n], b[::-1][:n]
-    return _fit(_mul_arrays(a, _inverse_series(b, n, p), p), n)[::-1]
+    return _fit(_mul_arrays(a, g, p), n)[::-1]
 
 
 def _floordiv_arrays(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:

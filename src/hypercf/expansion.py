@@ -20,9 +20,14 @@ The Horner runs once per shape of the equation and of N and D, on
 placeholder slots, and traces a straight-line schedule of products,
 sums and Frobenius images; every evaluation replays the schedule of its
 shape on raw values, (floor, array) pairs, by the rules of `series`,
-where an exact value has no floor.  The products of one product of term
-maps share their transforms, so each long operand is transformed once,
-and each value is dropped after its last use.
+where an exact value has no floor, each value dropped after its last
+use.  A composite map of exact values replays it in one transform
+domain: each input and Frobenius image is transformed once, at one
+length, products and sums are pointwise and each output takes one
+inverse transform.  Where a bound on the values' coefficients or a
+rounding check fails, and for every other evaluation, the products are
+formed one by one, those of one product of term maps sharing their
+transforms.
 
 `expand` works on raw term maps, x-exponent to raw value, from its
 input's coefficient arrays to the quotients it emits: no BiPoly and no
@@ -34,10 +39,11 @@ decide each quotient, its degree >= 1, P(bar) nonzero and every tail
 coefficient's degree.  A step on windows of 190 terms at p=7 takes about
 65 us (2-vCPU host), of which numpy's small-array calls are most.  The
 composite map of the quotients found is then applied to the exact
-equation once, and each of its coefficients cut at its window's floor
-must equal the window.  What the windows leave open, a deep quotient, a
-constant one or a possibly rational root, falls to the same step on the
-exact term map.
+equation once, each of its coefficients cut at its window's floor must
+equal the window, and the next jump windows the result again.  What the
+windows leave open, a deep quotient, a constant one or a possibly
+rational root, falls to the same step on the exact term map, where a
+jump decides nothing.
 """
 from __future__ import annotations
 
@@ -46,7 +52,10 @@ from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Uni
 
 import numpy as np
 
-from .algebra import _EMPTY, Poly, PrimeField, _trim
+from . import algebra
+from .algebra import (
+    _EMPTY, _FFT_EXACT_BOUND, Poly, PrimeField, _fft_length, _frobenius_array, _trim,
+)
 from .cf import PartialQuotients, continuants
 from .series import (
     InsufficientPrecisionError, LaurentSeries, Raw, _cut, _raw_add, _raw_floordiv,
@@ -274,22 +283,20 @@ def _quotients(
 ) -> Iterator[Tuple[Poly, Optional[int]]]:
     """The first m quotients of the root of the exact term map P, each with
     the largest coefficient degree of the tail equation it leaves, or None
-    for a rational end: jumps, each followed by one full-size step for
-    what its windows left open."""
-    left = m
-    while True:
-        bars, heights, windows = _jump(field, P, left)
+    for a rational end: jumps, the applied tail windowed again after each,
+    and a full-size step where a jump decides nothing."""
+    while m:
+        bars, heights, windows = _jump(field, P, m)
         if bars:
             P = _apply(field.p, P, bars, windows)
             yield from zip(bars, heights)
-            left -= len(bars)
-            if not left:
-                return
+            m -= len(bars)
+            continue
         bar, P = _step(field, P)
         yield bar, None if P is None else _height(P)
-        left -= 1
-        if P is None or not left:
+        if P is None:
             return
+        m -= 1
 
 
 def _height(P: Mapping[int, Raw]) -> int:
@@ -361,7 +368,8 @@ def _mobius(p: int, P: Mapping[int, Raw], x, y, x_prev, y_prev) -> Dict[int, Raw
     N = x*y' + x_prev and D = y*y' + y_prev in the new variable y'."""
     z, w = ({e: (None, c) for e, c in ((1, a), (0, b)) if c.size}
             for a, b in ((x, x_prev), (y, y_prev)))
-    return _evaluate(p, P, z, w)
+    tail = _spectral(p, P, z, w)
+    return _evaluate(p, P, z, w) if tail is None else tail
 
 
 def eval_at_series(P: BiPoly, s: LaurentSeries) -> LaurentSeries:
@@ -400,16 +408,10 @@ def _evaluate(
     """sum of c_e * z^e * w^(n-e) over the terms c_e*x^e of P, n = deg P,
     as a term map in y, for term maps z and w of raw values and the unit;
     P(z) when w is {0: unit}.  An exact zero is left out of the result.
-
-    It replays the schedule of the shape of P, z and w, traced the first
-    time that shape comes: steps of products, each batch sharing one
-    `spectra` (a batch of one is a lone product, whose transforms are
-    its own), sums and Frobenius images, and after each step the values
-    it read for the last time are dropped.
-    """
-    key = (p, tuple(P), tuple([(e, c is _UNIT) for e, c in z.items()]),
-           tuple([(e, c is _UNIT) for e, c in w.items()]))
-    steps, outputs, size = _SCHEDULES.get(key) or _SCHEDULES.setdefault(key, _trace(*key))
+    It replays the schedule of the shape of P, z and w product by product,
+    each batch sharing one `spectra` (a batch of one is a lone product,
+    whose transforms are its own)."""
+    steps, outputs, size = _schedule(p, P, z, w)
     regs = [*P.values(), *[c for c in z.values() if c is not _UNIT],
             *[c for c in w.values() if c is not _UNIT]]
     regs += [None] * (size - len(regs))
@@ -429,6 +431,55 @@ def _evaluate(
             regs[r] = None
     values = ((e, regs[r]) for e, r in outputs)
     return {e: c for e, c in values if c[0] is not None or c[1].size}
+
+
+def _spectral(
+    p: int, P: Mapping[int, Raw], z: Mapping[int, Raw], w: Mapping[int, Raw]
+) -> Optional[Dict[int, Raw]]:
+    """`_evaluate` for z and w of exact values, none the unit, in one
+    transform domain: every input and Frobenius image is transformed once,
+    at one length, products and sums are pointwise, and each output takes
+    one inverse transform.  None, for the per-product replay, when P has a
+    window, a value's balanced coefficients may pass the 2^34 a lone FFT
+    product keeps, or an output fails its rounding check."""
+    inputs = [*P.values(), *z.values(), *w.values()]
+    if any(v is not None for v, _ in inputs):
+        return None
+    steps, outputs, size = _schedule(p, P, z, w)
+    # each value's size and a bound on its balanced coefficients
+    shape = [(c.size, (p - 1) // 2) for _, c in inputs] + [(0, 0)] * (size - len(inputs))
+    for kind, items, _ in steps:
+        for *args, out in items:
+            (sa, ba), (sb, bb) = shape[args[0]], shape[args[-1]]
+            shape[out] = ((sa + sb - 1, ba * bb * min(sa, sb)) if kind is _raw_mul else
+                          (max(sa, sb), ba + bb) if kind is _raw_add else (p * (sa - 1) + 1, ba))
+    if max(b for _, b in shape) > _FFT_EXACT_BOUND // 4:
+        return None
+    length = _fft_length(max((shape[r][0] for _, r in outputs), default=1))
+    regs: list = [None] * size
+    for kind, items, dead in steps:
+        for *args, out in items:
+            if kind is _raw_frobenius:  # of an input, from its array
+                regs[out] = algebra._spectrum(_frobenius_array(inputs[args[0]][1], p), p, length)
+                continue
+            for r in args:
+                if regs[r] is None:  # an input, transformed at its first read
+                    regs[r] = algebra._spectrum(inputs[r][1], p, length)
+            a, b = regs[args[0]], regs[args[1]]
+            regs[out] = a * b if kind is _raw_mul else a + b
+        for r in dead:
+            regs[r] = None
+    tail = [(e, algebra._from_spectrum(regs[r], length, shape[r][0], p)) for e, r in outputs]
+    if any(c is None for _, c in tail):
+        return None
+    return {e: (None, c) for e, c in ((e, _trim(c)) for e, c in tail) if c.size}
+
+
+def _schedule(p: int, P: Mapping[int, Raw], z: Mapping, w: Mapping) -> tuple:
+    """The schedule of the shape of P, z and w, traced when it first comes."""
+    key = (p, tuple(P), tuple([(e, c is _UNIT) for e, c in z.items()]),
+           tuple([(e, c is _UNIT) for e, c in w.items()]))
+    return _SCHEDULES.get(key) or _SCHEDULES.setdefault(key, _trace(*key))
 
 
 def _trace(p: int, P: tuple, z: tuple, w: tuple) -> tuple:

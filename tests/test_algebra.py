@@ -399,11 +399,12 @@ class TestNewtonDivision:
                 assert np.array_equal(q, rq) and np.array_equal(r, rr), (n, m)
 
     def test_floordiv_multiplies_only_the_quotient_length(self, monkeypatch):
-        # a quotient of 10 terms over a divisor of 1000 reads the top 10
-        # terms of each operand and forms no remainder
+        # a quotient of 20 terms, past the schoolbook seed, over a divisor
+        # of 1000 reads the top 20 terms of each operand and forms no
+        # remainder
         p = 7
         rng = np.random.default_rng(10)
-        a = Poly(FIELDS[p], rng.integers(0, p, 1008).tolist() + [3])
+        a = Poly(FIELDS[p], rng.integers(0, p, 1018).tolist() + [3])
         b = Poly(FIELDS[p], rng.integers(0, p, 999).tolist() + [5])
         sizes = []
 
@@ -413,9 +414,27 @@ class TestNewtonDivision:
 
         monkeypatch.setattr(algebra, "_mul_arrays", recording)
         q = a // b
-        assert q.degree == 9 and sizes and max(sizes) <= 10
+        assert q.degree == 19 and sizes and max(sizes) <= 20
         monkeypatch.undo()
         assert q == divmod(a, b)[0]
+
+    @pytest.mark.parametrize("qlen", (1, 2, 16))
+    def test_short_quotient_makes_no_product(self, monkeypatch, qlen):
+        # up to the seed length the quotient comes straight from the
+        # schoolbook recurrence: no inversion and no product
+        p = 7
+        rng = np.random.default_rng(qlen)
+        a = rng.integers(0, p, qlen + 999).astype(np.int64)
+        b = rng.integers(0, p, 1000).astype(np.int64)
+        a[-1], b[-1] = 3, 5
+
+        def forbidden(*args):
+            raise AssertionError("a short quotient formed a product")
+
+        monkeypatch.setattr(algebra, "_mul_arrays", forbidden)
+        q = algebra._floordiv_arrays(a, b, p)
+        monkeypatch.undo()
+        assert q.size == qlen and np.array_equal(q, schoolbook_divmod(a, b, p)[0])
 
 
 @pytest.mark.parametrize("p", (3, 5, 7))

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,7 @@ from hypercf import (
     NoAdmissibleQuotientError,
     PartialQuotients,
     Poly,
+    PrimeField,
     build_spec,
     cf_to_series,
     continuants,
@@ -26,6 +29,7 @@ from hypercf import (
     series_from_rational,
 )
 from hypercf import algebra, expansion, series
+from hypercf.algebra import _trim
 from hypercf.grids import MILLS_ROBBINS_U1, verification_steps
 
 from conftest import FIELDS, polys
@@ -247,10 +251,13 @@ class TestLeanStep:
 
     def test_apply_transforms_each_operand_once_per_length(self, monkeypatch):
         # u1, v1, u2 and v2 meet x^p, x_prev^p, y^p and y_prev^p in the
-        # outer level: every operand's spectrum serves all its products
+        # outer level: every operand's spectrum serves all its products,
+        # all at one length, and each of the 4 tail coefficients takes
+        # one inverse transform
         spec = build_spec(FIELDS[7], (2, 4, 5))
         transforms, operands = [], []
-        real_balanced, real_rfft, real_apply = algebra._balanced, np.fft.rfft, expansion._apply
+        real_balanced, real_rfft, real_irfft = algebra._balanced, np.fft.rfft, np.fft.irfft
+        real_apply = expansion._apply
 
         def balanced(x, p):
             operands.append(x)  # kept alive, so ids stay unique
@@ -258,25 +265,36 @@ class TestLeanStep:
 
         def rfft(x, n):
             if transforms and transforms[-1] is not None:
-                transforms[-1].append((id(operands[-1]), n))
+                transforms[-1][0].append((id(operands[-1]), n))
             return real_rfft(x, n)
 
+        def irfft(x, n):
+            if transforms and transforms[-1] is not None:
+                transforms[-1][1].append(n)
+            return real_irfft(x, n)
+
         def apply(*args):
-            transforms.append([])
+            transforms.append(([], []))
             try:
-                return real_apply(*args)
+                tail = real_apply(*args)
+                transforms[-1][1].append(len(tail))
+                return tail
             finally:
                 transforms.append(None)
 
         monkeypatch.setattr(algebra, "_balanced", balanced)
         monkeypatch.setattr(np.fft, "rfft", rfft)
+        monkeypatch.setattr(np.fft, "irfft", irfft)
         monkeypatch.setattr(expansion, "_apply", apply)
         m = pattern_position(7, 4)
         assert expand(pattern_equation(spec), m).quotients == pattern(spec, m)
-        per_apply = [keys for keys in transforms if keys is not None]
-        assert per_apply and max(map(len, per_apply)) >= 8
-        for keys in per_apply:
+        per_apply = [t for t in transforms if t is not None]
+        assert per_apply and max(len(keys) for keys, _ in per_apply) >= 8
+        for keys, (*inverses, outputs) in per_apply:
             assert len(keys) == len(set(keys))
+            assert outputs == len(inverses) == 4
+            assert len({n for _, n in keys} | set(inverses)) == 1
+
 
     @settings(max_examples=80, deadline=None)
     @given(data=st.data())
@@ -304,6 +322,109 @@ class TestLeanStep:
         terms = {e: poly_dict(c) for e, c in P.terms.items()}
         want = rhomogeneous(terms, P.degree_x, num, den, p)
         assert reval({e: _array_dict(c) for e, (_, c) in tail.items()}, v, p) == want
+
+
+def _mobius_maps(x, y, x_prev, y_prev) -> tuple:
+    """z and w of `_mobius` for continuant arrays."""
+    return tuple({e: (None, c) for e, c in ((1, a), (0, b)) if c.size}
+                 for a, b in ((x, x_prev), (y, y_prev)))
+
+
+def _assert_mobius_matches_reference(P: BiPoly, tail: dict, arrays, v: dict):
+    """tail, a term map in y', at y' = v against the homogeneous form."""
+    p = P.field.p
+    num, den = (radd(rmul(_array_dict(a), v, p), _array_dict(b), p)
+                for a, b in ((arrays[0], arrays[2]), (arrays[1], arrays[3])))
+    terms = {e: poly_dict(c) for e, c in P.terms.items()}
+    want = rhomogeneous(terms, P.degree_x, num, den, p)
+    assert reval({e: _array_dict(c) for e, (_, c) in tail.items()}, v, p) == want
+
+
+class TestSpectralReplay:
+    """A composite map of exact values, none the unit, is replayed in one
+    transform domain, and falls back to the per-product replay when a
+    coefficient bound or a rounding check fails."""
+
+    @staticmethod
+    def _hyperquadratic(p: int):
+        return st.lists(polys(p, 0, 3), min_size=4, max_size=4).map(
+            lambda cs: BiPoly(FIELDS[p], dict(zip((p + 1, p, 1, 0), cs)))
+        )
+
+    @settings(max_examples=120, deadline=None)
+    @given(data=st.data())
+    def test_matches_per_product_replay_and_reference(self, data):
+        p = data.draw(st.sampled_from((3, 5, 7, 11, 13)))
+        K = FIELDS[p]
+        P = data.draw(st.one_of(
+            self._hyperquadratic(p), _equations(p, 3, dense=True),
+            st.just(BiPoly(K, {1: 1})),
+        ))
+        # continuant arrays, each empty half the time: with x and x_prev
+        # both empty the map of {1: 1} has no outputs at all
+        entry = st.one_of(st.just([]), st.lists(st.integers(0, p - 1), max_size=30))
+        arrays = tuple(_trim(np.array(data.draw(entry), dtype=np.int64)) for _ in range(4))
+        with mock.patch.object(expansion, "_evaluate", wraps=expansion._evaluate) as replay:
+            tail = expansion._mobius(p, P._raw_terms(), *arrays)
+        assert not replay.called  # the spectral path ran and held
+        per_product = expansion._evaluate(p, P._raw_terms(), *_mobius_maps(*arrays))
+        assert tail.keys() == per_product.keys()
+        for e, (v, c) in tail.items():
+            assert v is None and c.size and np.array_equal(c, per_product[e][1])
+        _assert_mobius_matches_reference(P, tail, arrays, poly_dict(data.draw(polys(p, 0, 2))))
+
+    @staticmethod
+    def _tall_map():
+        """The p=7 (2,4,5) equation and the continuant arrays of its first
+        30 quotients: an apply's shape and sizes."""
+        eq = pattern_equation(build_spec(FIELDS[7], (2, 4, 5)))
+        qs = expand(eq, 30).quotients
+        return eq, tuple(c.coeffs for c in continuants(qs))
+
+    def test_falls_back_on_the_rounding_check(self, monkeypatch):
+        eq, arrays = self._tall_map()
+        inverses, replays = [], []
+        real_inverse, real_evaluate = algebra._from_spectrum, expansion._evaluate
+
+        def off(spectrum, size, n, p):
+            # a constant added to every bin moves coefficient 0 alone
+            inverses.append(n)
+            return real_inverse(spectrum + 0.3, size, n, p)
+
+        def evaluate(*args):
+            replays.append(args)
+            return real_evaluate(*args)
+
+        monkeypatch.setattr(algebra, "_from_spectrum", off)
+        monkeypatch.setattr(expansion, "_evaluate", evaluate)
+        tail = expansion._mobius(7, eq._raw_terms(), *arrays)
+        monkeypatch.undo()
+        assert inverses and len(replays) == 1
+        assert tail.keys() == {0, 1, 7, 8}
+        want = expansion._evaluate(7, eq._raw_terms(), *_mobius_maps(*arrays))
+        for e, (v, c) in tail.items():
+            assert v is None and np.array_equal(c, want[e][1])
+        _assert_mobius_matches_reference(eq, tail, arrays, {0: 2, 1: 1})
+
+    def test_falls_back_on_the_coefficient_bound(self, monkeypatch):
+        # at p = 65521 a product of products may pass 2^34: no transform
+        p = 65521
+        K = PrimeField(p)
+        rng = np.random.default_rng(3)
+        P = BiPoly(K, [Poly(K, rng.integers(0, p, 4).tolist() + [1]) for _ in range(4)])
+        arrays = tuple(_trim(rng.integers(0, p, k).astype(np.int64)) for k in (9, 8, 6, 5))
+        transforms = []
+
+        def spectrum(*args):
+            transforms.append(args)
+            raise AssertionError("a transform past the bound")
+
+        monkeypatch.setattr(algebra, "_spectrum", spectrum)
+        assert expansion._spectral(p, P._raw_terms(), *_mobius_maps(*arrays)) is None
+        tail = expansion._mobius(p, P._raw_terms(), *arrays)
+        monkeypatch.undo()
+        assert not transforms and tail.keys() == {0, 1, 2, 3}
+        _assert_mobius_matches_reference(P, tail, arrays, {0: 5, 1: 7, 2: 1})
 
 
 #: where a z/w entry is the unit marker; w keeps one non-unit entry,
@@ -585,13 +706,19 @@ def _single_root_equations(p: int, max_degree_x: int = 5):
 class TestJumps:
     def test_small_windows_jump_exhaust_and_fall_back(self, monkeypatch):
         # p=5 through n_3 on 8-term windows: jumps of several quotients,
-        # windows that run out, and full-size steps after them.  A jump
-        # steps on raw windows, so exhaustion shows at its stop: short of
-        # its budget, the windows it returns cannot decide the next bar
+        # windows that run out, and full-size steps only where a jump
+        # decides nothing.  A jump steps on raw windows, so exhaustion
+        # shows at its stop: short of its budget, the windows it returns
+        # cannot decide the next bar
         K = FIELDS[5]
         spec = build_spec(K, (2, 3, 3))
-        jumps, exhausted = [], []
-        real_jump = expansion._jump
+        jumps, exhausted, full = [], [], []
+        real_jump, real_step = expansion._jump, expansion._step
+
+        def step(field, P):
+            if all(v is None for v, _ in P.values()):
+                full.append(jumps[-1])
+            return real_step(field, P)
 
         def jump(field, P, budget):
             result = real_jump(field, P, budget)
@@ -606,9 +733,11 @@ class TestJumps:
 
         monkeypatch.setattr(expansion, "_WINDOW_MIN_LEN", 8)
         monkeypatch.setattr(expansion, "_jump", jump)
+        monkeypatch.setattr(expansion, "_step", step)
         m = verification_steps(5)
         assert expand(pattern_equation(spec), m).quotients == pattern(spec, m)
         assert max(jumps) >= 4 and 0 in jumps and exhausted
+        assert full and set(full) == {0}
         assert len(jumps) < m // 2
 
     def test_a_tail_zero_to_its_floor_ends_the_jump(self, monkeypatch):
