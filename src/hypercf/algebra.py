@@ -292,6 +292,7 @@ def _from_spectrum(spectrum: np.ndarray, size: int, n: int, p: int):
     or None when one lies further than _FFT_TRIPWIRE from an integer: a
     check sound for coefficients well below 2^53, as _FFT_EXACT_BOUND keeps."""
     c = np.fft.irfft(spectrum, size)[:n]
+    del spectrum  # the last reference when the caller passed a temporary
     exact = np.rint(c)
     c -= exact
     np.abs(c, out=c)
@@ -299,25 +300,23 @@ def _from_spectrum(spectrum: np.ndarray, size: int, n: int, p: int):
         return None
     del c
     out = exact.astype(np.int64)
-    return out - p * (out // p)
+    del exact
+    out -= p * (out // p)
+    return out
 
 
 def _fft_product(a: np.ndarray, b: np.ndarray, p: int, spectra: Optional[dict] = None):
-    """a*b mod p from a float64 FFT, or None when its rounding check fails
-    (`_from_spectrum`).  `spectra` keeps the transforms, by operand and
-    length, for the other products of a batch; without it the transforms
-    are this product's own, so a's takes the product spectrum in place."""
+    """a*b mod p from a float64 FFT, or None when its rounding check fails.
+    `spectra` keeps the transforms, by operand and length, for the other
+    products of a batch; without it they are this product's own."""
     n = a.size + b.size - 1
     size = _fft_length(n)
-    lone = spectra is None
-    spectra = {} if lone else spectra
+    if spectra is None:  # no name holds a transform, so each goes once read
+        return _from_spectrum(_spectrum(a, p, size) * _spectrum(b, p, size), size, n, p)
     for x in (a, b):
         if (id(x), size) not in spectra:  # x is kept, so its id stays its own
             spectra[id(x), size] = (x, _spectrum(x, p, size))
-    fa, fb = spectra[id(a), size][1], spectra[id(b), size][1]
-    spectrum = np.multiply(fa, fb, out=fa if lone else None)
-    del fa, fb, spectra
-    return _from_spectrum(spectrum, size, n, p)
+    return _from_spectrum(spectra[id(a), size][1] * spectra[id(b), size][1], size, n, p)
 
 
 def _mul_arrays(a: np.ndarray, b: np.ndarray, p: int, spectra=None) -> np.ndarray:

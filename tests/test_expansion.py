@@ -311,17 +311,10 @@ class TestLeanStep:
         def poly(c):
             return c if isinstance(c, Poly) else Poly(K, (c,))
 
-        def ref(c):
-            return poly_dict(poly(c))
-
-        arrays = (poly(c).coeffs for c in (x, y, x_prev, y_prev))
+        arrays = tuple(poly(c).coeffs for c in (x, y, x_prev, y_prev))
         tail = expansion._mobius(p, P._raw_terms(), *arrays)
         assert all(floor is None and c.size for floor, c in tail.values())
-        num = radd(rmul(ref(x), v, p), ref(x_prev), p)
-        den = radd(rmul(ref(y), v, p), ref(y_prev), p)
-        terms = {e: poly_dict(c) for e, c in P.terms.items()}
-        want = rhomogeneous(terms, P.degree_x, num, den, p)
-        assert reval({e: _array_dict(c) for e, (_, c) in tail.items()}, v, p) == want
+        _assert_mobius_matches_reference(P, tail, arrays, v)
 
 
 def _mobius_maps(x, y, x_prev, y_prev) -> tuple:
