@@ -17,7 +17,7 @@ scalars through it.
 from __future__ import annotations
 
 import operator
-from typing import Iterable, Optional, Union
+from typing import Iterable, Union
 
 import numpy as np
 
@@ -305,21 +305,15 @@ def _from_spectrum(spectrum: np.ndarray, size: int, n: int, p: int):
     return out
 
 
-def _fft_product(a: np.ndarray, b: np.ndarray, p: int, spectra: Optional[dict] = None):
+def _fft_product(a: np.ndarray, b: np.ndarray, p: int):
     """a*b mod p from a float64 FFT, or None when its rounding check fails.
-    `spectra` keeps the transforms, by operand and length, for the other
-    products of a batch; without it they are this product's own."""
+    No name holds a transform, so each goes once read."""
     n = a.size + b.size - 1
     size = _fft_length(n)
-    if spectra is None:  # no name holds a transform, so each goes once read
-        return _from_spectrum(_spectrum(a, p, size) * _spectrum(b, p, size), size, n, p)
-    for x in (a, b):
-        if (id(x), size) not in spectra:  # x is kept, so its id stays its own
-            spectra[id(x), size] = (x, _spectrum(x, p, size))
-    return _from_spectrum(spectra[id(a), size][1] * spectra[id(b), size][1], size, n, p)
+    return _from_spectrum(_spectrum(a, p, size) * _spectrum(b, p, size), size, n, p)
 
 
-def _mul_arrays(a: np.ndarray, b: np.ndarray, p: int, spectra=None) -> np.ndarray:
+def _mul_arrays(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     """The product a*b in F_p[T], trimmed.  Long operands go through a
     checked float FFT while (p-1)^2 * min(len) <= _FFT_EXACT_BOUND; short
     ones, large moduli and any FFT product that fails its rounding check
@@ -333,7 +327,7 @@ def _mul_arrays(a: np.ndarray, b: np.ndarray, p: int, spectra=None) -> np.ndarra
         return b if a[0] == 1 and b[-1] else _trim(b * int(a[0]) % p)
     shorter = min(a.size, b.size)
     if shorter >= _FFT_MIN_LEN and (p - 1) * (p - 1) * shorter <= _FFT_EXACT_BOUND:
-        out = _fft_product(a, b, p, spectra)
+        out = _fft_product(a, b, p)
         if out is not None:
             return _trim(out)
     return _trim(_convolve(a, b, p))

@@ -14,7 +14,7 @@ from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import algebra
-from .algebra import _FFT_MIN_LEN, Poly, _trim
+from .algebra import _FFT_EXACT_BOUND, _FFT_MIN_LEN, Poly, _fft_length, _trim
 from .series import InsufficientPrecisionError, LaurentSeries, series_from_rational
 
 __all__ = [
@@ -103,16 +103,16 @@ def continuants(pqs: PartialQuotients) -> Tuple[Poly, Poly, Poly, Poly]:
     stepped by K_n = a_n*K_{n-1} + K_{n-2} from (x_1, x_0) = (a_1, 1) and
     (y_1, y_0) = (1, 0) on packed arrays, x and y in the low and high half
     of one array, so a step is one product (see _fold).  A node multiplies
-    its halves' matrices in eight products, so each tree level costs a few
-    products of the final size where a fold paid one per quotient.  One
-    pair is held per tree level, O(total degree) in all, not every
-    convergent.  The tree runs on coefficient arrays, through the
-    `algebra._convolve` (leaves) and `algebra._mul_arrays` (nodes) held at
-    the time of the call, and only the root's pair becomes Polys.
+    its halves' matrices, four entries of two products each (see
+    _product), so each tree level costs a few products of the final size
+    where a fold paid one per quotient.  One pair is held per tree level,
+    O(total degree) in all, not every convergent.  The tree runs on
+    coefficient arrays, through the `algebra` kernels held at the time of
+    the call, and only the root's pair becomes Polys.
 
     The determinant identity x_N*y_{N-1} - x_{N-1}*y_N = (-1)^N is checked
     once, at the root, and a failure raises RuntimeError.  That one check
-    catches any single faulty node product and the leaf faults below.  In
+    catches any single faulty node entry and the leaf faults below.  In
     a leaf, every exact step maps det_n to -det_{n-1}, whatever its
     inputs.  A packed step that shifts x_n by e_x and y_n by e_y shifts
     det_n by e_x*y_{n-1} - e_y*x_{n-1}, and as gcd(x_{n-1}, y_{n-1}) = 1
@@ -123,10 +123,11 @@ def continuants(pqs: PartialQuotients) -> Tuple[Poly, Poly, Poly, Poly]:
     degree g to the leaf's end, so the later steps carry them exactly.  (A
     term put above deg x_n, where the exact product has none, may cross
     between the halves later, which this argument leaves out.)  In a node,
-    a product wrong by e shifts the determinant by e times a cofactor, an
-    entry of the node's matrix and a nonzero continuant, as a node spans
-    at least two quotients.  Every other factor above it is exact and
-    unimodular, so the shift reaches the root times a sign.
+    an entry wrong by e shifts the determinant, which is linear in each
+    entry, by e times a cofactor, an entry of the node's matrix and a
+    nonzero continuant, as a node spans at least two quotients.  Every
+    other factor above it is exact and unimodular, so the shift reaches
+    the root times a sign.
     """
     items = pqs.items
     if not items:
@@ -142,16 +143,37 @@ def continuants(pqs: PartialQuotients) -> Tuple[Poly, Poly, Poly, Poly]:
 def _product(items, sums, lo: int, hi: int, p: int):
     """M(a) over the arrays items[lo:hi] as (x, y, x', y'), sums[i] being
     the degree sum of items[:i]: a fold, or the product of the halves split
-    where the degree sum reaches half, whose eight products share one
-    `spectra` and so transform each operand once per FFT length."""
+    where the degree sum reaches half, (x, y, x', y') by (X, Y, X', Y').
+
+    Each entry of a node is a sum u*U + v*V of two products.  While both x
+    and X reach the FFT threshold and the balanced bound of such a sum,
+    2*((p-1)/2)^2 * min(len), stays within the 2^34 a lone FFT product
+    keeps, the entries are taken in one transform domain: the 8 operands
+    are transformed once, at the length of x*X, products and sums are
+    pointwise and each entry takes one inverse transform.  Otherwise, and
+    for an entry that fails its rounding check, the entry is formed
+    product by product.  So is every entry of a node with a half of one
+    quotient a, (a, 1, 1, 0), which leaves two products by a to form:
+    4 forward and 2 inverse transforms against the domain's 8 and 4."""
     if hi - lo == 1 or sums[hi] - sums[lo] <= _FFT_MIN_LEN:
         return _fold(items[lo:hi], p)
     mid = bisect_left(sums, (sums[lo] + sums[hi]) / 2, lo + 1, hi - 1)
-    x, y, x1, y1 = _product(items, sums, lo, mid, p)
-    X, Y, X1, Y1 = _product(items, sums, mid, hi, p)
-    mul, add, spectra = algebra._mul_arrays, algebra._add_arrays, {}
-    return tuple(add(mul(u, U, p, spectra), mul(v, V, p, spectra), p)
-                 for U, V in ((X, Y), (X1, Y1)) for u, v in ((x, x1), (y, y1)))
+    left, right = _product(items, sums, lo, mid, p), _product(items, sums, mid, hi, p)
+    # entry (u, U) is left[u]*right[U] + left[u+2]*right[U+1]: x*X + x'*Y,
+    # y*X + y'*Y, x*X' + x'*Y' and y*X' + y'*Y'
+    entries = [(u, U) for U in (0, 2) for u in (0, 1)]
+    n, shorter = left[0].size + right[0].size - 1, min(left[0].size, right[0].size)
+    out = [None] * 4
+    if (shorter >= _FFT_MIN_LEN and 2 * ((p - 1) // 2) ** 2 * shorter <= _FFT_EXACT_BOUND // 4
+            and min(mid - lo, hi - mid) > 1):
+        size = _fft_length(n)
+        f, F = ([algebra._spectrum(c, p, size) for c in half] for half in (left, right))
+        out = [algebra._from_spectrum(f[u] * F[U] + f[u + 2] * F[U + 1], size, n, p)
+               for u, U in entries]
+    mul, add = algebra._mul_arrays, algebra._add_arrays
+    return tuple(_trim(c) if c is not None else
+                 add(mul(left[u], right[U], p), mul(left[u + 2], right[U + 1], p), p)
+                 for c, (u, U) in zip(out, entries))
 
 
 def _fold(items, p: int):

@@ -84,12 +84,11 @@ def _raw_add(a: Raw, b: Raw, p: int, kernel=_add_arrays) -> Raw:
     return v, kernel(_cut(a, v), _cut(b, v), p)
 
 
-def _raw_mul(a: Raw, b: Raw, p: int, spectra=None) -> Raw:
-    """a*b for any two raw values, exact or series; `spectra` as in
-    `_mul_arrays`."""
+def _raw_mul(a: Raw, b: Raw, p: int) -> Raw:
+    """a*b for any two raw values, exact or series."""
     if a[0] is None:
         if b[0] is None:
-            return None, _mul_arrays(a[1], b[1], p, spectra)
+            return None, _mul_arrays(a[1], b[1], p)
         a, b = b, a
     (v_a, x), (v_b, y) = a, b
     top_a = v_a + x.size - 1
@@ -108,7 +107,7 @@ def _raw_mul(a: Raw, b: Raw, p: int, spectra=None) -> Raw:
     keep = top_a + top_b - v + 1
     x, y = x[-keep:] if keep < x.size else x, y[-keep:] if keep < y.size else y
     low = top_a + top_b - x.size - y.size + 2  # the product's first exponent
-    return v, _mul_arrays(x, y, p, spectra)[v - low :]
+    return v, _mul_arrays(x, y, p)[v - low :]
 
 
 def _raw_frobenius(a: Raw, p: int) -> Raw:

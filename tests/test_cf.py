@@ -25,18 +25,24 @@ from hypercf import (
     series_from_rational,
 )
 
-from conftest import FIELDS, quotient_lists
+from conftest import FIELDS, polys, quotient_lists
 from hypercf.cf import prefixed_continuants
 from reference import fold_continuants, poly_dict, rcontinuants
 
 
 def _fault_at(monkeypatch, k: int, calls: list, entry=lambda b: 0):
-    """Count every product in calls, by patching algebra._mul_arrays (node
-    and check products) and algebra._convolve (the leaves' packed products),
-    and put the k-th off by one at entry(b), b its second operand; a zero
-    product comes back as the constant 1.  A convolution made inside
-    _mul_arrays is part of that product and is not counted again."""
-    mul, convolve, inside = algebra._mul_arrays, algebra._convolve, []
+    """Count every product that the root's determinant check covers in
+    calls, and put the k-th off by one at entry(b); a zero product comes
+    back as the constant 1.  The products are the leaves' packed steps
+    (algebra._convolve, b the second operand), a node's entries taken in
+    one transform domain (algebra._from_spectrum, b the entry) and the
+    products of algebra._mul_arrays (b the second operand): a node's
+    entries formed product by product and the check's.  A convolution or
+    inverse transform made inside _mul_arrays is part of that product and
+    is not counted again, nor is an entry that fails its rounding check,
+    as it is then formed product by product."""
+    mul, convolve, inverse, inside = (
+        algebra._mul_arrays, algebra._convolve, algebra._from_spectrum, [])
 
     def counted(out, b, p):
         calls.append(1)
@@ -48,10 +54,10 @@ def _fault_at(monkeypatch, k: int, calls: list, entry=lambda b: 0):
         out[i] = (out[i] + 1) % p
         return out
 
-    def faulty_mul(a, b, p, spectra=None):
+    def faulty_mul(a, b, p):
         inside.append(1)
         try:
-            out = mul(a, b, p, spectra)
+            out = mul(a, b, p)
         finally:
             inside.pop()
         return counted(out, b, p)
@@ -60,8 +66,62 @@ def _fault_at(monkeypatch, k: int, calls: list, entry=lambda b: 0):
         out = convolve(a, b, p)
         return out if inside else counted(out, b, p)
 
+    def faulty_inverse(spectrum, size, n, p):
+        out = inverse(spectrum, size, n, p)
+        return out if inside or out is None else counted(out, out, p)
+
     monkeypatch.setattr(algebra, "_mul_arrays", faulty_mul)
     monkeypatch.setattr(algebra, "_convolve", faulty_convolve)
+    monkeypatch.setattr(algebra, "_from_spectrum", faulty_inverse)
+
+
+def _transforms(run):
+    """run()'s result and its transforms in order: ("f", length, bytes of
+    the input) for a forward one and ("i", length, None) for an inverse."""
+    rfft, irfft, log = np.fft.rfft, np.fft.irfft, []
+
+    def forward(x, n):
+        log.append(("f", n, x.tobytes()))
+        return rfft(x, n)
+
+    def inverse(x, n):
+        log.append(("i", n, None))
+        return irfft(x, n)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np.fft, "rfft", forward)
+        mp.setattr(np.fft, "irfft", inverse)
+        return run(), log
+
+
+def _assert_one_domain_nodes(log, nodes: int):
+    """log holds `nodes` one-domain nodes: each transforms its 8 distinct
+    operands once, then inverts its 4 entries, all at one length."""
+    assert len(log) == 12 * nodes
+    for i in range(0, len(log), 12):
+        block = log[i : i + 12]
+        assert [kind for kind, _, _ in block] == ["f"] * 8 + ["i"] * 4
+        assert len({n for _, n, _ in block}) == 1
+        assert len({x for _, _, x in block[:8]}) == 8
+
+
+def _counting_products(mp) -> list:
+    """A list that gets one entry per algebra._mul_arrays call."""
+    mul, products = algebra._mul_arrays, []
+
+    def counting(a, b, p):
+        products.append(1)
+        return mul(a, b, p)
+
+    mp.setattr(algebra, "_mul_arrays", counting)
+    return products
+
+
+def _random_quotients(K, degrees, seed: int) -> PartialQuotients:
+    """Random quotients of the degrees."""
+    rng = np.random.default_rng(seed)
+    return PartialQuotients(
+        Poly(K, rng.integers(0, K.p, d).tolist() + [int(rng.integers(1, K.p))]) for d in degrees)
 
 
 class TestPartialQuotients:
@@ -202,10 +262,14 @@ class TestContinuantChecks:
     # fifteen short quotients, one leaf: 14 packed products in the
     # recurrence, 2 in the final check
     QUOTIENTS = 15
-    # twenty-five quotients of degrees 20 (twelve), 400, 20 (twelve): leaves
-    # of 6, 6, 1, 6 and 6 quotients under a tree of 4 nodes, so 4*5 products
-    # in the leaves, 4*8 in the nodes and 2 in the final check
-    TREE_DEGREES = (20,) * 12 + (400,) + (20,) * 12
+    # twenty-nine quotients of degrees 15 (fourteen), 400, 15 (fourteen):
+    # leaves of 7, 7, 1, 7 and 7 quotients under a tree of 4 nodes.  The two
+    # nodes over a pair of 7-quotient leaves (operands of 106 terms, under
+    # the FFT threshold) and the one over the 400-degree leaf make 8
+    # products each, and the root takes its 4 entries in one transform
+    # domain, so 4*6 products in the leaves, 3*8 + 4 in the nodes and 2 in
+    # the final check
+    TREE_DEGREES = (15,) * 14 + (400,) + (15,) * 14
     TREE_PRODUCTS = 54
 
     def _stream(self):
@@ -255,8 +319,9 @@ class TestContinuantChecks:
 
     @pytest.mark.parametrize("k", range(1, TREE_PRODUCTS + 1))
     def test_single_faulty_tree_product_is_caught(self, monkeypatch, k):
-        # every product of a three-level tree, in leaves and nodes alike;
-        # the single-quotient leaf's y' = 0 enters two node products
+        # every product of a three-level tree, leaf steps, node products and
+        # one-domain node entries alike; the single-quotient leaf's y' = 0
+        # enters two node products
         pqs, calls = self._tree_stream(), []
         _fault_at(monkeypatch, k, calls)
         with pytest.raises(RuntimeError, match=f"n={len(pqs)}"):
@@ -266,31 +331,45 @@ class TestContinuantChecks:
     @pytest.mark.parametrize("stream", ("pattern", "tree"))
     def test_product_count_is_exact(self, monkeypatch, stream):
         # 1 product per folded quotient after each leaf's first, 8 per node
-        # and 2 for the final check; a determinant check at every step or
-        # node would add 2 per step or node
+        # formed product by product, 4 entries per node taken in one
+        # transform domain (at p=7: both halves of two quotients or more,
+        # their x of FFT length) and 2 for the final check; a determinant
+        # check at every step or node would add 2 per step or node
         if stream == "pattern":
             pqs = pattern(build_spec(FIELDS[7], (2, 4, 5)), 65)
         else:
             pqs = self._tree_stream()
-        fold, leaves, calls = cf._fold, [], []
+        fold, product, leaves, halves, wide, calls = cf._fold, cf._product, [], [], [], []
 
-        def recording(items, p):
+        def recording_fold(items, p):
             leaves.append(len(items))
-            return fold(items, p)
+            out = fold(items, p)
+            halves.append((out[0].size, len(items)))
+            return out
 
-        monkeypatch.setattr(cf, "_fold", recording)
+        def recording_product(items, sums, lo, hi, p):
+            depth = len(halves)
+            out = product(items, sums, lo, hi, p)
+            if len(halves) == depth + 2:  # a node: its halves' x sizes and lengths
+                (x, m), (X, n) = halves.pop(), halves.pop()
+                wide.append(min(x, X) >= algebra._FFT_MIN_LEN and min(m, n) > 1)
+                halves.append((out[0].size, m + n))
+            return out
+
+        monkeypatch.setattr(cf, "_fold", recording_fold)
+        monkeypatch.setattr(cf, "_product", recording_product)
         _fault_at(monkeypatch, 0, calls)
         result, products = continuants(pqs), len(calls)
-        assert sum(leaves) == len(pqs) and len(leaves) > 2
-        assert products == (len(pqs) - len(leaves)) + 8 * (len(leaves) - 1) + 2
+        assert sum(leaves) == len(pqs) and len(leaves) > 2 and len(wide) == len(leaves) - 1
+        assert products == (len(pqs) - len(leaves)) + sum(4 if w else 8 for w in wide) + 2
         assert result == fold_continuants(pqs)
         if stream == "tree":
-            assert leaves == [6, 6, 1, 6, 6]
+            assert leaves == [7, 7, 1, 7, 7] and wide == [False, False, False, True]
 
-    def test_node_transforms_each_operand_once(self, monkeypatch):
+    def test_node_transforms_each_operand_once(self):
         # 300 random linear quotients: the root's halves split again into
         # leaves of 75, so only the root's operands (149 to 151 terms) reach
-        # the FFT, and its eight products share one transform length
+        # the FFT, and its 4 entries are taken in one transform domain
         rng = np.random.default_rng(16)
         K, p = FIELDS[7], 7
         pqs = PartialQuotients(
@@ -299,25 +378,89 @@ class TestContinuantChecks:
         arrays, sums = [a.coeffs for a in pqs], list(range(301))
         halves = cf._product(arrays, sums, 0, 150, p) + cf._product(arrays, sums, 150, 300, p)
         assert min(h.size for h in halves) >= algebra._FFT_MIN_LEN
-        rfft, irfft, transformed, inverted = np.fft.rfft, np.fft.irfft, [], []
-
-        def counting_rfft(x, n):
-            transformed.append(x.copy())
-            return rfft(x, n)
-
-        def counting_irfft(x, n):
-            inverted.append(n)
-            return irfft(x, n)
-
-        monkeypatch.setattr(np.fft, "rfft", counting_rfft)
-        monkeypatch.setattr(np.fft, "irfft", counting_irfft)
-        root = cf._product(arrays, sums, 0, 300, p)
-        monkeypatch.undo()
-        assert len(inverted) == 8 and len(set(inverted)) == 1
+        root, log = _transforms(lambda: cf._product(arrays, sums, 0, 300, p))
+        _assert_one_domain_nodes(log, 1)
         operands = sorted(algebra._balanced(h, p).tobytes() for h in halves)
-        assert sorted(x.tobytes() for x in transformed) == operands
-        assert len(set(operands)) == 8
+        assert sorted(x for kind, _, x in log if kind == "f") == operands
         assert tuple(Poly._raw(K, c) for c in root) == continuants(pqs) == fold_continuants(pqs)
+
+    def test_random_stream_nodes_transform_at_one_length(self):
+        # 64 random degree-40 quotients: leaves of 2, and the 15 nodes over
+        # 8 quotients or more have operands of FFT length.  Products taken
+        # one by one rounded a node's entries to different lengths, so some
+        # operands were transformed once per length
+        rng = np.random.default_rng(37)
+        K, p = FIELDS[7], 7
+        pqs = PartialQuotients(
+            Poly(K, rng.integers(0, 7, 40).tolist() + [int(rng.integers(1, 7))]) for _ in range(64)
+        )
+        arrays, sums = [a.coeffs for a in pqs], list(range(0, 64 * 40 + 1, 40))
+        root, log = _transforms(lambda: cf._product(arrays, sums, 0, 64, p))
+        _assert_one_domain_nodes(log, 15)
+        assert tuple(Poly._raw(K, c) for c in root) == fold_continuants(pqs)
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_one_domain_node_matches_per_product_node(self, data):
+        # quotients of degrees d, e, e, d of FFT length: the root's halves
+        # are the pairs, each a node over two one-quotient leaves that
+        # makes its 8 products, and the root takes the one-domain path; a
+        # zero bound forces the per-product node there too.  The root's
+        # check makes 2 products either way
+        p = data.draw(st.sampled_from(sorted(FIELDS)))
+        d, e = (data.draw(st.integers(algebra._FFT_MIN_LEN, algebra._FFT_MIN_LEN + 32))
+                for _ in range(2))
+        pqs = PartialQuotients(data.draw(polys(p, k, k)) for k in (d, e, e, d))
+        with pytest.MonkeyPatch.context() as mp:
+            products = _counting_products(mp)
+            _assert_reference_pair(pqs, p, algebra._FFT_MIN_LEN)
+            assert len(products) == 2 * 8 + 2
+            mp.setattr(cf, "_FFT_EXACT_BOUND", 0)
+            _assert_reference_pair(pqs, p, algebra._FFT_MIN_LEN)
+            assert len(products) == 2 * 8 + 2 + 3 * 8 + 2
+
+    @pytest.mark.parametrize("entry", range(4))
+    def test_node_entry_failing_its_rounding_check_is_formed_by_products(self, entry):
+        # the root's halves are nodes over two one-quotient leaves of 101
+        # terms, whose 8 products each are convolutions, and the root's
+        # entries are the first inverse transforms.  The entry's reports a
+        # rounding failure: that entry alone is formed from its two
+        # products, and stays exact; the root's check makes 2 more
+        pqs = _random_quotients(FIELDS[7], (100,) * 4, seed=entry)
+        inverse, seen = algebra._from_spectrum, []
+
+        def failing(spectrum, size, n, p):
+            seen.append(1)
+            return None if len(seen) == entry + 1 else inverse(spectrum, size, n, p)
+
+        with pytest.MonkeyPatch.context() as mp:
+            products = _counting_products(mp)
+            mp.setattr(algebra, "_from_spectrum", failing)
+            _assert_reference_pair(pqs, 7, algebra._FFT_MIN_LEN)
+        assert len(products) == 2 * 8 + 2 + 2
+
+    @pytest.mark.parametrize("p, one_domain", [(16381, True), (16411, False)])
+    def test_node_bound_falls_back_exactly(self, p, one_domain):
+        # two leaves of two quotients, x of 128 terms, the FFT threshold:
+        # 2*((p-1)/2)^2*128 is within 2^34 at p = 16381 and past it at
+        # p = 16411, where the root makes its 8 products one by one; its
+        # check makes 2 more
+        pqs = _random_quotients(PrimeField(p), (63, 64, 63, 64), seed=p)
+        with pytest.MonkeyPatch.context() as mp:
+            products = _counting_products(mp)
+            _assert_reference_pair(pqs, p, algebra._FFT_MIN_LEN)
+        assert len(products) == (0 if one_domain else 8) + 2
+
+    def test_node_with_a_one_quotient_half_forms_its_products(self):
+        # the root's halves are a node over quotients of degree 100 and one
+        # quotient of degree 400, (a, 1, 1, 0), which leaves the root two
+        # products by a: it forms its entries product by product, 8
+        # `_mul_arrays` calls like its left half's, and the check makes 2
+        pqs = _random_quotients(FIELDS[7], (100, 100, 400), seed=5)
+        with pytest.MonkeyPatch.context() as mp:
+            products = _counting_products(mp)
+            _assert_reference_pair(pqs, 7, algebra._FFT_MIN_LEN)
+        assert len(products) == 8 + 8 + 2
 
     def test_leaf_outputs_own_their_arrays(self):
         # a deep quotient is a leaf of its own; views of its packed arrays

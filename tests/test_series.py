@@ -507,15 +507,14 @@ class TestRawMul:
         c, d = data.draw(exact), data.draw(exact)
         top = data.draw(st.integers(-6, 6))
         s = _random_series(data, K, top, top - data.draw(st.integers(-1, 40)))
-        spectra = data.draw(st.sampled_from((None, {})))
-        v, got = series._raw_mul((None, c.coeffs), (None, d.coeffs), p, spectra)
+        v, got = series._raw_mul((None, c.coeffs), (None, d.coeffs), p)
         assert v is None and np.array_equal(got, (c * d).coeffs)
         assert {e: int(x) for e, x in enumerate(got) if x} == rmul(poly_dict(c), poly_dict(d), p)
         floor = s.valid_order + max(c.coeffs.size - 1, 0)
         want = {e: x for e, x in rmul(s.terms(), poly_dict(c), p).items() if e >= floor}
         for a, b in (((s.valid_order, s.coeffs), (None, c.coeffs)),
                      ((None, c.coeffs), (s.valid_order, s.coeffs))):
-            v, got = series._raw_mul(a, b, p, spectra)
+            v, got = series._raw_mul(a, b, p)
             assert v == floor
             product = LaurentSeries._raw(K, v, got)
             _assert_same_series(product, s * c)
