@@ -77,7 +77,7 @@ def _print_quotients(args, u: Sequence[int], pqs: PartialQuotients) -> None:
         print(render_json({
             "p": args.p,
             "u": list(u),
-            "partial_quotients": [{"coeffs": [int(c) for c in a.coeffs]} for a in pqs],
+            "partial_quotients": [{"coeffs": a.coeffs.tolist()} for a in pqs],
             "degrees": pqs.degrees(),
             "leading_coefficients": pqs.leading_coefficients(),
         }))

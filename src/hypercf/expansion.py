@@ -41,8 +41,9 @@ composite map of the quotients found is then applied to the exact
 equation once, each of its coefficients cut at its window's floor must
 equal the window, and the next jump windows the result again.  What the
 windows leave open, a deep quotient, a constant one or a possibly
-rational root, falls to the same step on the exact term map, where a
-jump decides nothing.
+rational root, falls to the same step on the exact term map.  The last
+quotient of a run forms no tail: P(bar) at T = 0 or T = 1 shows that it
+is not the root, and only where both vanish is P(bar) formed.
 """
 from __future__ import annotations
 
@@ -220,9 +221,9 @@ class ExpansionResult:
 
 def _step(field: PrimeField, P: Dict[int, Raw]) -> Tuple[Poly, Optional[Dict[int, Raw]]]:
     """One step on a raw term map, exact or of windows, with the tail's
-    map.  A window's InsufficientPrecisionError says it cannot decide bar."""
-    p, n = field.p, max(P)
-    bar = Poly._raw(field, _trim(-_raw_floordiv(P.get(n - 1, (None, _EMPTY)), P[n], p) % p))
+    map.  A window's InsufficientPrecisionError says it cannot decide bar.
+    A run's last quotient is `_last_step`'s, which forms no tail."""
+    p, n, bar = field.p, max(P), _bar(field, P)
     if bar.degree < 1:
         # no tail follows a constant bar: the run ends, rationally if P(bar)
         # is zero (a window, a series, is never known to be)
@@ -231,6 +232,26 @@ def _step(field: PrimeField, P: Dict[int, Raw]) -> Tuple[Poly, Optional[Dict[int
         raise NoAdmissibleQuotientError(1, bar, ())
     tail = _evaluate(p, P, {1: (None, bar.coeffs), 0: _UNIT}, {1: _UNIT})  # x = bar + 1/y
     return bar, (tail if n in tail else None)  # tail[n] is P(bar)
+
+
+def _bar(field: PrimeField, P: Mapping[int, Raw]) -> Poly:
+    """The quotient -(P[n-1] // P[n]) of a raw term map, n = max(P)."""
+    p, n = field.p, max(P)
+    return Poly._raw(field, _trim(-_raw_floordiv(P.get(n - 1, (None, _EMPTY)), P[n], p) % p))
+
+
+def _last_step(field: PrimeField, P: Dict[int, Raw]) -> Tuple[Poly, bool]:
+    """`_step`'s quotient of the exact term map P, with no tail formed, and
+    whether it is the root.  P(bar) is formed only when its values at T = 0
+    and T = 1, from each array's first entry and its sum, both vanish."""
+    p, bar = field.p, _bar(field, P)
+    if bar.degree < 1:
+        return _step(field, P)[0], True  # it aborts unless P(bar) = 0
+    for read in (lambda c: c[:1].sum(), np.sum):
+        b = int(read(bar.coeffs))
+        if sum(int(read(c)) * pow(b, e, p) for e, (_, c) in P.items()) % p:
+            return bar, False
+    return bar, 0 not in _evaluate(p, P, {0: (None, bar.coeffs)}, {0: _UNIT})
 
 
 def expand(P: BiPoly, m: int) -> ExpansionResult:
@@ -281,9 +302,10 @@ def _quotients(
     """The first m quotients of the root of the exact term map P, each with
     the largest coefficient degree of the tail equation it leaves, or None
     for a rational end: jumps, the applied tail windowed again after each,
-    and a full-size step where a jump decides nothing."""
-    while m:
-        bars, heights, windows = _jump(field, P, m)
+    and a full-size step where a jump decides nothing.  The m-th quotient,
+    `_last_step`'s, forms no tail: -1 for its height, None at a rational end."""
+    while m > 1:
+        bars, heights, windows = _jump(field, P, m - 1)
         if bars:
             P = _apply(field.p, P, bars, windows)
             yield from zip(bars, heights)
@@ -294,6 +316,8 @@ def _quotients(
         if P is None:
             return
         m -= 1
+    bar, rational = _last_step(field, P)
+    yield bar, None if rational else -1
 
 
 def _height(P: Mapping[int, Raw]) -> int:

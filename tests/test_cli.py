@@ -124,6 +124,19 @@ class TestExpand:
         assert out[0] == "cfe [t, t]"
         assert "rational root" in err
 
+    def test_rational_end_on_the_last_step(self, capsys, tmp_path):
+        # the same equation at two steps: its second quotient is the run's
+        # last, which forms no tail and still finds the root rational
+        path = tmp_path / "eq.txt"
+        path.write_text("1: 0 1\n0: 4 0 4\n")
+        code, out, err = run(
+            capsys, "expand", "--p", "5", "--equation-file", str(path),
+            "--steps", "2",
+        )
+        assert code == 0
+        assert out[0] == "cfe [t, t]"
+        assert "rational root reached after 2 quotients" in err
+
     def test_equation_file_errors(self, capsys, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("1: 1\n1: 2\n")

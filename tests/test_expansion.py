@@ -977,6 +977,97 @@ class TestExpand:
         assert result.quotients == rational_to_cf(num, den)
 
 
+class TestLastStep:
+    """A run's last quotient forms no tail: P(bar) read at T = 0 and at
+    T = 1 shows that bar is not the root, and only where both vanish is
+    P(bar) formed, which decides exactly."""
+
+    def test_rational_end_on_the_last_step(self):
+        # t*x - (t^2 + 1) over F_5: its root t + 1/t is [t, t], and at two
+        # steps the second quotient, the run's last, is the root
+        K = FIELDS[5]
+        T = K.T
+        eq = BiPoly(K, [-(T * T + 1), T])
+        run = expand(eq, 2)
+        assert run.rational and run.rational_value == T
+        assert list(run.quotients) == [T, T]
+        assert _outcome(expand, eq, 2) == _outcome(stepwise_expand, eq, 2)
+
+    def test_probes_that_vanish_fall_back_to_the_exact_value(self, monkeypatch):
+        # x^2 - T^3*x + (T^3 - T) over F_3: bar = T^3 and P(bar) = T^3 - T,
+        # zero at T = 0 and at T = 1 but not zero
+        K = FIELDS[3]
+        T = K.T
+        eq = BiPoly(K, [T ** 3 - T, -(T ** 3), 1])
+        real, calls = expansion._evaluate, []
+
+        def evaluate(p, P, z, w):
+            calls.append((z, w))
+            return real(p, P, z, w)
+
+        monkeypatch.setattr(expansion, "_evaluate", evaluate)
+        run = expand(eq, 1)
+        monkeypatch.undo()
+        assert list(run.quotients) == [T ** 3] and not run.rational
+        assert eq(T ** 3) == T ** 3 - T
+        assert _outcome(expand, eq, 1) == _outcome(stepwise_expand, eq, 1)
+        # the one evaluation is the exact P(bar)
+        [(z, w)] = calls
+        assert list(z) == [0] and z[0][0] is None
+        assert np.array_equal(z[0][1], (T ** 3).coeffs)
+        assert list(w) == [0] and w[0] is expansion._UNIT
+
+    def test_the_last_step_forms_no_power_of_bar(self, monkeypatch):
+        # p=7 (2,4,5) through n_4 ends on a quotient of degree 4801: its
+        # tail, or P(bar) itself, would take products by bar^7, 33608 terms
+        spec = build_spec(FIELDS[7], (2, 4, 5))
+        m = pattern_position(7, 4)
+        sizes, last = [], []
+        real_last = expansion._last_step
+
+        def counting(real):
+            def mul(a, b, p):
+                if last:
+                    sizes.extend((a.size, b.size))
+                return real(a, b, p)
+            return mul
+
+        def last_step(field, P):
+            last.append(P)
+            return real_last(field, P)
+
+        for module in (algebra, series):
+            monkeypatch.setattr(module, "_mul_arrays", counting(module._mul_arrays))
+        monkeypatch.setattr(expansion, "_last_step", last_step)
+        run = expand(pattern_equation(spec), m)
+        monkeypatch.undo()
+        assert run.quotients == pattern(spec, m) and not run.rational
+        power = 7 * int(run.quotients[-1].degree) + 1
+        assert power == 33608 and len(last) == 1
+        assert all(size < power for size in sizes)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_every_run_length_matches_stepwise(self, data):
+        # every m ends on the last step: expand against the one-step loop,
+        # field by field or by the same abort, at each m up to the oracle's
+        # run length
+        p = data.draw(st.sampled_from((3, 5, 7)))
+        eq = data.draw(st.one_of(
+            _equations(p, 2 * p + 1), _single_root_equations(p),
+            st.builds(_linear_equation, polys(p, 4, 8), polys(p, 1, 3)),
+        ))
+        if data.draw(st.booleans()):
+            # a step-1 quotient of degree >= 1, so the run goes on past it
+            n = eq.degree_x
+            terms = dict(eq.terms)
+            terms[n - 1] = data.draw(polys(p, int(terms[n].degree) + 1, 4))
+            eq = BiPoly(FIELDS[p], terms)
+        window = data.draw(WINDOWS)
+        for m in range(1, _steps_within(eq, 2_000, cap=10) + 1):
+            assert _jump_outcome(eq, m, window) == _outcome(stepwise_expand, eq, m)
+
+
 class TestCertifiedOutput:
     """What expand emits is a root of its equation: the equation at the
     series of the stream vanishes down to the stream's validity floor."""

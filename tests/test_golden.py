@@ -6,7 +6,8 @@ stream, a JSON field, a text line or an exit code shows here.  The runs
 cover the engine with and without jumps, certification at the sweep and
 at deep depths, the `tp` negative control, the identities and the
 pattern alone, and the two kinds of equation no pattern describes: the
-all-linear family and a dense equation read from a file.
+all-linear family and a dense equation read from a file, and a rational
+root reached at a run's last quotient.
 
 After an intended change of output, print the new table with
 
@@ -29,6 +30,10 @@ from hypercf.grids import verification_steps
 #: with jumps, and no block pattern to compare them with
 DENSE_EQUATION = "4: 1\n3: 0 1 2\n2: 4 1\n1: 0 3\n0: 2 0 1\n"
 
+#: t*x - (t^2 + 1) over F_5, whose root t + 1/t is [t, t]: at two steps
+#: the rational end falls on the run's last quotient
+RATIONAL_EQUATION = "1: 0 1\n0: 4 0 4\n"
+
 RUNS = {
     "expand_65": ["expand", "--p", "7", "--u", "2,4,5", "--steps", "65"],
     "expand_410_json": ["expand", "--p", "7", "--u", "2,4,5", "--steps", "410",
@@ -49,6 +54,8 @@ RUNS = {
     "expand_all_linear": ["expand", "--p", "7", "--u1", "2", "--steps", "300"],
     "expand_dense_file": ["expand", "--p", "5", "--equation-file", "{dense}",
                           "--steps", "400"],
+    "expand_rational_file": ["expand", "--p", "5", "--equation-file", "{rational}",
+                             "--steps", "2"],
 }
 
 #: name: (exit code, sha256 of stdout, sha256 of stderr)
@@ -79,6 +86,8 @@ GOLDEN = {
                           "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "expand_dense_file": (0, "62c42e4d4b79f08cc81d5fcb0087a9d7b90310502cd816bd0140e0a7d85e0cea",
                           "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "expand_rational_file": (0, "6296885d4187cd6eaab9069fbe042a07fc0775933e52c7ba0aab2a6df12158f5",
+                             "bb364a5551a182f24d6064a5796aa3ede01af3910e708b22e6996aea193a97eb"),
 }
 
 
@@ -88,9 +97,11 @@ def _digest(text: str) -> str:
 
 def run_digest(name: str, directory: Path) -> tuple:
     """The exit code and the stdout and stderr digests of one run."""
-    dense = directory / "dense.txt"
-    dense.write_text(DENSE_EQUATION)
-    argv = [arg.format(dense=dense) for arg in RUNS[name]]
+    files = {}
+    for key, text in (("dense", DENSE_EQUATION), ("rational", RATIONAL_EQUATION)):
+        files[key] = directory / f"{key}.txt"
+        files[key].write_text(text)
+    argv = [arg.format(**files) for arg in RUNS[name]]
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         code = cli.main(argv)
