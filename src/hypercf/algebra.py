@@ -35,12 +35,12 @@ NEG_INFINITY = float("-inf")
 #: shorter-operand length from which a product goes through the FFT: about
 #: where it starts to beat np.convolve (its fixed cost is ~45 us at p=7).
 _FFT_MIN_LEN = 128
-#: FFT products are taken only while (p-1)^2 * min(len) stays within this
-#: bound.  It keeps every balanced product coefficient below 2^34, far
-#: under 2^53, where floats stop resolving the fractions the residual
-#: check reads.  At 0.998 of it (p=4093, length 4096) the residual
-#: measured 5e-6 with every operand (p-1)/2, the worst balanced case.
-_FFT_EXACT_BOUND = 1 << 36
+#: bound on the balanced coefficients of a value taken by the FFT: a
+#: product's are at most ((p-1)/2)^2 * min(len), and 2^34 is far under
+#: 2^53, where floats stop resolving the fractions the residual check
+#: reads.  At 0.998 of it (p=4093, length 4096) the residual measured
+#: 5e-6 with every operand (p-1)/2, the worst balanced case.
+_FFT_EXACT_BOUND = 1 << 34
 #: an FFT coefficient further than this from an integer voids the product,
 #: which is then recomputed by the exact convolution.
 _FFT_TRIPWIRE = 2.0 ** -8
@@ -315,7 +315,7 @@ def _fft_product(a: np.ndarray, b: np.ndarray, p: int):
 
 def _mul_arrays(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     """The product a*b in F_p[T], trimmed.  Long operands go through a
-    checked float FFT while (p-1)^2 * min(len) <= _FFT_EXACT_BOUND; short
+    checked float FFT while ((p-1)/2)^2 * min(len) <= _FFT_EXACT_BOUND; short
     ones, large moduli and any FFT product that fails its rounding check
     are convolved exactly."""
     if a.size == 0 or b.size == 0:
@@ -326,7 +326,7 @@ def _mul_arrays(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
         # a unit factor leaves a trimmed b as is
         return b if a[0] == 1 and b[-1] else _trim(b * int(a[0]) % p)
     shorter = min(a.size, b.size)
-    if shorter >= _FFT_MIN_LEN and (p - 1) * (p - 1) * shorter <= _FFT_EXACT_BOUND:
+    if shorter >= _FFT_MIN_LEN and ((p - 1) // 2) ** 2 * shorter <= _FFT_EXACT_BOUND:
         out = _fft_product(a, b, p)
         if out is not None:
             return _trim(out)

@@ -164,7 +164,7 @@ def _product(items, sums, lo: int, hi: int, p: int):
     entries = [(u, U) for U in (0, 2) for u in (0, 1)]
     n, shorter = left[0].size + right[0].size - 1, min(left[0].size, right[0].size)
     out = [None] * 4
-    if (shorter >= _FFT_MIN_LEN and 2 * ((p - 1) // 2) ** 2 * shorter <= _FFT_EXACT_BOUND // 4
+    if (shorter >= _FFT_MIN_LEN and 2 * ((p - 1) // 2) ** 2 * shorter <= _FFT_EXACT_BOUND
             and min(mid - lo, hi - mid) > 1):
         size = _fft_length(n)
         f, F = ([algebra._spectrum(c, p, size) for c in half] for half in (left, right))

@@ -41,9 +41,10 @@ composite map of the quotients found is then applied to the exact
 equation once, each of its coefficients cut at its window's floor must
 equal the window, and the next jump windows the result again.  What the
 windows leave open, a deep quotient, a constant one or a possibly
-rational root, falls to the same step on the exact term map.  The last
-quotient of a run forms no tail: P(bar) at T = 0 or T = 1 shows that it
-is not the root, and only where both vanish is P(bar) formed.
+rational root, falls to the same step on the exact term map.  One test
+decides P(bar) = 0 for a constant quotient and for a run's last, which
+forms no tail: never on windows, and on an exact P by P(bar) at T = 0
+and T = 1, formed only when both vanish.  A constant non-root aborts.
 """
 from __future__ import annotations
 
@@ -137,10 +138,8 @@ class BiPoly:
         return max(int(c.degree) for c in self.terms.values())
 
     def __call__(self, value: Poly) -> Poly:
-        value = Poly._coerce(self.field, value)
-        z = {0: (None, value.coeffs)} if value else {}
-        out = _evaluate(self.field.p, self._raw_terms(), z, {0: _UNIT})
-        return Poly._raw(self.field, out[0][1] if out else _EMPTY)
+        raw = (None, Poly._coerce(self.field, value).coeffs)
+        return Poly._raw(self.field, _value(self.field.p, self._raw_terms(), raw)[1])
 
     def _raw_terms(self) -> Dict[int, Raw]:
         """The terms as an exact raw term map, the engine's equations."""
@@ -221,15 +220,10 @@ class ExpansionResult:
 
 def _step(field: PrimeField, P: Dict[int, Raw]) -> Tuple[Poly, Optional[Dict[int, Raw]]]:
     """One step on a raw term map, exact or of windows, with the tail's
-    map.  A window's InsufficientPrecisionError says it cannot decide bar.
-    A run's last quotient is `_last_step`'s, which forms no tail."""
+    map; a window's InsufficientPrecisionError says it cannot decide bar."""
     p, n, bar = field.p, max(P), _bar(field, P)
-    if bar.degree < 1:
-        # no tail follows a constant bar: the run ends, rationally if P(bar)
-        # is zero (a window, a series, is never known to be)
-        if 0 not in _evaluate(p, P, {0: (None, bar.coeffs)} if bar else {}, {0: _UNIT}):
-            return bar, None
-        raise NoAdmissibleQuotientError(1, bar, ())
+    if bar.degree < 1 and _is_root(field, P, bar):  # the root, or `_is_root` aborts
+        return bar, None
     tail = _evaluate(p, P, {1: (None, bar.coeffs), 0: _UNIT}, {1: _UNIT})  # x = bar + 1/y
     return bar, (tail if n in tail else None)  # tail[n] is P(bar)
 
@@ -240,18 +234,19 @@ def _bar(field: PrimeField, P: Mapping[int, Raw]) -> Poly:
     return Poly._raw(field, _trim(-_raw_floordiv(P.get(n - 1, (None, _EMPTY)), P[n], p) % p))
 
 
-def _last_step(field: PrimeField, P: Dict[int, Raw]) -> Tuple[Poly, bool]:
-    """`_step`'s quotient of the exact term map P, with no tail formed, and
-    whether it is the root.  P(bar) is formed only when its values at T = 0
-    and T = 1, from each array's first entry and its sum, both vanish."""
-    p, bar = field.p, _bar(field, P)
-    if bar.degree < 1:
-        return _step(field, P)[0], True  # it aborts unless P(bar) = 0
-    for read in (lambda c: c[:1].sum(), np.sum):
+def _is_root(field: PrimeField, P: Mapping[int, Raw], bar: Poly) -> bool:
+    """Whether P's quotient bar is its root, P(bar) = 0: a rational end.
+    Windows are never known to be zero; on an exact P, P(bar) is read at
+    T = 0 and T = 1, from each array's first entry and its sum, and formed
+    only when both vanish.  A constant non-root aborts: no tail follows."""
+    p, root = field.p, all(v is None for v, _ in P.values())
+    for read in (lambda c: c[:1].sum(), np.sum):  # P(bar) at T = 0, then at T = 1
         b = int(read(bar.coeffs))
-        if sum(int(read(c)) * pow(b, e, p) for e, (_, c) in P.items()) % p:
-            return bar, False
-    return bar, 0 not in _evaluate(p, P, {0: (None, bar.coeffs)}, {0: _UNIT})
+        root = root and not sum(int(read(c)) * pow(b, e, p) for e, (_, c) in P.items()) % p
+    root = root and not _value(p, P, (None, bar.coeffs))[1].size
+    if bar.degree < 1 and not root:
+        raise NoAdmissibleQuotientError(1, bar, ())
+    return root
 
 
 def expand(P: BiPoly, m: int) -> ExpansionResult:
@@ -302,8 +297,8 @@ def _quotients(
     """The first m quotients of the root of the exact term map P, each with
     the largest coefficient degree of the tail equation it leaves, or None
     for a rational end: jumps, the applied tail windowed again after each,
-    and a full-size step where a jump decides nothing.  The m-th quotient,
-    `_last_step`'s, forms no tail: -1 for its height, None at a rational end."""
+    and a full-size step where a jump decides nothing.  The m-th quotient
+    forms no tail: -1 for its height, None at a rational end."""
     while m > 1:
         bars, heights, windows = _jump(field, P, m - 1)
         if bars:
@@ -316,8 +311,8 @@ def _quotients(
         if P is None:
             return
         m -= 1
-    bar, rational = _last_step(field, P)
-    yield bar, None if rational else -1
+    bar = _bar(field, P)
+    yield bar, None if _is_root(field, P, bar) else -1
 
 
 def _height(P: Mapping[int, Raw]) -> int:
@@ -396,8 +391,13 @@ def _mobius(p: int, P: Mapping[int, Raw], x, y, x_prev, y_prev) -> Dict[int, Raw
 def eval_at_series(P: BiPoly, s: LaurentSeries) -> LaurentSeries:
     """P(s) with propagated validity: the result being zero to its floor
     certifies s as a root of P down to that order."""
-    value = _evaluate(P.field.p, P._raw_terms(), {0: (s.valid_order, s.coeffs)}, {0: _UNIT})
-    return LaurentSeries._raw(P.field, *value[0])
+    value = _value(P.field.p, P._raw_terms(), (s.valid_order, s.coeffs))
+    return LaurentSeries._raw(P.field, *value)
+
+
+def _value(p: int, P: Mapping[int, Raw], v: Raw) -> Raw:
+    """P(v) for a raw value v, exact or a series, zero as (None, _EMPTY)."""
+    return _evaluate(p, P, {0: v}, {0: _UNIT}).get(0, (None, _EMPTY))
 
 
 class _Slot:
@@ -464,7 +464,7 @@ def _spectral(
         (sa, ba), (sb, bb) = shape[args[0]], shape[args[-1]]
         shape[out] = ((sa + sb - 1, ba * bb * min(sa, sb)) if kind is _raw_mul else
                       (max(sa, sb), ba + bb) if kind is _raw_add else (p * (sa - 1) + 1, ba))
-    if max(b for _, b in shape) > _FFT_EXACT_BOUND // 4:
+    if max(b for _, b in shape) > _FFT_EXACT_BOUND:
         return None
     length = _fft_length(max((shape[r][0] for _, r in outputs), default=1))
     regs: list = [None] * size

@@ -268,10 +268,11 @@ class TestMultiplicationPaths:
             assert np.abs(got).max() <= p // 2
 
     def test_fft_at_exactness_bound(self):
-        # (p-1)^2 * len at 0.998 of the bound, operands at the largest
-        # residue and at the largest balanced magnitude
+        # the balanced bound ((p-1)/2)^2 * len at 0.998 of 2^34, operands at
+        # the largest residue and at the largest balanced magnitude
         p, n = 4093, 4096
-        assert 0.99 * algebra._FFT_EXACT_BOUND < (p - 1) ** 2 * n <= algebra._FFT_EXACT_BOUND
+        bound = ((p - 1) // 2) ** 2 * n
+        assert 0.99 * algebra._FFT_EXACT_BOUND < bound <= algebra._FFT_EXACT_BOUND
         for value in (p - 1, (p - 1) // 2):
             a = np.full(n, value, dtype=np.int64)
             out = _fft_product(a, a.copy(), p)

@@ -35,6 +35,7 @@ from hypercf.grids import MILLS_ROBBINS_U1, verification_steps
 from conftest import FIELDS, polys
 from reference import (
     dense_expand,
+    dict_coeffs,
     horner_eval_at_series,
     next_step,
     poly_dict,
@@ -42,6 +43,7 @@ from reference import (
     reval,
     rhomogeneous,
     rmul,
+    rsub,
     stepwise_expand,
 )
 
@@ -1023,7 +1025,7 @@ class TestLastStep:
         spec = build_spec(FIELDS[7], (2, 4, 5))
         m = pattern_position(7, 4)
         sizes, last = [], []
-        real_last = expansion._last_step
+        real_is_root = expansion._is_root
 
         def counting(real):
             def mul(a, b, p):
@@ -1032,13 +1034,13 @@ class TestLastStep:
                 return real(a, b, p)
             return mul
 
-        def last_step(field, P):
+        def is_root(field, P, bar):
             last.append(P)
-            return real_last(field, P)
+            return real_is_root(field, P, bar)
 
         for module in (algebra, series):
             monkeypatch.setattr(module, "_mul_arrays", counting(module._mul_arrays))
-        monkeypatch.setattr(expansion, "_last_step", last_step)
+        monkeypatch.setattr(expansion, "_is_root", is_root)
         run = expand(pattern_equation(spec), m)
         monkeypatch.undo()
         assert run.quotients == pattern(spec, m) and not run.rational
@@ -1066,6 +1068,77 @@ class TestLastStep:
         window = data.draw(WINDOWS)
         for m in range(1, _steps_within(eq, 2_000, cap=10) + 1):
             assert _jump_outcome(eq, m, window) == _outcome(stepwise_expand, eq, m)
+
+
+class TestIsRoot:
+    """`_is_root` is the one test of P(bar) = 0, for a constant quotient and
+    for a run's last: it forms nothing on windows, and on an exact map
+    forms P(bar) only where its values at T = 0 and T = 1 both vanish.  A
+    constant bar that is not the root aborts."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(data=st.data())
+    def test_matches_reference(self, data):
+        # a root is planted as P = (x - bar)*Q, so that "root" is drawn
+        p = data.draw(st.sampled_from((3, 5, 7)))
+        K = FIELDS[p]
+        Q = data.draw(st.one_of(
+            _equations(p, 2 * p + 1, dense=True), TestSpectralReplay._hyperquadratic(p)))
+        bar = data.draw(st.one_of(st.just(Poly(K, ())), polys(p, 0, 0), polys(p, 1, 3)))
+        terms = {e: poly_dict(c) for e, c in Q.terms.items()}
+        if data.draw(st.booleans()):
+            b, planted = poly_dict(bar), {}
+            for e, c in terms.items():
+                planted[e + 1] = radd(planted.get(e + 1, {}), c, p)
+                planted[e] = rsub(planted.get(e, {}), rmul(b, c, p), p)
+            terms = planted
+        P = BiPoly(K, {e: Poly(K, dict_coeffs(c, p)) for e, c in terms.items()})
+        value = reval({e: poly_dict(c) for e, c in P.terms.items()}, poly_dict(bar), p)
+        probes_vanish = value.get(0, 0) % p == 0 and sum(value.values()) % p == 0
+        with mock.patch.object(expansion, "_evaluate", wraps=expansion._evaluate) as evaluate:
+            if bar.degree < 1 and value:
+                with pytest.raises(NoAdmissibleQuotientError):
+                    expansion._is_root(K, P._raw_terms(), bar)
+            else:
+                assert expansion._is_root(K, P._raw_terms(), bar) == (not value)
+        # P(bar) is formed, once, exactly where both probes vanish
+        assert evaluate.call_count == probes_vanish
+
+    def test_windows_are_never_the_root_and_form_nothing(self, monkeypatch):
+        full = TestLeanStep._tall_equation(60)
+        K = full.field
+        windows = expansion._windows(full._raw_terms())
+        assert windows is not None
+        bar = expansion._bar(K, windows)
+        products = []
+
+        def counting(real):
+            def mul(a, b, p):
+                products.append((a.size, b.size))
+                return real(a, b, p)
+            return mul
+
+        for module in (algebra, series):
+            monkeypatch.setattr(module, "_mul_arrays", counting(module._mul_arrays))
+        assert bar.degree >= 1 and not expansion._is_root(K, windows, bar)
+        for constant in (Poly(K, ()), Poly(K, (3,))):
+            with pytest.raises(NoAdmissibleQuotientError):
+                expansion._is_root(K, windows, constant)
+        assert not products
+
+    @pytest.mark.parametrize("m", (1, 4))
+    def test_constant_quotient_nonzero_at_zero_aborts_unformed(self, m):
+        # x^2 + x + (t + 1) over F_5: bar = 4 and P(4) = t + 1, 1 at T = 0;
+        # at m = 1 bar is the run's last quotient, at m = 4 `_step` takes it
+        K = FIELDS[5]
+        eq = BiPoly(K, [K.T + 1, 1, 1])
+        with mock.patch.object(expansion, "_evaluate", wraps=expansion._evaluate) as evaluate:
+            with pytest.raises(NoAdmissibleQuotientError) as err:
+                expand(eq, m)
+        assert err.value.step == 1 and err.value.bar == Poly(K, (4,))
+        assert not err.value.emitted and not evaluate.called
+        assert eq(Poly(K, (4,))) == K.T + 1
+        assert _outcome(expand, eq, m) == _outcome(stepwise_expand, eq, m)
 
 
 class TestCertifiedOutput:

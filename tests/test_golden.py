@@ -7,7 +7,9 @@ cover the engine with and without jumps, certification at the sweep and
 at deep depths, the `tp` negative control, the identities and the
 pattern alone, and the two kinds of equation no pattern describes: the
 all-linear family and a dense equation read from a file, and a rational
-root reached at a run's last quotient.
+root reached at a run's last quotient.  The root test's four exits are
+pinned too: a constant root and a constant quotient that aborts, each at
+a run's last quotient and at an earlier step.
 
 After an intended change of output, print the new table with
 
@@ -34,6 +36,13 @@ DENSE_EQUATION = "4: 1\n3: 0 1 2\n2: 4 1\n1: 0 3\n0: 2 0 1\n"
 #: the rational end falls on the run's last quotient
 RATIONAL_EQUATION = "1: 0 1\n0: 4 0 4\n"
 
+#: x - 3 over F_5, whose root is the constant 3: no quotient is emitted
+CONSTANT_ROOT_EQUATION = "1: 1\n0: 2\n"
+
+#: x^2 + (3t + 4)x + (4t + 2) over F_5: one quotient, then the constant
+#: quotient 2, which is not the root, aborts the run
+ABORT_EQUATION = "2: 1\n1: 4 3\n0: 2 4\n"
+
 RUNS = {
     "expand_65": ["expand", "--p", "7", "--u", "2,4,5", "--steps", "65"],
     "expand_410_json": ["expand", "--p", "7", "--u", "2,4,5", "--steps", "410",
@@ -56,6 +65,12 @@ RUNS = {
                           "--steps", "400"],
     "expand_rational_file": ["expand", "--p", "5", "--equation-file", "{rational}",
                              "--steps", "2"],
+    **{
+        f"expand_{key}_{where}": ["expand", "--p", "5", "--equation-file", f"{{{key}}}",
+                                  "--steps", steps]
+        for key, last in (("constant_root", "1"), ("abort", "2"))
+        for where, steps in (("last", last), ("step", "4"))
+    },
 }
 
 #: name: (exit code, sha256 of stdout, sha256 of stderr)
@@ -88,6 +103,14 @@ GOLDEN = {
                           "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "expand_rational_file": (0, "6296885d4187cd6eaab9069fbe042a07fc0775933e52c7ba0aab2a6df12158f5",
                              "bb364a5551a182f24d6064a5796aa3ede01af3910e708b22e6996aea193a97eb"),
+    "expand_constant_root_last": (0, "49119ae11ea736fb80fbb83d461b32a80bf950cc148e5f36188729fdbbcf26df",
+                                  "42eb83d698c806d3b3a71fc09122e6c08416e70fc9450d9f0711103f958dcfdd"),
+    "expand_constant_root_step": (0, "49119ae11ea736fb80fbb83d461b32a80bf950cc148e5f36188729fdbbcf26df",
+                                  "42eb83d698c806d3b3a71fc09122e6c08416e70fc9450d9f0711103f958dcfdd"),
+    "expand_abort_last": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+                          "c15440e87610f327d7b76abffe33d0d1b24b48654c1f9e13c1313e09643a44df"),
+    "expand_abort_step": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+                          "c15440e87610f327d7b76abffe33d0d1b24b48654c1f9e13c1313e09643a44df"),
 }
 
 
@@ -98,7 +121,8 @@ def _digest(text: str) -> str:
 def run_digest(name: str, directory: Path) -> tuple:
     """The exit code and the stdout and stderr digests of one run."""
     files = {}
-    for key, text in (("dense", DENSE_EQUATION), ("rational", RATIONAL_EQUATION)):
+    for key, text in (("dense", DENSE_EQUATION), ("rational", RATIONAL_EQUATION),
+                      ("constant_root", CONSTANT_ROOT_EQUATION), ("abort", ABORT_EQUATION)):
         files[key] = directory / f"{key}.txt"
         files[key].write_text(text)
     argv = [arg.format(**files) for arg in RUNS[name]]

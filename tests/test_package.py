@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import ast
 from pathlib import Path
 
 import hypercf
 from hypercf import cli
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "hypercf"
 
 PUBLIC_NAMES = {
     "__version__",
@@ -30,6 +32,20 @@ def test_public_surface():
     assert set(hypercf.__all__) == PUBLIC_NAMES
     for name in PUBLIC_NAMES:
         assert getattr(hypercf, name) is not None
+
+
+def test_no_assert_statement_is_a_runtime_check():
+    # `python -O` strips assert statements: a check the package relies on
+    # raises an error of its own instead
+    modules = sorted(PACKAGE.rglob("*.py"))
+    assert modules
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in modules
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert not found
 
 
 def _quick_start():
