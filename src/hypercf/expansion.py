@@ -30,18 +30,19 @@ formed one by one.
 
 `expand` works on raw term maps, x-exponent to raw value, from its
 input's coefficient arrays to the quotients it emits: no BiPoly and no
-LaurentSeries is made in between.  It extracts in jumps.  A quotient
-reads only the tops of P[n] and P[n-1], so the steps run on top windows
-of the coefficients, views of the exact arrays cut at one floor, whose
-floors track what they still determine, for as long as the windows
-decide each quotient, its degree >= 1, P(bar) nonzero and every tail
-coefficient's degree.  A step on windows of 190 terms at p=7 takes about
-65 us (2-vCPU host), of which numpy's small-array calls are most.  The
-composite map of the quotients found is then applied to the exact
-equation once, each of its coefficients cut at its window's floor must
-equal the window, and the next jump windows the result again.  What the
-windows leave open, a deep quotient, a constant one or a possibly
-rational root, falls to the same step on the exact term map.  One test
+LaurentSeries is made in between.  One loop extracts in jumps at every
+level.  A quotient reads only the tops of P[n] and P[n-1], so a round
+runs the loop on top windows of P's coefficients, views cut at one
+floor, whose floors track what they still determine, for as long as
+they decide each quotient, its degree >= 1, P(bar) nonzero and every
+tail coefficient's degree, and applies the composite map of what they
+decide to P once: each coefficient cut at its window's floor must equal
+the window.  Where they decide nothing, the round steps on P itself.
+Windows are cut from windows while they stay four windows high, so the
+steps run on the shortest; one on windows of 190 terms at p=7 takes
+about 65 us (2-vCPU host), mostly numpy's small-array calls.  What the
+exact map's windows leave open, a deep quotient, a constant one or a
+possibly rational root, falls to a step on it.  One test
 decides P(bar) = 0 for a constant quotient and for a run's last, which
 forms no tail: never on windows, and on an exact P by P(bar) at T = 0
 and T = 1, formed only when both vanish.  A constant non-root aborts.
@@ -71,12 +72,13 @@ __all__ = [
     "eval_at_series",
 ]
 
-#: least number of coefficients a jump's windows hold below the equation's
-#: height; from heights of 32 times that on, they hold height // 32, and
-#: an equation less than four windows high takes full-size steps.  A
-#: linear quotient uses up about two of them, so a jump decides up to
-#: about half as many quotients for the cost of one composite map, which
-#: multiplies the full coefficients by continuants of about that degree.
+#: least number of coefficients a map's windows hold below its height;
+#: from spans of 32 times that on they hold span // 32, the span being the
+#: height above the map's highest floor (an exact map's height), and a
+#: map less than four windows high is stepped on itself.  A linear
+#: quotient uses up about two of them, so a round decides up to about
+#: half as many quotients for the cost of one composite map, which
+#: multiplies the map's coefficients by continuants of about that degree.
 _WINDOW_MIN_LEN = 64
 
 
@@ -296,23 +298,46 @@ def _quotients(
 ) -> Iterator[Tuple[Poly, Optional[int]]]:
     """The first m quotients of the root of the exact term map P, each with
     the largest coefficient degree of the tail equation it leaves, or None
-    for a rational end: jumps, the applied tail windowed again after each,
-    and a full-size step where a jump decides nothing.  The m-th quotient
-    forms no tail: -1 for its height, None at a rational end."""
-    while m > 1:
-        bars, heights, windows = _jump(field, P, m - 1)
-        if bars:
-            P = _apply(field.p, P, bars, windows)
-            yield from zip(bars, heights)
-            m -= len(bars)
-            continue
-        bar, P = _step(field, P)
-        yield bar, None if P is None else _height(P)
+    for a rational end: the rounds of `_run`, and then the m-th quotient,
+    which forms no tail: -1 for its height, None at a rational end."""
+    for bars, heights, P in _run(field, P, m - 1):
+        yield from zip(bars, heights)
         if P is None:
             return
-        m -= 1
     bar = _bar(field, P)
     yield bar, None if _is_root(field, P, bar) else -1
+
+
+def _run(
+    field: PrimeField, P: Dict[int, Raw], budget: int
+) -> Iterator[Tuple[List[Poly], List[Optional[int]], Optional[Dict[int, Raw]]]]:
+    """Up to `budget` quotients of the term map P, exact or of windows, in
+    rounds of (quotients, the largest coefficient degree after each, the
+    tail map, None at a rational end): the loop run on P's windows and
+    what they decide applied to P, or one step on P where they decide
+    none.  On windows the run ends where they cannot decide the next
+    quotient: a bar or an apply's check that reads below a floor raises
+    InsufficientPrecisionError, a constant bar aborts, and a tail with a
+    coefficient zero to its floor, P(bar) among them, ends it unyielded."""
+    while budget > 0:
+        bars, heights, tail = [], [], _windows(P)
+        try:
+            for more, tops, tail in () if tail is None else _run(field, tail, budget):
+                bars += more
+                heights += tops
+        except (InsufficientPrecisionError, NoAdmissibleQuotientError):
+            pass  # raised on windows: the rounds before it stand
+        if bars:
+            P = _apply(field.p, P, bars, tail)
+        else:
+            bar, P = _step(field, P)
+            if P is not None and not all(c.size for _, c in P.values()):
+                return
+            bars, heights = [bar], [None if P is None else _height(P)]
+        yield bars, heights, P
+        if P is None:
+            return
+        budget -= len(bars)
 
 
 def _height(P: Mapping[int, Raw]) -> int:
@@ -323,43 +348,16 @@ def _height(P: Mapping[int, Raw]) -> int:
 
 def _windows(P: Mapping[int, Raw]) -> Optional[Dict[int, Raw]]:
     """P's coefficients as top windows at one floor below its height, or
-    None when the equation is less than four windows high: a step on it
-    then costs about as much as on its windows, and a jump gains nothing."""
+    None when P is less than four windows high above its highest floor (0
+    for an exact map): a step on it then costs about as much as on its
+    windows, and running on them gains nothing."""
     height = _height(P)
-    length = max(_WINDOW_MIN_LEN, height // 32)
-    if height < 4 * length:
+    span = height - max(v or 0 for v, _ in P.values())
+    length = max(_WINDOW_MIN_LEN, span // 32)
+    if span < 4 * length:
         return None
     floor = height - length
     return {e: (floor, _cut(c, floor)) for e, c in P.items()}
-
-
-def _jump(
-    field: PrimeField, P: Dict[int, Raw], budget: int
-) -> Tuple[List[Poly], List[int], Optional[Dict[int, Raw]]]:
-    """Up to `budget` quotients of P decided by steps on its windows, the
-    largest coefficient degree after each, and the windowed tail equation
-    (none at all for an equation too short for windows).
-
-    The run stops at a step whose bar needs a term below a floor or has
-    degree < 1, or whose tail has a coefficient zero to its floor: that
-    coefficient's degree, P(bar) among them, is unknown.
-    """
-    bars: List[Poly] = []
-    heights: List[int] = []
-    windows = _windows(P)
-    if windows is None:
-        return bars, heights, None
-    while len(bars) < budget:
-        try:
-            bar, tail = _step(field, windows)
-        except (InsufficientPrecisionError, NoAdmissibleQuotientError):
-            break
-        if not all(c.size for _, c in tail.values()):
-            break
-        bars.append(bar)
-        heights.append(_height(tail))
-        windows = tail
-    return bars, heights, windows
 
 
 def _apply(

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import contextlib
 from unittest import mock
 
 import numpy as np
@@ -733,34 +734,46 @@ class TestJumps:
     def test_small_windows_jump_exhaust_and_fall_back(self, monkeypatch):
         # p=5 through n_3 on 8-term windows: jumps of several quotients,
         # windows that run out, and full-size steps only where a jump
-        # decides nothing.  A jump steps on raw windows, so exhaustion
-        # shows at its stop: short of its budget, the windows it returns
-        # cannot decide the next bar
+        # decides nothing.  A jump is a round on the exact map: the loop
+        # run on its windows, then one apply of what they decided, so only
+        # the applies to exact maps are counted.  Exhaustion shows at the
+        # stop: short of its budget, the windows' last tail cannot decide
+        # the next bar
         K = FIELDS[5]
         spec = build_spec(K, (2, 3, 3))
+        m = verification_steps(5)
         jumps, exhausted, full = [], [], []
-        real_jump, real_step = expansion._jump, expansion._step
+        real_windows, real_apply, real_step = (
+            expansion._windows, expansion._apply, expansion._step)
+
+        def exact(P):
+            return all(v is None for v, _ in P.values())
+
+        def windows(P):
+            if exact(P):  # a round on the exact map: a jump of none until applied
+                jumps.append(0)
+            return real_windows(P)
+
+        def apply(p, P, bars, tail):
+            if exact(P):
+                jumps[-1] = len(bars)
+                budget = m - 1 - sum(jumps[:-1]) - len(full)
+                if len(bars) < budget:
+                    try:
+                        real_step(K, tail)
+                    except InsufficientPrecisionError:
+                        exhausted.append(tail)
+            return real_apply(p, P, bars, tail)
 
         def step(field, P):
-            if all(v is None for v, _ in P.values()):
+            if exact(P):
                 full.append(jumps[-1])
             return real_step(field, P)
 
-        def jump(field, P, budget):
-            result = real_jump(field, P, budget)
-            bars, _, windows = result
-            jumps.append(len(bars))
-            if windows is not None and len(bars) < budget:
-                try:
-                    expansion._step(field, windows)
-                except InsufficientPrecisionError:
-                    exhausted.append(windows)
-            return result
-
         monkeypatch.setattr(expansion, "_WINDOW_MIN_LEN", 8)
-        monkeypatch.setattr(expansion, "_jump", jump)
+        monkeypatch.setattr(expansion, "_windows", windows)
+        monkeypatch.setattr(expansion, "_apply", apply)
         monkeypatch.setattr(expansion, "_step", step)
-        m = verification_steps(5)
         assert expand(pattern_equation(spec), m).quotients == pattern(spec, m)
         assert max(jumps) >= 4 and 0 in jumps and exhausted
         assert full and set(full) == {0}
@@ -769,21 +782,35 @@ class TestJumps:
     def test_a_tail_zero_to_its_floor_ends_the_jump(self, monkeypatch):
         # den*x - q*den: the first step's tail coefficient den*q - q*den is
         # exactly zero, so on windows it is zero to its floor, of unknown
-        # degree; the jump stops before that step, and the rational end
-        # falls to a full-size step
+        # degree; the run on the windows ends before that step, and the
+        # rational end falls to a full-size step
         K = FIELDS[5]
         den = Poly(K, [1, 2, 0, 3] * 5 + [1])
         q = Poly(K, (3, 2))
         monkeypatch.setattr(expansion, "_WINDOW_MIN_LEN", 4)
         eq = BiPoly(K, [-(q * den), den])
-        bars, _, windows = expansion._jump(K, eq._raw_terms(), 5)
-        assert bars == [] and windows is not None
+        windows = expansion._windows(eq._raw_terms())
+        assert windows is not None and list(expansion._run(K, windows, 5)) == []
         run = expand(eq, 5)
         assert run.rational and list(run.quotients) == [q]
 
+    def test_a_constant_bar_on_windows_ends_their_run(self, monkeypatch):
+        # (x - 3)*(A*x + B) with deg B < deg A: the windows decide the
+        # constant bar 3, but cannot tell the root from an abort, so their
+        # run ends, and the step on the exact map finds the rational end
+        K = FIELDS[5]
+        A, B, c = Poly(K, [1, 2, 0, 3] * 5 + [1]), Poly(K, (4, 1, 2)), Poly(K, (3,))
+        eq = BiPoly(K, [-(c * B), B - c * A, A])
+        monkeypatch.setattr(expansion, "_WINDOW_MIN_LEN", 4)
+        assert expansion._windows(eq._raw_terms()) is not None
+        run = expand(eq, 3)
+        assert run.rational and run.rational_value == c and not run.quotients
+        assert _outcome(expand, eq, 3) == _outcome(stepwise_expand, eq, 3)
+
     def test_a_cut_below_a_floor_ends_the_jump(self, monkeypatch):
         # a step that would read a window below its floor cannot decide its
-        # quotient: the jump stops there, before a wrong quotient is made
+        # quotient: the run on the windows stops there, before a wrong
+        # quotient is made, and the rounds before it stand
         eq = pattern_equation(build_spec(FIELDS[7], (2, 4, 5)))
         for _ in range(60):
             _, eq = next_step(eq)
@@ -797,9 +824,40 @@ class TestJumps:
             return real_step(field, P)
 
         monkeypatch.setattr(expansion, "_step", step)
-        bars, _, windows = expansion._jump(eq.field, eq._raw_terms(), 5)
+        bars, windows = [], expansion._windows(eq._raw_terms())
+        with pytest.raises(InsufficientPrecisionError):
+            for more, _, windows in expansion._run(eq.field, windows, 5):
+                bars += more
         assert len(calls) == 3 and windows is not None
         assert bars == list(want[:2])
+
+    def test_the_loop_runs_on_windows_of_windows(self, monkeypatch):
+        # p=11 through n_4 on 4-term windows: the loop runs on the exact
+        # map, on its windows and on windows cut from those, three levels
+        # below the exact map, and the deepest level decides quotients of
+        # its own; the outcome is the one-step loop's, height and bound too
+        spec = build_spec(FIELDS[11], (3, 10, 5))
+        eq, m = pattern_equation(spec), pattern_position(11, 4)
+        level, decided = [0], {}
+        real_run = expansion._run
+
+        def run(field, P, budget):
+            level[0] += 1
+            decided.setdefault(level[0], 0)
+            try:
+                for bars, heights, tail in real_run(field, P, budget):
+                    decided[level[0]] += len(bars)
+                    yield bars, heights, tail
+            finally:
+                level[0] -= 1
+
+        monkeypatch.setattr(expansion, "_WINDOW_MIN_LEN", 4)
+        monkeypatch.setattr(expansion, "_run", run)
+        got = _outcome(expand, eq, m)
+        monkeypatch.undo()
+        assert max(decided) == 4 and decided[4] > 0
+        assert got[1] == list(pattern(spec, m))
+        assert got == _outcome(stepwise_expand, eq, m)
 
     def test_next_step_is_the_one_quotient_jump(self):
         K = FIELDS[7]
@@ -857,32 +915,92 @@ class TestJumps:
             steps = verification_steps(p)
             assert _misclaimed_outcome(eq, steps, 8, 3, 1) == "caught"
 
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_misclaimed_window_of_windows_is_caught_or_harmless(self, data):
+        # only windows cut from windows misclaim: the check of the apply
+        # one level up must raise, or the stream must come out as it would
+        # have anyway.  On 4-term windows these runs cut windows from windows
+        p = data.draw(st.sampled_from((3, 5, 7)))
+        u = data.draw(st.tuples(*[st.integers(1, p - 1)] * 3))
+        start = pattern_position(p, {3: 5, 5: 4, 7: 3}[p])
+        steps = data.draw(st.integers(start, start + 3))
+        eq = pattern_equation(build_spec(FIELDS[p], u))
+        pick = data.draw(st.integers(0, 3))
+        delta = data.draw(st.integers(1, p - 1))
+        nested = []
+        got = _misclaimed_outcome(eq, steps, 4, pick, delta, nested)
+        assert nested and got in ("caught", _outcome(stepwise_expand, eq, steps))
 
-def _misclaimed_outcome(equation: BiPoly, m: int, window: int, pick: int, delta: int):
-    """expand's outcome when every jump's window of the pick-th lowest
-    x-exponent claims one more coefficient, off by delta, or "caught" when
-    the jump check raises."""
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data())
+    def test_a_wrong_window_of_windows_is_caught_on_windows(self, data):
+        # the loop run on the windows of a tall equation, with no apply to
+        # an exact map above it, and the top entry of a window cut from
+        # them off: the check of its own applies must raise, or the
+        # quotients it yields must be the true ones
+        p = data.draw(st.sampled_from((3, 5, 7)))
+        spec = build_spec(FIELDS[p], data.draw(st.tuples(*[st.integers(1, p - 1)] * 3)))
+        start = pattern_position(p, {3: 5, 5: 4, 7: 3}[p]) - 12
+        eq = pattern_equation(spec)
+        for _ in range(start):
+            _, eq = next_step(eq)
+        want = list(pattern(spec, start + 12))[start:]
+        pick = data.draw(st.integers(0, 3))
+        delta = data.draw(st.integers(1, p - 1))
+        nested, bars = [], []
+        with _misclaiming(p, 4, pick, delta, nested, at=-1):
+            windows = expansion._windows(eq._raw_terms())
+            try:
+                for more, _, _ in expansion._run(eq.field, windows, 12):
+                    bars += more
+            except RuntimeError as err:
+                assert "disagrees with its windows" in str(err)
+            except InsufficientPrecisionError:
+                pass  # the windows cannot decide the next quotient
+        assert nested and bars == want[: len(bars)]
+
+
+def _misclaimed_outcome(
+    equation: BiPoly, m: int, window: int, pick: int, delta: int, nested=None
+):
+    """expand's outcome under `_misclaiming`, or "caught" when the jump
+    check raises."""
+    with _misclaiming(equation.field.p, window, pick, delta, nested):
+        got = _outcome(expand, equation, m)
+    if got[0] == "guard" and "disagrees with its windows" in got[1]:
+        return "caught"
+    return got
+
+
+@contextlib.contextmanager
+def _misclaiming(p: int, window: int, pick: int, delta: int, nested=None, at: int = 0):
+    """Windows of `window` terms, where every window of the pick-th lowest
+    x-exponent claims one more coefficient, and its entry `at`, by default
+    the claimed one, is off by delta.  Given a list `nested`, only windows
+    cut from a map that has floors misclaim, and each is appended to it."""
     real = expansion._windows
 
     def misclaimed(P):
         windows = real(P)
         if windows is None:
             return None
+        if nested is not None:
+            if all(v is None for v, _ in P.values()):
+                return windows
+            nested.append(windows)
         e = sorted(windows)[pick % len(windows)]
         v = windows[e][0] - 1
         true = series._cut(P[e], v)
         window = np.zeros(max(true.size, 1), dtype=np.int64)
         window[: true.size] = true
-        window[0] = (window[0] + delta) % equation.field.p
+        window[at] = (window[at] + delta) % p
         return {**windows, e: (v, algebra._trim(window))}
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(expansion, "_WINDOW_MIN_LEN", window)
         mp.setattr(expansion, "_windows", misclaimed)
-        got = _outcome(expand, equation, m)
-    if got[0] == "guard" and "disagrees with its windows" in got[1]:
-        return "caught"
-    return got
+        yield
 
 
 class TestExpand:
