@@ -60,7 +60,7 @@ from .algebra import (
 )
 from .cf import PartialQuotients, continuants
 from .series import (
-    InsufficientPrecisionError, LaurentSeries, Raw, _cut, _raw_add, _raw_floordiv,
+    InsufficientPrecisionError, LaurentSeries, Raw, _cut, _raw_add, _raw_div,
     _raw_frobenius, _raw_mul,
 )
 
@@ -233,7 +233,7 @@ def _step(field: PrimeField, P: Dict[int, Raw]) -> Tuple[Poly, Optional[Dict[int
 def _bar(field: PrimeField, P: Mapping[int, Raw]) -> Poly:
     """The quotient -(P[n-1] // P[n]) of a raw term map, n = max(P)."""
     p, n = field.p, max(P)
-    return Poly._raw(field, _trim(-_raw_floordiv(P.get(n - 1, (None, _EMPTY)), P[n], p) % p))
+    return Poly._raw(field, _trim(-_raw_div(P.get(n - 1, (None, _EMPTY)), P[n], p, 0)[1] % p))
 
 
 def _is_root(field: PrimeField, P: Mapping[int, Raw], bar: Poly) -> bool:
@@ -318,9 +318,12 @@ def _run(
     none.  On windows the run ends where they cannot decide the next
     quotient: a bar or an apply's check that reads below a floor raises
     InsufficientPrecisionError, a constant bar aborts, and a tail with a
-    coefficient zero to its floor, P(bar) among them, ends it unyielded."""
+    coefficient zero to its floor, P(bar) among them, ends it unyielded.
+    A window map too short to cut is not asked again: it only shortens."""
+    cut = True
     while budget > 0:
-        bars, heights, tail = [], [], _windows(P)
+        bars, heights, tail = [], [], _windows(P) if cut else None
+        cut = tail is not None or all(v is None for v, _ in P.values())
         try:
             for more, tops, tail in () if tail is None else _run(field, tail, budget):
                 bars += more

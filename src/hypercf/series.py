@@ -15,14 +15,12 @@ Precision rules (window of a runs [V_a, top_a], similarly for b):
              (a constant, zero included, keeps V_a), and a/c, for c
              nonzero, has V = V_a - deg c; an operand that is neither
              a series nor exact raises TypeError, as Poly's do
-* div a/b:   V = max(V_a - top_b, V_b + top_a - 2*top_b)
-             (the second term bounds the leakage of b's unknown tail
-             through the quotient; for an exactly known divisor it is
-             never the binding one)
+* div a/b:   V = max(V_a - top_b, V_b + top_a - 2*top_b), an exact
+             operand's term left out (the second bounds the leakage of
+             b's unknown tail through the quotient)
 * frobenius: V = p*(V - 1) + 1
-* a // b:    the polynomial part of a/b, read from the top
-             top_a - top_b + 1 terms of each window, so defined only
-             while both windows hold that many
+* a // b:    a/b's terms from 0 up, the polynomial part, defined while
+             a/b's floor is <= 0
 
 The window is stored in the Poly layout shifted to the floor, ascending
 from V and trimmed at the top, so a series is T^V times a Poly-layout
@@ -30,13 +28,12 @@ array and its arithmetic runs on the polynomial kernels.  A series that
 is zero everywhere above its floor is stored with an empty window; for
 the precision rules its nominal top degree is taken to be V - 1.
 
-The rules of +, -, *, // and Frobenius are written once, in functions on
-raw values, (floor, array) pairs: a series is (V, window) and an exact
-polynomial (None, coeffs), with no floor.  The methods below and the
-extraction engine's steps both call them, except `//`: the engine's
-steps alone take it, as `_raw_floordiv`, and a series has no `//`
-operator.  Only `/`, which the engine never takes, keeps its rule in
-`LaurentSeries.__truediv__`.
+The rules of +, -, *, /, // and Frobenius are written once, in functions
+on raw values, (floor, array) pairs: a series is (V, window) and an
+exact polynomial (None, coeffs), with no floor.  The methods below and
+the extraction engine's steps both call them; `/` and `//` are one
+function, `_raw_div`, and only the engine's steps take `//`: a series
+has no `//` operator.
 """
 from __future__ import annotations
 
@@ -119,28 +116,27 @@ def _raw_frobenius(a: Raw, p: int) -> Raw:
     return p * (v - 1) + 1, _frobenius_array(x, p, p - 1)
 
 
-def _raw_floordiv(a: Raw, b: Raw, p: int) -> np.ndarray:
-    """The polynomial part of a/b.  With a series among them, an exact
-    operand is taken at the other's floor, and the quotient reads the top
-    (quotient length) terms of each window: InsufficientPrecisionError
-    when a window holds fewer, or when the divisor is zero to its floor,
-    of unknown degree."""
-    if a[0] is None and b[0] is None:
-        return _floordiv_arrays(a[1], b[1], p)
-    v_a = b[0] if a[0] is None else a[0]
-    v_b = v_a if b[0] is None else b[0]
-    x, y = _cut(a, v_a), _cut(b, v_b)
+def _raw_div(a: Raw, b: Raw, p: int, low: Optional[int] = None) -> Raw:
+    """a/b from its floor V = max(V_a - top_b, V_b + top_a - 2*top_b), an
+    exact operand's term left out, or, given `low`, its terms from
+    exponent low up, InsufficientPrecisionError while V > low: low = 0
+    is a // b, the polynomial part.  A divisor zero to its floor, of
+    unknown degree, is refused too; an exact zero dividend has no terms,
+    and exact by exact is polynomial //."""
+    (v_a, x), (v_b, y) = a, b
+    if v_a is None and v_b is None:
+        return None, _floordiv_arrays(x, y, p)
     if y.size == 0:
         raise InsufficientPrecisionError("the divisor's degree is below its floor")
-    qlen = (v_a + x.size) - (v_b + y.size) + 1
-    if qlen <= 0:
-        return _EMPTY
-    if min(x.size, y.size) < qlen:
-        raise InsufficientPrecisionError(
-            f"the polynomial part of a quotient needs the top {qlen} terms "
-            "of each window"
-        )
-    return _top_quotient(x, y, qlen, p)
+    top_a, top_b = (v_a or 0) + x.size - 1, (v_b or 0) + y.size - 1
+    v = max(([] if v_a is None else [v_a - top_b])
+            + ([] if v_b is None else [v_b + top_a - 2 * top_b]))
+    if low is not None:
+        if v > low and (v_a is not None or x.size):
+            raise InsufficientPrecisionError(f"a quotient known from {v} is cut at {low}")
+        v = low
+    n = top_a - top_b - v + 1
+    return v, (_top_quotient(x, y, n, p) if x.size and n > 0 else _EMPTY)
 
 
 class LaurentSeries:
@@ -281,24 +277,10 @@ class LaurentSeries:
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "LaurentSeries":
-        top_a, v_a = self._nominal_top, self.valid_order
-        if isinstance(other, LaurentSeries):
-            self._check(other)
-            b, top_b = other.coeffs, other._nominal_top
-            v_q = max(v_a - top_b, other.valid_order + top_a - 2 * top_b)
-        else:
-            # an exact divisor has no unknown tail to leak into the quotient
-            b = Poly._coerce(self.field, other).coeffs
-            top_b = b.size - 1
-            v_q = v_a - top_b
-        if b.size == 0:
+        b = self._operand(other)
+        if b[1].size == 0:
             raise ZeroDivisionError("divisor is zero to its validity floor")
-        nq = top_a - top_b - v_q + 1
-        if self.is_zero_to_floor or nq <= 0:
-            return LaurentSeries.zero(self.field, v_q)
-        return LaurentSeries._raw(
-            self.field, v_q, _top_quotient(self.coeffs, b, nq, self.field.p)
-        )
+        return self._series(_raw_div(self._value, b, self.field.p))
 
     def frobenius(self) -> "LaurentSeries":
         """self**p, by `_raw_frobenius`."""

@@ -859,6 +859,46 @@ class TestJumps:
         assert got[1] == list(pattern(spec, m))
         assert got == _outcome(stepwise_expand, eq, m)
 
+    @pytest.mark.parametrize("p, u, window", [
+        (7, (2, 4, 5), expansion._WINDOW_MIN_LEN), (11, (3, 10, 5), 4)])
+    def test_a_map_too_short_to_cut_is_not_asked_again(self, monkeypatch, p, u, window):
+        # through n_4: windows only shorten, so once `_windows` finds a map
+        # with floors too short to cut, its run asks no more; each call is
+        # charged to the run whose round makes it, the innermost one running
+        spec = build_spec(FIELDS[p], u)
+        m = pattern_position(p, 4)
+        real_run, real_windows = expansion._run, expansion._windows
+        running, short, late = [], [], []  # late: asked after a None in its run
+
+        def run(field, P, budget):
+            rounds, refused = real_run(field, P, budget), [False]
+            while True:
+                running.append(refused)
+                try:
+                    got = next(rounds, None)
+                finally:
+                    running.pop()
+                if got is None:
+                    return
+                yield got
+
+        def windows(P):
+            got = real_windows(P)
+            if any(v is not None for v, _ in P.values()):
+                refused = running[-1]
+                late.append(refused[0])
+                short.append(got is None)
+                refused[0] = refused[0] or got is None
+            return got
+
+        monkeypatch.setattr(expansion, "_WINDOW_MIN_LEN", window)
+        monkeypatch.setattr(expansion, "_run", run)
+        monkeypatch.setattr(expansion, "_windows", windows)
+        got = expand(pattern_equation(spec), m).quotients
+        monkeypatch.undo()
+        assert any(short) and sum(late) == 0
+        assert got == pattern(spec, m)
+
     def test_next_step_is_the_one_quotient_jump(self):
         K = FIELDS[7]
         eq = pattern_equation(build_spec(K, (2, 4, 5)))

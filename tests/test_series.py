@@ -280,9 +280,9 @@ class TestPrecisionRules:
 
 
 class TestPolynomialPart:
-    """The engine's `//` on raw windows, `_raw_floordiv`: the polynomial
-    part of a quotient, from the top (quotient length) terms of each
-    window, or InsufficientPrecisionError."""
+    """The engine's `//` on raw windows, `_raw_div` from exponent 0 up: the
+    polynomial part of a quotient, or InsufficientPrecisionError while
+    the quotient's floor is above 0."""
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
@@ -299,12 +299,12 @@ class TestPolynomialPart:
         ) and floor_b <= b.degree
         if decided:
             want = (a // b).coeffs
-            assert np.array_equal(series._raw_floordiv(wa, wb, p), want)
+            assert np.array_equal(series._raw_div(wa, wb, p, 0)[1], want)
             # an exact dividend
-            assert np.array_equal(series._raw_floordiv((None, a.coeffs), wb, p), want)
+            assert np.array_equal(series._raw_div((None, a.coeffs), wb, p, 0)[1], want)
         else:
             with pytest.raises(InsufficientPrecisionError):
-                series._raw_floordiv(wa, wb, p)
+                series._raw_div(wa, wb, p, 0)
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
@@ -327,21 +327,75 @@ class TestPolynomialPart:
             decided = b.coeffs.size and (qlen <= 0 or shorter >= qlen)
             if not decided:
                 with pytest.raises(InsufficientPrecisionError):
-                    series._raw_floordiv(raw, (v_b, b.coeffs), p)
+                    series._raw_div(raw, (v_b, b.coeffs), p, 0)
                 continue
-            got = series._raw_floordiv(raw, (v_b, b.coeffs), p)
+            got = series._raw_div(raw, (v_b, b.coeffs), p, 0)[1]
             num = {e - v_a: c for e, c in window.terms().items()}
             den = {e - v_b: c for e, c in b.terms().items()}
             oracle = rseries(num, den, p, v_b - v_a)
             assert poly_dict(Poly._raw(K, got)) == {e + v_a - v_b: c for e, c in oracle.items()}
 
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_floordiv_is_the_quotient_from_zero_up(self, data):
+        # one rule for / and //: a/b from its floor is the dict oracle's
+        # quotient of the operands with any terms below their floors, and
+        # a // b is its terms from exponent 0 up, refused exactly when
+        # that floor is above 0 (an exact zero dividend has no terms at
+        # any floor).  Two series, an exact dividend, zero included, or
+        # an exact divisor
+        p = data.draw(st.sampled_from((3, 5, 7)))
+        K = FIELDS[p]
+        kind = data.draw(st.sampled_from(("series", "exact dividend", "exact divisor")))
+        top_a, top_b = data.draw(st.integers(-6, 12)), data.draw(st.integers(-6, 8))
+        a = _random_series(data, K, top_a, top_a - data.draw(st.integers(-1, 14)))
+        b = _random_series(data, K, top_b, top_b - data.draw(st.integers(0, 10)))
+
+        def deepened(s):  # s's terms over random ones below its floor
+            junk = data.draw(st.lists(st.integers(0, p - 1), max_size=6))
+            return {**{s.valid_order - 1 - i: c for i, c in enumerate(junk) if c}, **s.terms()}
+
+        num, den = deepened(a), deepened(b)
+        raw_a, raw_b = (a.valid_order, a.coeffs), (b.valid_order, b.coeffs)
+        if kind == "exact dividend":
+            exact = data.draw(st.one_of(polys(p, 0, 10), st.just(Poly(K, ()))))
+            num, raw_a = poly_dict(exact), (None, exact.coeffs)
+        elif kind == "exact divisor":
+            exact = data.draw(polys(p, 0, 8))
+            den, raw_b = poly_dict(exact), (None, exact.coeffs)
+        if not raw_b[1].size:
+            for low in (None, 0):
+                with pytest.raises(InsufficientPrecisionError):
+                    series._raw_div(raw_a, raw_b, p, low)
+            return
+        v, q = series._raw_div(raw_a, raw_b, p)
+        quotient = {v + i: int(c) for i, c in enumerate(q) if c}
+        assert quotient == rseries(num, den, p, v)
+        if v > 0 and (raw_a[0] is not None or num):
+            with pytest.raises(InsufficientPrecisionError):
+                series._raw_div(raw_a, raw_b, p, 0)
+        else:
+            low, part = series._raw_div(raw_a, raw_b, p, 0)
+            assert low == 0
+            assert poly_dict(Poly._raw(K, part)) == {e: c for e, c in quotient.items() if e >= 0}
+
+    def test_exact_zero_over_a_window_below_zero_is_zero(self):
+        # 0 // (1*T^-2 known from -2): 0/b's floor reads 1 from the rule,
+        # yet an exact zero has no terms to refuse
+        K = FIELDS[5]
+        one = np.ones(1, dtype=np.int64)
+        assert series._raw_div((None, Poly(K, ()).coeffs), (-2, one), 5)[1].size == 0
+        assert series._raw_div((None, Poly(K, ()).coeffs), (-2, one), 5, 0)[1].size == 0
+        with pytest.raises(InsufficientPrecisionError):
+            series._raw_div((None, one), (-2, one), 5, 0)
+
     def test_zero_window_divisor_is_undecided(self):
         K = FIELDS[5]
         with pytest.raises(InsufficientPrecisionError):
-            series._raw_floordiv(
-                (-3, series._cut((None, K.T.coeffs), -3)), (-2, np.zeros(0, dtype=np.int64)), 5
+            series._raw_div(
+                (-3, series._cut((None, K.T.coeffs), -3)), (-2, np.zeros(0, dtype=np.int64)), 5, 0
             )
-        assert series._raw_floordiv((None, Poly(K, ()).coeffs), (0, K.T.coeffs), 5).size == 0
+        assert series._raw_div((None, Poly(K, ()).coeffs), (0, K.T.coeffs), 5, 0)[1].size == 0
 
 
 class TestAgainstReference:
