@@ -258,13 +258,25 @@ def _sub_arrays(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     return _trim(out)
 
 
-def _convolve(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    # int64 accumulation is exact while (p-1)^2 * min(len) stays below 2^62
-    if (p - 1) * (p - 1) * min(a.size, b.size) < (1 << 62):
+def _plus_at(out: np.ndarray, c: np.ndarray, at: int) -> np.ndarray:
+    """out + T^at * c, unreduced: in place where out reaches that far."""
+    if c.size:
+        if out.size < at + c.size:
+            out = _fit(out, at + c.size)
+        out[at : at + c.size] += c
+    return out
+
+
+def _convolve(a: np.ndarray, b: np.ndarray, p: int, c=_EMPTY, at: int = 0) -> np.ndarray:
+    """a*b + T^at * c mod p, the addend reduced; int64 accumulation is exact
+    while (p-1)^2 * min(len) + (p-1) stays below 2^62."""
+    if (p - 1) * ((p - 1) * min(a.size, b.size) + 1) < (1 << 62):
         out = np.convolve(a, b)
+        if c.size:  # not even a call for the many products with no addend
+            out = _plus_at(out, c, at)
         out %= p
         return out
-    full = np.convolve(a.astype(object), b.astype(object)) % p
+    full = _plus_at(np.convolve(a.astype(object), b.astype(object)), c, at) % p
     return full.astype(np.int64)
 
 
@@ -313,24 +325,28 @@ def _fft_product(a: np.ndarray, b: np.ndarray, p: int):
     return _from_spectrum(_spectrum(a, p, size) * _spectrum(b, p, size), size, n, p)
 
 
-def _mul_arrays(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """The product a*b in F_p[T], trimmed.  Long operands go through a
-    checked float FFT while ((p-1)/2)^2 * min(len) <= _FFT_EXACT_BOUND; short
-    ones, large moduli and any FFT product that fails its rounding check
-    are convolved exactly."""
+def _mul_arrays(a: np.ndarray, b: np.ndarray, p: int, c=_EMPTY, at: int = 0) -> np.ndarray:
+    """The product a*b in F_p[T] plus T^at * c, for c reduced and trimmed,
+    trimmed: the one product kernel.  Long operands go through a checked
+    float FFT while ((p-1)/2)^2 * min(len) <= _FFT_EXACT_BOUND, c added to
+    the product; short ones, large moduli and any FFT product that fails
+    its rounding check are convolved exactly, c added before the one
+    reduction."""
     if a.size == 0 or b.size == 0:
-        return _EMPTY
+        return _plus_at(_EMPTY, c, at)
     if b.size == 1:
         a, b = b, a
     if a.size == 1:
         # a unit factor leaves a trimmed b as is
-        return b if a[0] == 1 and b[-1] else _trim(b * int(a[0]) % p)
+        if a[0] == 1 and b[-1] and not c.size:
+            return b
+        return _trim(_plus_at(b * int(a[0]), c, at) % p)
     shorter = min(a.size, b.size)
     if shorter >= _FFT_MIN_LEN and ((p - 1) // 2) ** 2 * shorter <= _FFT_EXACT_BOUND:
         out = _fft_product(a, b, p)
         if out is not None:
-            return _trim(out)
-    return _trim(_convolve(a, b, p))
+            return _trim(_plus_at(out, c, at) % p if c.size else out)
+    return _trim(_convolve(a, b, p, c, at))
 
 
 def _frobenius_array(x: np.ndarray, p: int, lead: int = 0) -> np.ndarray:
@@ -345,7 +361,7 @@ def _fit(arr: np.ndarray, n: int) -> np.ndarray:
     """arr truncated or zero-padded to exactly n entries."""
     if arr.size >= n:
         return arr[:n]
-    out = np.zeros(n, dtype=np.int64)
+    out = np.zeros(n, dtype=arr.dtype)
     out[: arr.size] = arr
     return out
 

@@ -14,16 +14,18 @@ term maps, y-exponent to coefficient, takes them all.  N^p and D^p are
 Frobenius images, so A*x^(p+1) + B*x^p + C*x + D goes to
 N^p*(A*N + B*D) + D^p*(C*N + D*D), and with the unit a marker of this
 module never multiplied, a step makes just the 4 coefficient products of
-that form.
+that form, each added to something at once.
 
 The Horner runs once per shape of the equation and of N and D, on
 placeholder slots, and traces a straight-line schedule of products,
-sums and Frobenius images; every evaluation replays the schedule of its
-shape on raw values, (floor, array) pairs, by the rules of `series`,
-where an exact value has no floor, each value dropped after its last
-use.  A composite map of exact values replays it in one transform
-domain: each input and Frobenius image is transformed once, at one
-length, products and sums are pointwise and each output takes one
+sums and Frobenius images, a product that only a sum reads fused into
+it as a*b + c: a step is 1 Frobenius image and 4 such calls.  Every
+evaluation replays the schedule of its shape on raw values, (floor,
+array) pairs, by the rules of `series`, where an exact value has no
+floor, each value dropped after its last use.  A composite map of exact
+values replays it in one transform domain: each input is transformed
+once, at one length, a Frobenius image's spectrum is read off its
+input's, products and sums are pointwise and each output takes one
 inverse transform.  Where a bound on the values' coefficients or a
 rounding check fails, and for every other evaluation, the products are
 formed one by one.
@@ -40,7 +42,7 @@ decide to P once: each coefficient cut at its window's floor must equal
 the window.  Where they decide nothing, the round steps on P itself.
 Windows are cut from windows while they stay four windows high, so the
 steps run on the shortest; one on windows of 190 terms at p=7 takes
-about 65 us (2-vCPU host), mostly numpy's small-array calls.  What the
+about 45 us (2-vCPU host), mostly numpy's small-array calls.  What the
 exact map's windows leave open, a deep quotient, a constant one or a
 possibly rational root, falls to a step on it.  One test
 decides P(bar) = 0 for a constant quotient and for a run's last, which
@@ -49,6 +51,7 @@ and T = 1, formed only when both vanish.  A constant non-root aborts.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -56,7 +59,7 @@ import numpy as np
 
 from . import algebra
 from .algebra import (
-    _EMPTY, _FFT_EXACT_BOUND, Poly, PrimeField, _fft_length, _frobenius_array, _trim,
+    _EMPTY, _FFT_EXACT_BOUND, Poly, PrimeField, _fft_length, _trim,
 )
 from .cf import PartialQuotients, continuants
 from .series import (
@@ -430,7 +433,8 @@ def _evaluate(
     as a term map in y, for term maps z and w of raw values and the unit;
     P(z) when w is {0: unit}.  An exact zero is left out of the result.
     It replays the schedule of the shape of P, z and w one operation at a
-    time, each product with its own transforms."""
+    time, each product with its own transforms, a fused one, a*b + c, as
+    the one call kind(a, b, p, c)."""
     steps, outputs, size = _schedule(p, P, z, w)
     regs = [*P.values(), *[c for c in z.values() if c is not _UNIT],
             *[c for c in w.values() if c is not _UNIT]]
@@ -439,7 +443,8 @@ def _evaluate(
         # operands by position: a list of them unpacked into the call made
         # a windowed step about 7% slower (52 against 48 us at p=7)
         a = regs[args[0]]
-        regs[out] = kind(a, p) if kind is _raw_frobenius else kind(a, regs[args[1]], p)
+        regs[out] = (kind(a, p) if kind is _raw_frobenius else kind(a, regs[args[1]], p)
+                     if len(args) == 2 else kind(a, regs[args[1]], p, regs[args[2]]))
         for r in dead:
             regs[r] = None
     values = ((e, regs[r]) for e, r in outputs)
@@ -450,9 +455,10 @@ def _spectral(
     p: int, P: Mapping[int, Raw], z: Mapping[int, Raw], w: Mapping[int, Raw]
 ) -> Optional[Dict[int, Raw]]:
     """`_evaluate` for z and w of exact values, none the unit, in one
-    transform domain: every input and Frobenius image is transformed once,
-    at one length, products and sums are pointwise, and each output takes
-    one inverse transform.  None, for the per-product replay, when P has a
+    transform domain: every input is transformed once, at one length, a
+    Frobenius image's spectrum is read off its input's, products, fused
+    ones and sums are pointwise, and each output takes one inverse
+    transform.  None, for the per-product replay, when P has a
     window, a value's balanced coefficients may pass the 2^34 a lone FFT
     product keeps, or an output fails its rounding check."""
     inputs = [*P.values(), *z.values(), *w.values()]
@@ -462,22 +468,25 @@ def _spectral(
     # each value's size and a bound on its balanced coefficients
     shape = [(c.size, (p - 1) // 2) for _, c in inputs] + [(0, 0)] * (size - len(inputs))
     for kind, args, out, _ in steps:
-        (sa, ba), (sb, bb) = shape[args[0]], shape[args[-1]]
-        shape[out] = ((sa + sb - 1, ba * bb * min(sa, sb)) if kind is _raw_mul else
-                      (max(sa, sb), ba + bb) if kind is _raw_add else (p * (sa - 1) + 1, ba))
+        (sa, ba), (sb, bb), (sc, bc) = [shape[r] for r in args] + [(0, 0)] * (3 - len(args))
+        shape[out] = ((max(sa + sb - 1, sc), ba * bb * min(sa, sb) + bc) if kind is _raw_mul
+                      else (max(sa, sb), ba + bb) if kind is _raw_add else (p * (sa - 1) + 1, ba))
     if max(b for _, b in shape) > _FFT_EXACT_BOUND:
         return None
     length = _fft_length(max((shape[r][0] for _, r in outputs), default=1))
+    # x(T^p)'s spectrum is x's read at p*k mod length, conjugated above length/2
+    k = p * np.arange(length // 2 + 1) % length
     regs: list = [None] * size
     for kind, args, out, dead in steps:
-        if kind is _raw_frobenius:  # of an input, from its array
-            regs[out] = algebra._spectrum(_frobenius_array(inputs[args[0]][1], p), p, length)
+        for r in args:
+            if regs[r] is None:  # an input, transformed at its first read
+                regs[r] = algebra._spectrum(inputs[r][1], p, length)
+        a, *b = (regs[r] for r in args)
+        if kind is _raw_frobenius:  # of an input
+            a = regs[out] = a[np.minimum(k, length - k)]
+            a.imag[k > length - k] *= -1
         else:
-            for r in args:
-                if regs[r] is None:  # an input, transformed at its first read
-                    regs[r] = algebra._spectrum(inputs[r][1], p, length)
-            a, b = regs[args[0]], regs[args[1]]
-            regs[out] = a * b if kind is _raw_mul else a + b
+            regs[out] = a + b[0] if kind is _raw_add else sum(b[1:], a * b[0])
         for r in dead:
             regs[r] = None
     tail = [(e, algebra._from_spectrum(regs[r], length, shape[r][0], p)) for e, r in outputs]
@@ -496,21 +505,29 @@ def _schedule(p: int, P: Mapping[int, Raw], z: Mapping, w: Mapping) -> tuple:
 def _trace(p: int, P: tuple, z: tuple, w: tuple) -> tuple:
     """The schedule of one shape: p, P's exponents, and z's and w's, each
     with a flag for the unit.  It runs `_split_horner` on slots, drops
-    what the result does not need and marks after each step the slots
-    read there last.  Returns (steps, outputs, number of slots); a step is
-    one operation, (operation, operand slots, result slot, slots to
-    drop)."""
+    what the result does not need, fuses each product that only a sum
+    reads into that sum, and marks after each step the slots read there
+    last.  Returns (steps, outputs, number of slots); a step is one
+    operation, (operation, operand slots, result slot, slots to drop), a
+    fused product `_raw_mul` on three operand slots (a, b, c)."""
     ops: list = []
     P, z, w = ({e: _Slot(ops) for e in P}, *(
         {e: _UNIT if unit else _Slot(ops) for e, unit in t} for t in (z, w)))
     outputs = tuple((e, c.index) for e, c in _split_horner(p, P, z, w).items())
+    reads = Counter([r for _, args in ops for r in args] + [r for _, r in outputs])
     # backwards: a slot is needed if an output reads it, and the first
-    # needed step met that reads it is the one after which it is dropped
+    # needed step met that reads it is the one after which it is dropped;
+    # a sum formed from a product it alone reads takes that product's
+    # factors, a*b + c in one kernel call, and the product is not formed
     need, steps = {r for _, r in outputs}, []
     for i in range(len(ops) - 1, -1, -1):
         kind, args = ops[i]
         if kind is None or i not in need:
             continue
+        if kind is _raw_add:
+            fused = [(*ops[j][1], c) for j, c in (args, args[::-1])
+                     if ops[j][0] is _raw_mul and reads[j] == 1]
+            kind, args = (_raw_mul, fused[0]) if fused else (kind, args)
         dead = tuple(set(args) - need)
         need.update(dead)
         steps.append((kind, args, i, dead))

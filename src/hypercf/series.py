@@ -81,11 +81,15 @@ def _raw_add(a: Raw, b: Raw, p: int, kernel=_add_arrays) -> Raw:
     return v, kernel(_cut(a, v), _cut(b, v), p)
 
 
-def _raw_mul(a: Raw, b: Raw, p: int) -> Raw:
-    """a*b for any two raw values, exact or series."""
+def _raw_mul(a: Raw, b: Raw, p: int, c: Raw = (None, _EMPTY)) -> Raw:
+    """a*b + c for any raw values, exact or series, c an exact zero unless
+    given: at the product's floor, then the higher of that and c's, with
+    c added to the product inside its one reduction."""
     if a[0] is None:
         if b[0] is None:
-            return None, _mul_arrays(a[1], b[1], p)
+            if c[0] is None:
+                return None, _mul_arrays(a[1], b[1], p, c[1])
+            return _raw_add(_raw_mul(a, b, p), c, p)
         a, b = b, a
     (v_a, x), (v_b, y) = a, b
     top_a = v_a + x.size - 1
@@ -97,14 +101,16 @@ def _raw_mul(a: Raw, b: Raw, p: int) -> Raw:
     else:
         top_b = v_b + y.size - 1
         v = max(v_a + top_b, v_b + top_a)
-    if x.size == 0 or y.size == 0:
-        return v, _EMPTY
+    v = max(v, v if c[0] is None else c[0])
+    z = _cut(c, v)
     # a term of exponent e reaches the floor v only if e >= v - (the
     # other factor's top), which leaves top - v + 1 terms of each factor
     keep = top_a + top_b - v + 1
+    if x.size == 0 or y.size == 0 or keep < 1:
+        return v, z
     x, y = x[-keep:] if keep < x.size else x, y[-keep:] if keep < y.size else y
-    low = top_a + top_b - x.size - y.size + 2  # the product's first exponent
-    return v, _mul_arrays(x, y, p)[v - low :]
+    at = v - (top_a + top_b - x.size - y.size + 2)  # from the product's first exponent
+    return v, _mul_arrays(x, y, p, z, at)[at:]
 
 
 def _raw_frobenius(a: Raw, p: int) -> Raw:

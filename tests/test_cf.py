@@ -62,8 +62,8 @@ def _fault_at(monkeypatch, k: int, calls: list, entry=lambda b: 0):
             inside.pop()
         return counted(out, b, p)
 
-    def faulty_convolve(a, b, p):
-        out = convolve(a, b, p)
+    def faulty_convolve(a, b, p, *addend):
+        out = convolve(a, b, p, *addend)
         return out if inside else counted(out, b, p)
 
     def faulty_inverse(spectrum, size, n, p):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import contextlib
+from collections import Counter
 from unittest import mock
 
 import numpy as np
@@ -204,7 +205,8 @@ class TestLeanStep:
         # the series kernel; a product by the unit would have a 1-entry
         # operand, none goes through LaurentSeries, and each has a window
         # for one factor (the schedule is traced afresh, so that its
-        # products are the counting `_raw_mul`)
+        # products are the counting `_raw_mul`, each with the sum that
+        # reads it: a*b + c in one call)
         full = self._tall_equation(60)
         K = full.field
         windows = expansion._windows(full._raw_terms())
@@ -212,13 +214,13 @@ class TestLeanStep:
         kernel, floors, elsewhere = [], [], []
         real_kernel, real_mul = series._mul_arrays, expansion._raw_mul
 
-        def counting(a, b, p):
+        def counting(a, b, p, *addend):
             kernel.append((a.size, b.size))
-            return real_kernel(a, b, p)
+            return real_kernel(a, b, p, *addend)
 
-        def product(a, b, p):
+        def product(a, b, p, *addend):
             floors.append((a[0], b[0]))
-            return real_mul(a, b, p)
+            return real_mul(a, b, p, *addend)
 
         def unexpected(*args, **kwargs):
             elsewhere.append(args)
@@ -230,8 +232,12 @@ class TestLeanStep:
         for name in ("__mul__", "__rmul__"):
             monkeypatch.setattr(LaurentSeries, name, unexpected)
         bar, tail = expansion._step(K, windows)
+        (steps, _, _), = expansion._SCHEDULES.values()
         monkeypatch.undo()
         assert not elsewhere
+        # 1 Frobenius image and 4 products, each fused with its sum
+        assert len(steps) == 5
+        assert sorted(len(args) for _, args, _, _ in steps) == [1, 3, 3, 3, 3]
         assert len(kernel) == 4 and all(min(sizes) > 1 for sizes in kernel)
         assert len(floors) == 4 and all(pair.count(None) == 1 for pair in floors)
         full_bar, full_tail = expansion._step(K, full._raw_terms())
@@ -244,9 +250,9 @@ class TestLeanStep:
         pairs = []
         real = series._mul_arrays
 
-        def counting(a, b, p):
+        def counting(a, b, p, *addend):
             pairs.append((a.size, b.size))
-            return real(a, b, p)
+            return real(a, b, p, *addend)
 
         monkeypatch.setattr(series, "_mul_arrays", counting)
         next_step(full)
@@ -255,8 +261,10 @@ class TestLeanStep:
     def test_apply_transforms_each_operand_once_per_length(self, monkeypatch):
         # u1, v1, u2 and v2 meet x^p, x_prev^p, y^p and y_prev^p in the
         # outer level: every operand's spectrum serves all its products,
-        # all at one length, and each of the 4 tail coefficients takes
-        # one inverse transform
+        # all at one length, a Frobenius image's is read off its input's,
+        # so each map makes 8 forward transforms, 4 coefficients and 4
+        # continuants, and each of the 4 tail coefficients takes one
+        # inverse transform
         spec = build_spec(FIELDS[7], (2, 4, 5))
         transforms, operands = [], []
         real_balanced, real_rfft, real_irfft = algebra._balanced, np.fft.rfft, np.fft.irfft
@@ -292,7 +300,7 @@ class TestLeanStep:
         m = pattern_position(7, 4)
         assert expand(pattern_equation(spec), m).quotients == pattern(spec, m)
         per_apply = [t for t in transforms if t is not None]
-        assert per_apply and max(len(keys) for keys, _ in per_apply) >= 8
+        assert len(per_apply) == 6 and all(len(keys) == 8 for keys, _ in per_apply)
         for keys, (*inverses, outputs) in per_apply:
             assert len(keys) == len(set(keys))
             assert outputs == len(inverses) == 4
@@ -561,16 +569,31 @@ class TestSchedule:
         assert expand(eq, m).quotients == run.quotients
         assert expand(pattern_equation(build_spec(K, (3, 1, 6))), m).quotients
         assert len(keys) == first
-        # every slot read and not returned is dropped after its last read
-        for steps, outputs, size in expansion._SCHEDULES.values():
+        # every slot read and not returned is dropped after its last read,
+        # a fused product's three operands included; a step reads only
+        # inputs and slots formed before it, and no sum is left reading a
+        # product that nothing else reads
+        arities = []
+        for (_, P, z, w), (steps, outputs, size) in expansion._SCHEDULES.items():
             returned = {r for _, r in outputs}
+            formed = set(range(len(P) + sum(not unit for _, unit in z + w)))
+            reads = Counter([r for _, args, _, _ in steps for r in args] + list(returned))
+            products = {out for kind, args, out, _ in steps
+                        if kind is expansion._raw_mul and len(args) == 2 and reads[out] == 1}
             last = {}
-            for k, (_, args, _, _) in enumerate(steps):
+            for k, (kind, args, out, _) in enumerate(steps):
+                assert set(args) <= formed and len(args) in (
+                    (1,) if kind is expansion._raw_frobenius else
+                    (2,) if kind is expansion._raw_add else (2, 3))
+                assert kind is not expansion._raw_add or not products & set(args)
+                formed.add(out)
+                arities.append(len(args))
                 for r in args:
                     last[r] = k
             for k, (_, _, _, dead) in enumerate(steps):
                 assert sorted(dead) == sorted(r for r, at in last.items()
                                               if at == k and r not in returned)
+        assert arities.count(3) >= 4
 
 
 def _outcome(engine, equation: BiPoly, m: int) -> tuple:
@@ -1186,10 +1209,10 @@ class TestLastStep:
         real_is_root = expansion._is_root
 
         def counting(real):
-            def mul(a, b, p):
+            def mul(a, b, p, *addend):
                 if last:
                     sizes.extend((a.size, b.size))
-                return real(a, b, p)
+                return real(a, b, p, *addend)
             return mul
 
         def is_root(field, P, bar):

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hypercf import InsufficientPrecisionError, LaurentSeries, Poly, series, series_from_rational
+from hypercf import InsufficientPrecisionError, LaurentSeries, Poly, algebra, series, series_from_rational
+from hypercf.algebra import _EMPTY, _trim
 
 from conftest import FIELDS, polys
 from reference import poly_dict, radd, rmul, rseries, rsub, untrimmed_series_mul
@@ -573,6 +574,60 @@ class TestRawMul:
             product = LaurentSeries._raw(K, v, got)
             _assert_same_series(product, s * c)
             assert product.terms() == want
+
+
+    @staticmethod
+    def _raw_value(data, p: int):
+        """An exact value or a series window, at a floor from -300 to 40,
+        empty a quarter of the time, else of up to 2*_FFT_MIN_LEN + 20
+        terms: long factors take the FFT product."""
+        size = data.draw(st.one_of(
+            st.just(0), st.integers(1, 6), st.integers(1, 2 * algebra._FFT_MIN_LEN + 20)))
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        arr = _trim(np.random.default_rng(seed).integers(0, p, size).astype(np.int64))
+        floor = data.draw(st.one_of(st.none(), st.integers(-300, 40)))
+        return floor, arr
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_addend_matches_product_then_sum(self, data):
+        # a*b + c in one call is the product, then the sum, in floor and
+        # array, for every mix of exact values and windows, exact x exact
+        # and an exact zero addend included
+        p = data.draw(st.sampled_from((3, 5, 7, 11)))
+        a, b, c = (self._raw_value(data, p) for _ in range(3))
+        if data.draw(st.booleans()):
+            c = (None, _EMPTY)
+        v, got = series._raw_mul(a, b, p, c)
+        floor, want = series._raw_add(series._raw_mul(a, b, p), c, p)
+        assert v == floor and np.array_equal(got, want)
+
+    def test_addend_on_the_object_convolution(self, monkeypatch):
+        # at p = 2^31 - 1 a product of two factors of two terms or more
+        # passes int64's exact range, and its addend joins it there
+        p = 2147483647
+        a = (-3, np.array([p - 1, p - 2, 5, p - 1], dtype=np.int64))
+        b = (None, np.array([p - 1, 7, p - 1], dtype=np.int64))
+        c = (-2, np.array([p - 1] * 6, dtype=np.int64))
+        addends = []
+        real = algebra._convolve
+
+        def convolve(x, y, q, *addend):
+            addends.append(addend)
+            return real(x, y, q, *addend)
+
+        monkeypatch.setattr(algebra, "_convolve", convolve)
+        v, got = series._raw_mul(a, b, p, c)
+        monkeypatch.undo()
+        assert len(addends) == 1 and addends[0][0].size
+        assert (p - 1) * ((p - 1) * 2 + 1) >= 1 << 62  # the object-dtype path
+        floor, want = series._raw_add(series._raw_mul(a, b, p), c, p)
+        assert v == floor == -1 and np.array_equal(got, want)
+        product = rmul({a[0] + i: int(x) for i, x in enumerate(a[1])},
+                       {i: int(x) for i, x in enumerate(b[1])}, p)
+        total = radd(product, {c[0] + i: int(x) for i, x in enumerate(c[1])}, p)
+        assert {v + i: int(x) for i, x in enumerate(got) if x} == {
+            e: x for e, x in total.items() if e >= v}
 
 
 class TestExactOperands:
