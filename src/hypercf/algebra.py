@@ -232,10 +232,8 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 def _trim(arr: np.ndarray) -> np.ndarray:
     if arr.size and arr[-1]:
         return arr
-    nz = np.nonzero(arr)[0]
-    if nz.size == 0:
-        return _EMPTY
-    return arr[: nz[-1] + 1]
+    nz = arr.nonzero()[0]
+    return arr[: nz[-1] + 1] if nz.size else _EMPTY
 
 
 def _add_arrays(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
@@ -258,25 +256,28 @@ def _sub_arrays(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     return _trim(out)
 
 
-def _plus_at(out: np.ndarray, c: np.ndarray, at: int) -> np.ndarray:
-    """out + T^at * c, unreduced: in place where out reaches that far."""
+def _plus(out: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """out + c, unreduced: in place where out is as long."""
     if c.size:
-        if out.size < at + c.size:
-            out = _fit(out, at + c.size)
-        out[at : at + c.size] += c
+        if out.size < c.size:
+            out = _fit(out, c.size)
+        out[: c.size] += c
     return out
 
 
 def _convolve(a: np.ndarray, b: np.ndarray, p: int, c=_EMPTY, at: int = 0) -> np.ndarray:
-    """a*b + T^at * c mod p, the addend reduced; int64 accumulation is exact
-    while (p-1)^2 * min(len) + (p-1) stays below 2^62."""
+    """The terms of a*b + T^at * c from exponent `at` up, mod p, c
+    reduced: only those are reduced.  int64 accumulation is exact while
+    (p-1)^2 * min(len) + (p-1) stays below 2^62."""
     if (p - 1) * ((p - 1) * min(a.size, b.size) + 1) < (1 << 62):
-        out = np.convolve(a, b)
+        # np.convolve(a, b) is this correlation behind checks of its
+        # arguments that cost a short product about half a microsecond
+        out = np.correlate(a, b[::-1], "full")[at:]
         if c.size:  # not even a call for the many products with no addend
-            out = _plus_at(out, c, at)
+            out = _plus(out, c)
         out %= p
         return out
-    full = _plus_at(np.convolve(a.astype(object), b.astype(object)), c, at) % p
+    full = _plus(np.convolve(a.astype(object), b.astype(object))[at:], c) % p
     return full.astype(np.int64)
 
 
@@ -326,27 +327,27 @@ def _fft_product(a: np.ndarray, b: np.ndarray, p: int):
 
 
 def _mul_arrays(a: np.ndarray, b: np.ndarray, p: int, c=_EMPTY, at: int = 0) -> np.ndarray:
-    """The product a*b in F_p[T] plus T^at * c, for c reduced and trimmed,
-    trimmed: the one product kernel.  Long operands go through a checked
-    float FFT while ((p-1)/2)^2 * min(len) <= _FFT_EXACT_BOUND, c added to
-    the product; short ones, large moduli and any FFT product that fails
-    its rounding check are convolved exactly, c added before the one
-    reduction."""
-    if a.size == 0 or b.size == 0:
-        return _plus_at(_EMPTY, c, at)
+    """The terms of a*b + T^at * c in F_p[T] from exponent `at` up, for c
+    reduced and trimmed, trimmed: the one product kernel.  Long operands
+    go through a checked float FFT while ((p-1)/2)^2 * min(len) <=
+    _FFT_EXACT_BOUND, c added to the product; short ones, large moduli
+    and any FFT product that fails its rounding check are convolved
+    exactly, c added before the one reduction."""
+    shorter = min(a.size, b.size)
+    if shorter > 1:
+        if shorter >= _FFT_MIN_LEN and ((p - 1) // 2) ** 2 * shorter <= _FFT_EXACT_BOUND:
+            out = _fft_product(a, b, p)
+            if out is not None:
+                return _trim(_plus(out[at:], c) % p if c.size else out[at:])
+        return _trim(_convolve(a, b, p, c, at))
+    if shorter == 0:
+        return c
     if b.size == 1:
         a, b = b, a
-    if a.size == 1:
-        # a unit factor leaves a trimmed b as is
-        if a[0] == 1 and b[-1] and not c.size:
-            return b
-        return _trim(_plus_at(b * int(a[0]), c, at) % p)
-    shorter = min(a.size, b.size)
-    if shorter >= _FFT_MIN_LEN and ((p - 1) // 2) ** 2 * shorter <= _FFT_EXACT_BOUND:
-        out = _fft_product(a, b, p)
-        if out is not None:
-            return _trim(_plus_at(out, c, at) % p if c.size else out)
-    return _trim(_convolve(a, b, p, c, at))
+    # a unit factor leaves a trimmed b as is
+    if a[0] == 1 and b[-1] and not c.size:
+        return b[at:] if at else b
+    return _trim(_plus(b[at:] * int(a[0]), c) % p)
 
 
 def _frobenius_array(x: np.ndarray, p: int, lead: int = 0) -> np.ndarray:
@@ -366,15 +367,15 @@ def _fit(arr: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def _series_quotient(a: np.ndarray, b: np.ndarray, k: int, p: int) -> np.ndarray:
-    """The first k terms of the power series a/b, for b[0] a unit, by the
-    schoolbook recurrence q_i = (a_i - sum_(j=1..i) b_j*q_(i-j)) / b_0."""
-    head, top = b[:k].tolist(), a[:k].tolist() + [0] * k
-    unit = pow(head[0], p - 2, p)
+def _series_quotient(a: list, b: list, k: int, p: int) -> list:
+    """The first k terms of the power series a/b, for b[0] a unit, from
+    lists of a's and b's first terms, by the schoolbook recurrence
+    q_i = (a_i - sum_(j=1..i) b_j*q_(i-j)) / b_0."""
+    top, unit = a + [0] * k, pow(b[0], p - 2, p)
     q: list = []
     for i in range(k):
-        q.append((top[i] - sum(map(operator.mul, head[1 : i + 1], reversed(q)))) * unit % p)
-    return np.array(q, dtype=np.int64)
+        q.append((top[i] - sum(map(operator.mul, b[1 : i + 1], reversed(q)))) * unit % p)
+    return q
 
 
 def _top_quotient(a: np.ndarray, b: np.ndarray, n: int, p: int) -> np.ndarray:
@@ -385,11 +386,12 @@ def _top_quotient(a: np.ndarray, b: np.ndarray, n: int, p: int) -> np.ndarray:
     g = 1/rev(b) and Newton iteration doubles it: if f*g = 1 + T^k*e
     mod T^2k then g - T^k*(g*e) is correct to T^2k.  Only the top n
     terms of a and of b are read."""
-    a, f = a[::-1][:n], b[::-1][:n]
     if n <= _NEWTON_SEED:
-        return _series_quotient(a, f, n, p)[::-1]
+        q = _series_quotient(a[-n:].tolist()[::-1], b[-n:].tolist()[::-1], n, p)
+        return np.array(q[::-1], dtype=np.int64)
+    a, f = a[::-1][:n], b[::-1][:n]
     k = _NEWTON_SEED
-    g = _series_quotient(np.ones(1, dtype=np.int64), f, k, p)
+    g = np.array(_series_quotient([1], f[:k].tolist(), k, p), dtype=np.int64)
     while k < n:
         k2 = min(2 * k, n)
         e = _fit(_mul_arrays(f[:k2], g, p), k2)[k:]

@@ -180,15 +180,16 @@ def _fold(items, p: int):
     """M(a) over the nonempty arrays items as (x, y, x', y'), by the
     recurrence on one packed array per column: x in entries [0, g) and y
     in [g, 2g), g being the degree sum plus one, which lies above every
-    degree x or y reaches.  A step is one product, X = (a*X)[:2g] + X',
-    and no term crosses into y's half or past the cut, as deg(a_n*x_(n-1))
-    = deg x_n < g and deg(a_n*y_(n-1)) = deg y_n < g."""
+    degree x or y reaches.  A step is one product with its addend, X =
+    (a*X + X')[:2g], reduced once, and no term crosses into y's half or
+    past the cut, as deg(a_n*x_(n-1)) = deg x_n < g and deg(a_n*y_(n-1))
+    = deg y_n < g."""
     g = sum(a.size - 1 for a in items) + 1
     X, X_prev = np.zeros(2 * g, np.int64), np.zeros(2 * g, np.int64)
     X[: items[0].size], X[g], X_prev[0] = items[0], 1, 1
     convolve = algebra._convolve
     for a in items[1:]:
-        X, X_prev = (convolve(a, X, p)[: 2 * g] + X_prev) % p, X
+        X, X_prev = convolve(a, X, p, X_prev)[: 2 * g], X
     # copies, so the tree above does not hold a leaf's packed arrays: for a
     # deep single-quotient leaf they are four times the size of its x
     return tuple(_trim(half).copy() for half in (X[:g], X[g:], X_prev[:g], X_prev[g:]))

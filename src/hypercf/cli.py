@@ -7,6 +7,7 @@ parameter error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -279,6 +280,7 @@ def _cmd_measure(args) -> int:
     return 0
 
 
+@functools.lru_cache(maxsize=None)  # parsing leaves the parser as it was
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hypercf",

@@ -41,8 +41,9 @@ tail coefficient's degree, and applies the composite map of what they
 decide to P once: each coefficient cut at its window's floor must equal
 the window.  Where they decide nothing, the round steps on P itself.
 Windows are cut from windows while they stay four windows high, so the
-steps run on the shortest; one on windows of 190 terms at p=7 takes
-about 45 us (2-vCPU host), mostly numpy's small-array calls.  What the
+steps run on the shortest; one on windows of up to 190 terms at p=7
+takes about 33 us (timeit minima of 50 steps of a 410-quotient run,
+2-vCPU host), of which its numpy calls made bare take 20.  What the
 exact map's windows leave open, a deep quotient, a constant one or a
 possibly rational root, falls to a step on it.  One test
 decides P(bar) = 0 for a constant quotient and for a run's last, which
@@ -229,14 +230,19 @@ def _step(field: PrimeField, P: Dict[int, Raw]) -> Tuple[Poly, Optional[Dict[int
     p, n, bar = field.p, max(P), _bar(field, P)
     if bar.degree < 1 and _is_root(field, P, bar):  # the root, or `_is_root` aborts
         return bar, None
-    tail = _evaluate(p, P, {1: (None, bar.coeffs), 0: _UNIT}, {1: _UNIT})  # x = bar + 1/y
+    tail = _evaluate(p, P, {1: (None, bar.coeffs), 0: _UNIT}, {1: _UNIT}, _STEP)
     return bar, (tail if n in tail else None)  # tail[n] is P(bar)
 
 
+#: the shape of z and w in a step, x = bar + 1/y: z = bar*y + 1 and w = y
+_STEP = (((1, False), (0, True)), ((1, True),))
+
+
 def _bar(field: PrimeField, P: Mapping[int, Raw]) -> Poly:
-    """The quotient -(P[n-1] // P[n]) of a raw term map, n = max(P)."""
+    """The quotient -(P[n-1] // P[n]) of a raw term map, n = max(P): the
+    top of a trimmed dividend leaves the quotient trimmed."""
     p, n = field.p, max(P)
-    return Poly._raw(field, _trim(-_raw_div(P.get(n - 1, (None, _EMPTY)), P[n], p, 0)[1] % p))
+    return Poly._raw(field, -_raw_div(P.get(n - 1, (None, _EMPTY)), P[n], p, 0)[1] % p)
 
 
 def _is_root(field: PrimeField, P: Mapping[int, Raw], bar: Poly) -> bool:
@@ -323,10 +329,10 @@ def _run(
     InsufficientPrecisionError, a constant bar aborts, and a tail with a
     coefficient zero to its floor, P(bar) among them, ends it unyielded.
     A window map too short to cut is not asked again: it only shortens."""
-    cut = True
+    exact, cut = all(v is None for v, _ in P.values()), True
     while budget > 0:
         bars, heights, tail = [], [], _windows(P) if cut else None
-        cut = tail is not None or all(v is None for v, _ in P.values())
+        cut = exact or tail is not None
         try:
             for more, tops, tail in () if tail is None else _run(field, tail, budget):
                 bars += more
@@ -427,28 +433,32 @@ _SCHEDULES: Dict[tuple, tuple] = {}
 
 
 def _evaluate(
-    p: int, P: Mapping[int, Raw], z: Mapping[int, object], w: Mapping[int, object]
+    p: int, P: Mapping[int, Raw], z: Mapping[int, object], w: Mapping[int, object],
+    shape: Optional[tuple] = None,
 ) -> Dict[int, Raw]:
     """sum of c_e * z^e * w^(n-e) over the terms c_e*x^e of P, n = deg P,
     as a term map in y, for term maps z and w of raw values and the unit;
     P(z) when w is {0: unit}.  An exact zero is left out of the result.
-    It replays the schedule of the shape of P, z and w one operation at a
-    time, each product with its own transforms, a fused one, a*b + c, as
-    the one call kind(a, b, p, c)."""
-    steps, outputs, size = _schedule(p, P, z, w)
-    regs = [*P.values(), *[c for c in z.values() if c is not _UNIT],
-            *[c for c in w.values() if c is not _UNIT]]
+    It replays the schedule of the shape of P, z and w, the latter's
+    given as `shape` where the caller knows it, one operation at a time,
+    each product with its own transforms, a fused one, a*b + c, as the
+    one call kind(a, b, p, c)."""
+    steps, outputs, size = _schedule(p, P, z, w, shape)
+    regs = [*P.values(), *[c for t in (z, w) for c in t.values() if c is not _UNIT]]
     regs += [None] * (size - len(regs))
     for kind, args, out, dead in steps:
         # operands by position: a list of them unpacked into the call made
         # a windowed step about 7% slower (52 against 48 us at p=7)
-        a = regs[args[0]]
-        regs[out] = (kind(a, p) if kind is _raw_frobenius else kind(a, regs[args[1]], p)
-                     if len(args) == 2 else kind(a, regs[args[1]], p, regs[args[2]]))
+        if len(args) == 3:
+            i, j, k = args
+            regs[out] = kind(regs[i], regs[j], p, regs[k])
+        elif len(args) == 2:
+            regs[out] = kind(regs[args[0]], regs[args[1]], p)
+        else:
+            regs[out] = kind(regs[args[0]], p)
         for r in dead:
             regs[r] = None
-    values = ((e, regs[r]) for e, r in outputs)
-    return {e: c for e, c in values if c[0] is not None or c[1].size}
+    return {e: regs[r] for e, r in outputs if regs[r][0] is not None or regs[r][1].size}
 
 
 def _spectral(
@@ -495,10 +505,13 @@ def _spectral(
     return {e: (None, c) for e, c in ((e, _trim(c)) for e, c in tail) if c.size}
 
 
-def _schedule(p: int, P: Mapping[int, Raw], z: Mapping, w: Mapping) -> tuple:
-    """The schedule of the shape of P, z and w, traced when it first comes."""
-    key = (p, tuple(P), tuple([(e, c is _UNIT) for e, c in z.items()]),
-           tuple([(e, c is _UNIT) for e, c in w.items()]))
+def _schedule(p: int, P: Mapping[int, Raw], z: Mapping, w: Mapping,
+              shape: Optional[tuple] = None) -> tuple:
+    """The schedule of the shape of P, z and w, traced when it first comes;
+    z's and w's shape, read off them unless given, are their exponents,
+    each with a flag for the unit."""
+    key = (p, tuple(P), *(shape or [tuple([(e, c is _UNIT) for e, c in t.items()])
+                                    for t in (z, w)]))
     return _SCHEDULES.get(key) or _SCHEDULES.setdefault(key, _trace(*key))
 
 

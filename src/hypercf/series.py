@@ -97,20 +97,20 @@ def _raw_mul(a: Raw, b: Raw, p: int, c: Raw = (None, _EMPTY)) -> Raw:
         # the unknown terms below V reach up to V - 1 + deg b (a
         # constant, zero included, keeps V)
         top_b = y.size - 1
-        v = v_a + max(top_b, 0)
+        v = v_a + top_b if top_b > 0 else v_a
     else:
         top_b = v_b + y.size - 1
         v = max(v_a + top_b, v_b + top_a)
-    v = max(v, v if c[0] is None else c[0])
-    z = _cut(c, v)
+    if c[0] is not None and c[0] > v:
+        v = c[0]
     # a term of exponent e reaches the floor v only if e >= v - (the
     # other factor's top), which leaves top - v + 1 terms of each factor
     keep = top_a + top_b - v + 1
     if x.size == 0 or y.size == 0 or keep < 1:
-        return v, z
+        return v, _cut(c, v)
     x, y = x[-keep:] if keep < x.size else x, y[-keep:] if keep < y.size else y
     at = v - (top_a + top_b - x.size - y.size + 2)  # from the product's first exponent
-    return v, _mul_arrays(x, y, p, z, at)[at:]
+    return v, _mul_arrays(x, y, p, _cut(c, v), at)
 
 
 def _raw_frobenius(a: Raw, p: int) -> Raw:
@@ -135,8 +135,8 @@ def _raw_div(a: Raw, b: Raw, p: int, low: Optional[int] = None) -> Raw:
     if y.size == 0:
         raise InsufficientPrecisionError("the divisor's degree is below its floor")
     top_a, top_b = (v_a or 0) + x.size - 1, (v_b or 0) + y.size - 1
-    v = max(([] if v_a is None else [v_a - top_b])
-            + ([] if v_b is None else [v_b + top_a - 2 * top_b]))
+    v = (v_a - top_b if v_b is None else v_b + top_a - 2 * top_b if v_a is None
+         else max(v_a - top_b, v_b + top_a - 2 * top_b))
     if low is not None:
         if v > low and (v_a is not None or x.size):
             raise InsufficientPrecisionError(f"a quotient known from {v} is cut at {low}")

@@ -278,6 +278,17 @@ class TestVerify:
         ).stdout
         assert out.strip() == "[]"
 
+    def test_parser_is_built_once_and_keeps_no_triples(self, capsys):
+        # one parser serves every call: a second call's `--u` list starts
+        # from the empty default, not from the triples of the first
+        assert cli._build_parser() is cli._build_parser()
+        for u in ("1,2,1", "2,2,2"):
+            code, out, _ = run(capsys, "verify", "--p", "3", "--u", u, "--steps", "8")
+            assert code == 0
+            assert out == [f"p=3 u=({u.replace(',', ', ')}) steps=8: verified, "
+                           "residuals zero to order -14"]
+        assert cli._build_parser().parse_args(["verify", "--p", "3", "--steps", "5"]).u == []
+
     def test_jobs_below_one_rejected(self, capsys):
         code, _, err = run(
             capsys, "verify", "--p", "3", "--u", "1,1,1", "--steps", "5", "--jobs", "0"

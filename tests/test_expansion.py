@@ -42,6 +42,7 @@ from reference import (
     next_step,
     poly_dict,
     radd,
+    rdivmod,
     reval,
     rhomogeneous,
     rmul,
@@ -1249,6 +1250,61 @@ class TestLastStep:
         window = data.draw(WINDOWS)
         for m in range(1, _steps_within(eq, 2_000, cap=10) + 1):
             assert _jump_outcome(eq, m, window) == _outcome(stepwise_expand, eq, m)
+
+
+class TestBar:
+    """`_bar` is -(P[n-1] // P[n]) by the floor rule of `//`.  On an exact
+    map it is the negated schoolbook quotient.  On windows it is the
+    negated quotient of any coefficients they are the tops of, wherever
+    the rule puts the floor V = max(V_a - top_b, V_b + top_a - 2*top_b)
+    at or below 0, an exact operand's term left out, and it raises
+    otherwise."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data())
+    def test_matches_negated_schoolbook_quotient(self, data):
+        # 2^31 - 1, the largest admitted prime, takes the object-dtype
+        # products in the Newton steps of quotients past _NEWTON_SEED terms
+        p = data.draw(st.sampled_from((3, 5, 7, 11, 13, (1 << 31) - 1)), label="p")
+        K = FIELDS[p] if p in FIELDS else PrimeField(p)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        qlen = data.draw(st.integers(1, 2 * algebra._NEWTON_SEED + 4), label="qlen")
+        n = data.draw(st.integers(1, 3), label="n")
+
+        def coefficient(degree):
+            c = rng.integers(0, p, degree + 1, dtype=np.int64)
+            c[-1] = rng.integers(1, p)
+            return c
+
+        def raw(c, label, edge):
+            """c exact, or its window at a floor near `edge`, the deepest
+            floor at which the rule leaves this operand undecided, or
+            anywhere from 3 below the constant term up to the top, with
+            c's terms below it redrawn: the quotient where the rule
+            decides it cannot depend on them."""
+            if not data.draw(st.integers(0, 2), label=f"{label} exact"):
+                return (None, c), c
+            floor = min(data.draw(st.one_of(
+                st.integers(edge - 2, edge + 2), st.integers(-3, c.size - 1)),
+                label=f"{label} floor"), c.size - 1)
+            other = c.copy()
+            other[: max(floor, 0)] = rng.integers(0, p, max(floor, 0))
+            return (floor, series._cut((None, c), floor)), other
+
+        degree = data.draw(st.integers(0, 40), label="deg P[n]")
+        P, B = {}, np.zeros(0, dtype=np.int64)
+        P[n], A = raw(coefficient(degree), "P[n]", degree - qlen + 2)
+        if data.draw(st.integers(0, 9), label="P[n-1] absent") > 0:
+            P[n - 1], B = raw(coefficient(degree + qlen - 1), "P[n-1]", degree + 1)
+        q, _ = rdivmod(poly_dict(Poly(K, B)), poly_dict(Poly(K, A)), p)
+        (v_b, _), (v_a, _) = P[n], P.get(n - 1, (None, None))
+        floors = ([] if v_a is None else [v_a - (A.size - 1)]) + (
+            [] if v_b is None else [v_b + (B.size - 1) - 2 * (A.size - 1)])
+        if B.size and max(floors, default=0) > 0:
+            with pytest.raises(InsufficientPrecisionError):
+                expansion._bar(K, P)
+        else:
+            assert expansion._bar(K, P) == Poly(K, dict_coeffs({e: -c for e, c in q.items()}, p))
 
 
 class TestIsRoot:
