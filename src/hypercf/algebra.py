@@ -2,13 +2,15 @@
 
 Residues are machine integers in [0, p), p < 2^31.  Polynomial coefficients
 live in numpy int64 arrays (ascending powers, no trailing zeros; Laurent
-series windows share this layout) so the kernels run at C speed while
-every result stays exact: long products go through a float64 FFT whose
-rounding is checked, with exact convolution as the fallback.  Every
-division, of polynomials and of Laurent series alike, takes the top
-coefficients of one truncated power-series quotient, from the schoolbook
-recurrence up to 16 terms and by Newton inversion over that product
-beyond; only divmod and % go on to form a remainder.
+series windows share this layout), and three kernels on them do all the
+arithmetic at C speed, exactly.  `_add_arrays` sums: a difference is the
+sum with the negation.  `_mul_arrays` forms a product with its addend, a
+long one by a float64 FFT whose rounding is checked, exact convolution the
+fallback.  `_top_quotient` divides: every division, of polynomials and of
+Laurent series alike, takes the top coefficients of one truncated
+power-series quotient, from the schoolbook recurrence up to 16 terms and
+by Newton inversion over that product beyond; only divmod and % go on to
+form a remainder.
 
 One rule, `_residue`, turns a value into a residue of F_p; every
 constructor and operator here and in `series` and `expansion` lifts
@@ -246,16 +248,6 @@ def _add_arrays(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     return _trim(out)
 
 
-def _sub_arrays(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    n = max(a.size, b.size)
-    out = np.zeros(n, dtype=np.int64)
-    out[: a.size] = a
-    low = out[: b.size]
-    low -= b
-    low %= p
-    return _trim(out)
-
-
 def _plus(out: np.ndarray, c: np.ndarray) -> np.ndarray:
     """out + c, unreduced: in place where out is as long."""
     if c.size:
@@ -410,10 +402,10 @@ def _floordiv_arrays(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
 
 def _divmod_arrays(a: np.ndarray, b: np.ndarray, p: int):
     q = _floordiv_arrays(a, b, p)
-    # r has degree < m - 1, so only the low m - 1 terms of q*b matter
+    # r = a - q*b has degree < m - 1, so only the low m - 1 terms matter
     m = b.size
-    low = _fit(_mul_arrays(q[: m - 1], b[: m - 1], p), m - 1)
-    return q, _sub_arrays(a[: m - 1], low, p)
+    r = _mul_arrays(q[: m - 1], -b[: m - 1] % p, p, _trim(a[: m - 1]))
+    return q, _trim(r[: m - 1])
 
 
 def _render(arr: np.ndarray, low: int) -> list:
@@ -489,16 +481,15 @@ class Poly:
             return x
         return Poly(field, (x,))
 
-    def _op(self, other, kernel, reflected: bool = False):
-        """kernel(self, other) on coefficient arrays, kernel(other, self)
-        when reflected, as Polys; NotImplemented for an operand that
-        _coerce does not take, so that its own type can answer."""
+    def _op(self, other, kernel):
+        """kernel(self, other, p) on coefficient arrays, as Polys;
+        NotImplemented for an operand that _coerce does not take, so that
+        its own type can answer."""
         try:
             o = Poly._coerce(self.field, other).coeffs
         except TypeError:
             return NotImplemented
-        p = self.field.p
-        out = kernel(o, self.coeffs, p) if reflected else kernel(self.coeffs, o, p)
+        out = kernel(self.coeffs, o, self.field.p)
         if isinstance(out, tuple):  # divmod's (q, r)
             return tuple(Poly._raw(self.field, arr) for arr in out)
         return Poly._raw(self.field, out)
@@ -509,13 +500,13 @@ class Poly:
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self._op(other, _sub_arrays)
+        return self._op(other, lambda a, b, p: _add_arrays(a, -b % p, p))
 
     def __rsub__(self, other):
-        return self._op(other, _sub_arrays, reflected=True)
+        return self._op(other, lambda a, b, p: _add_arrays(-a % p, b, p))
 
     def __neg__(self):
-        return Poly._raw(self.field, _trim((-self.coeffs) % self.field.p))
+        return Poly._raw(self.field, -self.coeffs % self.field.p)
 
     def __mul__(self, other):
         return self._op(other, _mul_arrays)

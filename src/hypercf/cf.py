@@ -151,8 +151,8 @@ def _product(items, sums, lo: int, hi: int, p: int):
     keeps, the entries are taken in one transform domain: the 8 operands
     are transformed once, at the length of x*X, products and sums are
     pointwise and each entry takes one inverse transform.  Otherwise, and
-    for an entry that fails its rounding check, the entry is formed
-    product by product.  So is every entry of a node with a half of one
+    for an entry that fails its rounding check, the entry is u*U with v*V
+    as its addend.  So is every entry of a node with a half of one
     quotient a, (a, 1, 1, 0), which leaves two products by a to form:
     4 forward and 2 inverse transforms against the domain's 8 and 4."""
     if hi - lo == 1 or sums[hi] - sums[lo] <= _FFT_MIN_LEN:
@@ -170,9 +170,9 @@ def _product(items, sums, lo: int, hi: int, p: int):
         f, F = ([algebra._spectrum(c, p, size) for c in half] for half in (left, right))
         out = [algebra._from_spectrum(f[u] * F[U] + f[u + 2] * F[U + 1], size, n, p)
                for u, U in entries]
-    mul, add = algebra._mul_arrays, algebra._add_arrays
+    mul = algebra._mul_arrays
     return tuple(_trim(c) if c is not None else
-                 add(mul(left[u], right[U], p), mul(left[u + 2], right[U + 1], p), p)
+                 mul(left[u], right[U], p, mul(left[u + 2], right[U + 1], p))
                  for c, (u, U) in zip(out, entries))
 
 

@@ -43,8 +43,8 @@ import numpy as np
 
 from .algebra import (
     _EMPTY, FieldElement, Poly, PrimeField, _add_arrays, _fit, _floordiv_arrays,
-    _frobenius_array, _frozen, _mul_arrays, _render, _residue, _residues, _sub_arrays,
-    _top_quotient, _trim,
+    _frobenius_array, _frozen, _mul_arrays, _render, _residue, _residues, _top_quotient,
+    _trim,
 )
 
 __all__ = ["LaurentSeries", "series_from_rational", "InsufficientPrecisionError"]
@@ -72,13 +72,13 @@ def _cut(a: Raw, v: int) -> np.ndarray:
     return arr[max(v, 0) :]
 
 
-def _raw_add(a: Raw, b: Raw, p: int, kernel=_add_arrays) -> Raw:
-    """kernel (a sum or a difference) of a and b at the higher floor."""
+def _raw_add(a: Raw, b: Raw, p: int) -> Raw:
+    """a + b at the higher floor."""
     (v_a, x), (v_b, y) = a, b
     if v_a == v_b:  # both exact, or both at one floor
-        return v_a, kernel(x, y, p)
+        return v_a, _add_arrays(x, y, p)
     v = v_b if v_a is None else v_a if v_b is None else max(v_a, v_b)
-    return v, kernel(_cut(a, v), _cut(b, v), p)
+    return v, _add_arrays(_cut(a, v), _cut(b, v), p)
 
 
 def _raw_mul(a: Raw, b: Raw, p: int, c: Raw = (None, _EMPTY)) -> Raw:
@@ -263,9 +263,8 @@ class LaurentSeries:
         return self._series(_raw_add(self._value, self._operand(other), self.field.p))
 
     def __sub__(self, other):
-        return self._series(
-            _raw_add(self._value, self._operand(other), self.field.p, _sub_arrays)
-        )
+        v, y = self._operand(other)  # the sum with the negation, trimmed as y is
+        return self._series(_raw_add(self._value, (v, -y % self.field.p), self.field.p))
 
     def __rsub__(self, other):
         return -self + other

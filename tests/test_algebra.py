@@ -9,7 +9,7 @@ from hypercf import NEG_INFINITY, Poly, PrimeField, algebra, is_prime
 from hypercf.algebra import _convolve, _divmod_arrays, _fft_product, _mul_arrays, _trim
 
 from conftest import FIELDS, polys
-from reference import poly_dict, rdivmod, rmul, schoolbook_divmod
+from reference import poly_dict, rdivmod, rmul, rsub, schoolbook_divmod
 
 
 class TestPrimeField:
@@ -436,6 +436,60 @@ class TestNewtonDivision:
         q = algebra._floordiv_arrays(a, b, p)
         monkeypatch.undo()
         assert q.size == qlen and np.array_equal(q, schoolbook_divmod(a, b, p)[0])
+
+
+#: the small fields and the largest admitted modulus, 2^31 - 1
+SUBTRACTION_FIELDS = {**FIELDS, 2147483647: PrimeField(2147483647)}
+
+
+def _any_polys(p: int):
+    """Polys over F_p from any coefficient list, zero and trailing zeros
+    included, so that a difference can cancel at the top."""
+    return st.lists(st.integers(0, p - 1), max_size=9).map(
+        lambda c: Poly(SUBTRACTION_FIELDS[p], c))
+
+
+@pytest.mark.parametrize("p", sorted(SUBTRACTION_FIELDS))
+class TestSubtraction:
+    """`-` is the sum with the negation, in every operand order, against
+    reference.rsub on coefficient dicts."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_poly_minus_poly(self, p, data):
+        a, b = data.draw(_any_polys(p)), data.draw(_any_polys(p))
+        for x, y in ((a, b), (b, a), (a, a)):
+            diff = x - y
+            assert poly_dict(diff) == rsub(poly_dict(x), poly_dict(y), p)
+            assert diff.coeffs.size == 0 or diff.coeffs[-1] != 0
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_poly_and_scalar(self, p, data):
+        K = SUBTRACTION_FIELDS[p]
+        a = data.draw(_any_polys(p))
+        c = data.draw(st.integers(-(1 << 40), 1 << 40))
+        assert poly_dict(a - c) == rsub(poly_dict(a), {0: c}, p)
+        assert poly_dict(c - a) == rsub({0: c}, poly_dict(a), p)
+        assert poly_dict(K(c) - a) == rsub({0: c}, poly_dict(a), p)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_field_element_reflected(self, p, data):
+        K = SUBTRACTION_FIELDS[p]
+        c, v = (data.draw(st.integers(-(1 << 40), 1 << 40)) for _ in range(2))
+        assert (c - K(v)).value == (c - v) % p == (K(c) - K(v)).value
+        assert (K(v) - c).value == (v - c) % p
+
+    def test_foreign_operands(self, p):
+        K = SUBTRACTION_FIELDS[p]
+        with pytest.raises(TypeError, match="for -: 'str' and 'Poly'"):
+            "a" - K.T
+        with pytest.raises(TypeError, match="for -: 'Poly' and 'str'"):
+            K.T - "a"
+        other = FIELDS[3] if p != 3 else FIELDS[5]
+        with pytest.raises(ValueError, match="field mismatch"):
+            other(1) - K.T
 
 
 @pytest.mark.parametrize("p", (3, 5, 7))

@@ -54,10 +54,10 @@ def _fault_at(monkeypatch, k: int, calls: list, entry=lambda b: 0):
         out[i] = (out[i] + 1) % p
         return out
 
-    def faulty_mul(a, b, p):
+    def faulty_mul(a, b, p, *addend):
         inside.append(1)
         try:
-            out = mul(a, b, p)
+            out = mul(a, b, p, *addend)
         finally:
             inside.pop()
         return counted(out, b, p)
@@ -109,9 +109,9 @@ def _counting_products(mp) -> list:
     """A list that gets one entry per algebra._mul_arrays call."""
     mul, products = algebra._mul_arrays, []
 
-    def counting(a, b, p):
+    def counting(a, b, p, *addend):
         products.append(1)
-        return mul(a, b, p)
+        return mul(a, b, p, *addend)
 
     mp.setattr(algebra, "_mul_arrays", counting)
     return products

@@ -146,6 +146,39 @@ class TestExpand:
         assert code == 2
         assert "duplicate" in err
 
+    @pytest.mark.parametrize(
+        "text, message",
+        (
+            ("0: 4 0 4\n1 0 1\n", ":2: malformed line"),
+            ("0: 4 x 4\n", ":1: malformed line"),
+            ("1: 0 1\n-1: 1\n", ":2: negative x-power"),
+            ("# no equation\n\n", ": no coefficients"),
+        ),
+        ids=["no-colon", "bad-residue", "negative-power", "empty"],
+    )
+    def test_bad_equation_file_exits_2(self, capsys, tmp_path, text, message):
+        path = tmp_path / "eq.txt"
+        path.write_text(text)
+        code, out, err = run(
+            capsys, "expand", "--p", "5", "--equation-file", str(path), "--steps", "2"
+        )
+        assert code == 2 and out == []
+        assert f"error: {path}{message}" in err
+
+    @pytest.mark.parametrize(
+        "u, message",
+        (("1,2", "u must be three comma-separated residues"),
+         ("1,x,2", "u components must be integers")),
+    )
+    def test_malformed_triple_exits_2(self, capsys, u, message):
+        # rejected by argparse itself, which exits rather than returning
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["expand", "--p", "7", "--u", u, "--steps", "3"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+
 
 class TestPattern:
     def test_matches_expand(self, capsys):
@@ -219,6 +252,11 @@ class TestVerify:
                 f"p={row['p']} u={tuple(row['u'])} steps={row['steps']}: verified, "
                 f"residuals zero to order {row['residual_order']}"
             )
+
+    def test_grid_without_committed_triples_exits_2(self, capsys):
+        code, out, err = run(capsys, "verify", "--p", "13", "--grid", "--steps", "10")
+        assert code == 2 and out == []
+        assert "no committed grid for p=13" in err
 
     def test_needs_parameters(self, capsys):
         code, _, err = run(capsys, "verify", "--p", "3", "--steps", "5")

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypercf import (
+    NoAdmissibleQuotientError,
     PartialQuotients,
     Poly,
     PrimeField,
@@ -29,6 +30,7 @@ from hypercf import (
     series_from_rational,
     verify_pattern,
 )
+from hypercf import cli, construction
 
 from conftest import FIELDS
 from reference import poly_dict, rfibonacci
@@ -322,6 +324,28 @@ class TestVerifyPattern:
         report = verify_pattern(spec, 8, r_override=K.T ** 3)
         assert not report.match
         assert report.engine_aborted or report.first_mismatch <= 4
+
+    def test_engine_abort_is_a_mismatch(self, monkeypatch, capsys):
+        # no pattern equation is known to abort: over 12 quotients, no unit
+        # triple at p <= 7 did with T^p or eight other small R in place of
+        # R, so the engine is made to abort after its first k quotients,
+        # the pattern's
+        K, k, steps = FIELDS[3], 5, 8
+        spec = build_spec(K, (1, 1, 1))
+        real = construction.expand
+
+        def aborting(equation, m):
+            emitted = real(equation, k).quotients
+            raise NoAdmissibleQuotientError(k + 1, Poly(K, (2,)), emitted)
+
+        monkeypatch.setattr(construction, "expand", aborting)
+        report = verify_pattern(spec, steps)
+        assert report.engine_aborted and not report.match
+        assert report.first_mismatch == k + 1 and not report.ok
+        code = cli.main(["verify", "--p", "3", "--u", "1,1,1", "--steps", str(steps)])
+        assert code == 1
+        assert capsys.readouterr().out.splitlines() == [
+            f"p=3 u=(1, 1, 1) steps={steps}: MISMATCH (first mismatch at index {k + 1})"]
 
 
 class TestResidualIdentity:

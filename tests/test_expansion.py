@@ -1117,7 +1117,7 @@ class TestExpand:
         # x^2 - x - t: first extracted quotient is the constant 1
         eq = BiPoly(K, [-K.T, Poly(K, (4,)), Poly(K, (1,))])
         with pytest.raises(NoAdmissibleQuotientError, match="no admissible partial quotient"):
-            expand(eq, 5)
+            expand(eq, 3)
 
     def test_abort_reports_emitted(self):
         K = FIELDS[3]
@@ -1136,6 +1136,27 @@ class TestExpand:
         spec = build_spec(K, (4, 3, 4))
         eq = pattern_equation(spec)
         assert expand(eq, 12).quotients == expand(eq, 12).quotients
+
+    @pytest.mark.parametrize("excess", (0, 1))
+    def test_height_guard(self, monkeypatch, excess):
+        # the engine's own heights stay within base + deg_x * (the degree
+        # sum), so the second step reports one at the bound or just past it
+        K = FIELDS[7]
+        eq = pattern_equation(build_spec(K, (2, 4, 5)))
+        bound = eq.max_coeff_degree() + eq.degree_x * 2  # after 2*T and 4*T
+        real = expansion._quotients
+
+        def tall(field, terms, m):
+            for step, (bar, height) in enumerate(real(field, terms, m), start=1):
+                yield bar, bound + excess if step == 2 else height
+
+        monkeypatch.setattr(expansion, "_quotients", tall)
+        if not excess:
+            assert expand(eq, 3).max_coeff_degree == bound
+            return
+        with pytest.raises(RuntimeError, match=(
+                f"coefficient degree {bound + 1} exceeded the bound {bound} after step 2")):
+            expand(eq, 3)
 
     def test_m_validation(self):
         K = FIELDS[5]
