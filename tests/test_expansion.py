@@ -1117,7 +1117,7 @@ class TestExpand:
         # x^2 - x - t: first extracted quotient is the constant 1
         eq = BiPoly(K, [-K.T, Poly(K, (4,)), Poly(K, (1,))])
         with pytest.raises(NoAdmissibleQuotientError, match="no admissible partial quotient"):
-            expand(eq, 3)
+            expand(eq, 5)
 
     def test_abort_reports_emitted(self):
         K = FIELDS[3]
