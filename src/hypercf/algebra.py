@@ -9,8 +9,9 @@ long one by a float64 FFT whose rounding is checked, exact convolution the
 fallback.  `_top_quotient` divides: every division, of polynomials and of
 Laurent series alike, takes the top coefficients of one truncated
 power-series quotient, from the schoolbook recurrence up to 16 terms and
-by Newton inversion over that product beyond; only divmod and % go on to
-form a remainder.
+by Newton inversion beyond, each long doubling in one transform domain
+(the divisor's inverse transformed once, its residual a wrap-around
+cyclic product); only divmod and % go on to form a remainder.
 
 One rule, `_residue`, turns a value into a residue of F_p; every
 constructor and operator here and in `series` and `expansion` lifts
@@ -375,19 +376,31 @@ def _top_quotient(a: np.ndarray, b: np.ndarray, n: int, p: int) -> np.ndarray:
     the one division kernel.  Reversed, a = q*b + r reads rev(a) =
     rev(q)*rev(b) mod T^n, a power-series quotient, straight from the
     recurrence up to _NEWTON_SEED terms.  Beyond, the recurrence seeds
-    g = 1/rev(b) and Newton iteration doubles it: if f*g = 1 + T^k*e
-    mod T^2k then g - T^k*(g*e) is correct to T^2k.  Only the top n
-    terms of a and of b are read."""
+    g = 1/f, f = rev(b), and Newton iteration doubles it: if f*g = 1 +
+    T^k*e mod T^2k then g - T^k*(g*e) is correct to T^2k.  From k on
+    where _mul_arrays would send a k-term product to the FFT, a doubling
+    to k2 terms transforms g once, at a length L >= k2: f*g taken
+    cyclically wraps its terms past L onto exponents below k, which are
+    not read, and g*e, under k2 terms, does not wrap.  A failed rounding
+    check forms both products by _mul_arrays.  Only the top n terms of b,
+    and the nonzero ones among the top n of a, are read."""
     if n <= _NEWTON_SEED:
         q = _series_quotient(a[-n:].tolist()[::-1], b[-n:].tolist()[::-1], n, p)
         return np.array(q[::-1], dtype=np.int64)
-    a, f = a[::-1][:n], b[::-1][:n]
+    a, f = _trim(a[::-1][:n]), b[::-1][:n]
     k = _NEWTON_SEED
     g = np.array(_series_quotient([1], f[:k].tolist(), k, p), dtype=np.int64)
     while k < n:
-        k2 = min(2 * k, n)
-        e = _fit(_mul_arrays(f[:k2], g, p), k2)[k:]
-        step = _fit(_mul_arrays(g[: k2 - k], e, p), k2 - k)
+        k2, step = min(2 * k, n), None
+        if k >= _FFT_MIN_LEN and ((p - 1) // 2) ** 2 * k <= _FFT_EXACT_BOUND:
+            size = _fft_length(k2)
+            spectrum = _spectrum(g, p, size)
+            e = _from_spectrum(_spectrum(f[:k2], p, size) * spectrum, size, k2, p)
+            if e is not None:
+                step = _from_spectrum(_spectrum(e[k:], p, size) * spectrum, size, k2 - k, p)
+        if step is None:
+            e = _fit(_mul_arrays(f[:k2], g, p), k2)[k:]
+            step = _fit(_mul_arrays(g[: k2 - k], e, p), k2 - k)
         g = np.concatenate([g, (-step) % p])
         k = k2
     return _fit(_mul_arrays(a, g, p), n)[::-1]

@@ -101,8 +101,10 @@ def parse_equation_file(field: PrimeField, path: str) -> BiPoly:
                 head, rest = line.split(":", 1)
                 power = int(head)
                 values = [int(tok) for tok in rest.split()]
-            except ValueError as err:
-                raise ValueError(f"{path}:{lineno}: malformed line ({err})")
+            except ValueError:
+                raise ValueError(
+                    f"{path}:{lineno}: malformed line (expected `i: c0 c1 ...`, all integers)"
+                ) from None
             if power < 0:
                 raise ValueError(f"{path}:{lineno}: negative x-power")
             if power in coeffs:

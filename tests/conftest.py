@@ -3,6 +3,7 @@ from __future__ import annotations
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import strategies as st
 
@@ -37,3 +38,22 @@ def quotient_lists(p: int, max_len: int = 6, max_degree: int = 3):
     return st.lists(
         polys(p, min_degree=1, max_degree=max_degree), min_size=1, max_size=max_len
     ).map(PartialQuotients)
+
+
+def transforms(run):
+    """run()'s result and its transforms in order: ("f", length, bytes of
+    the input) for a forward one and ("i", length, None) for an inverse."""
+    rfft, irfft, log = np.fft.rfft, np.fft.irfft, []
+
+    def forward(x, n):
+        log.append(("f", n, x.tobytes()))
+        return rfft(x, n)
+
+    def inverse(x, n):
+        log.append(("i", n, None))
+        return irfft(x, n)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np.fft, "rfft", forward)
+        mp.setattr(np.fft, "irfft", inverse)
+        return run(), log

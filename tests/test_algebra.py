@@ -6,9 +6,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hypercf import NEG_INFINITY, Poly, PrimeField, algebra, is_prime
-from hypercf.algebra import _convolve, _divmod_arrays, _fft_product, _mul_arrays, _trim
+from hypercf.algebra import (
+    _convolve, _divmod_arrays, _fft_product, _floordiv_arrays, _mul_arrays, _trim)
 
-from conftest import FIELDS, polys
+from conftest import FIELDS, polys, transforms
 from reference import poly_dict, rdivmod, rmul, rsub, schoolbook_divmod
 
 
@@ -87,6 +88,16 @@ class TestFieldElement:
         K = FIELDS[7]
         assert K(3) ** -2 == (K(3).inverse()) ** 2
         assert 1 / K(5) == K(5).inverse()
+
+    def test_reverse_division(self):
+        # an int numerator divides through FieldElement.__rtruediv__
+        K = FIELDS[7]
+        assert 3 / K(2) == K(5)
+        with pytest.raises(ZeroDivisionError):
+            1 / K(0)
+        for bad in (2.5, "3"):
+            with pytest.raises(TypeError):
+                bad / K(2)
 
 
 class TestPolyBasics:
@@ -436,6 +447,127 @@ class TestNewtonDivision:
         q = algebra._floordiv_arrays(a, b, p)
         monkeypatch.undo()
         assert q.size == qlen and np.array_equal(q, schoolbook_divmod(a, b, p)[0])
+
+
+#: quotient lengths on both sides of the schoolbook seed, of the FFT
+#: threshold and of each power of two up to 2^12, where a Newton doubling
+#: ends on or just past its target
+NEWTON_LENGTHS = sorted(
+    {15, 16, 17, 127, 128, 129} | {(1 << j) + d for j in range(5, 13) for d in (-1, 0, 1)})
+
+
+def _division_case(p: int, n: int, m: int, padded: bool, seed: int):
+    """A dividend of quotient length n over a divisor of m terms, units at
+    the top; padded, every term below its top n - n//2 is zero, as
+    series_from_rational pads the numerator, so that the top n terms the
+    quotient reads end in n//2 zeros."""
+    rng = np.random.default_rng(seed)
+    a = rng.integers(0, p, n + m - 1).astype(np.int64)
+    b = rng.integers(0, p, m).astype(np.int64)
+    a[-1], b[-1] = 1 + seed % (p - 1), 1 + n % (p - 1)
+    if padded:
+        a[: m - 1 + n // 2] = 0
+    return a, b
+
+
+def _newton_doublings(n: int):
+    """The (k, 2k or n) pairs of a quotient of length n that double
+    through the FFT: those with k >= _FFT_MIN_LEN."""
+    k, out = algebra._NEWTON_SEED, []
+    while k < n:
+        if k >= algebra._FFT_MIN_LEN:
+            out.append((k, min(2 * k, n)))
+        k = min(2 * k, n)
+    return out
+
+
+class TestLongQuotients:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        p=st.sampled_from((3, 5, 7, 11, 13, 65521)),
+        n=st.sampled_from(NEWTON_LENGTHS),
+        shape=st.sampled_from(("shorter", "as long", "longer")),
+        padded=st.booleans(),
+        cut=st.integers(1, 64),
+    )
+    @example(p=7, n=4097, shape="as long", padded=True, cut=1)
+    @example(p=13, n=4095, shape="shorter", padded=True, cut=4095)  # one term
+    @example(p=65521, n=2049, shape="longer", padded=False, cut=64)
+    def test_matches_schoolbook(self, p, n, shape, padded, cut):
+        # divisors shorter than, as long as and longer than the quotient
+        m = {"shorter": max(1, (n - 1) // cut), "as long": n, "longer": n + cut}[shape]
+        a, b = _division_case(p, n, m, padded, seed=n + m)
+        rq, rr = schoolbook_divmod(a, b, p)
+        q, r = _divmod_arrays(a, b, p)
+        assert np.array_equal(q, rq) and np.array_equal(r, rr)
+        assert np.array_equal(_floordiv_arrays(a, b, p), rq)
+        # the top n terms of a series quotient read only the terms of a
+        # above its padding: the same n terms from the nonzero part alone
+        top = a[m - 1 + n // 2 if padded else 0 :]
+        assert np.array_equal(algebra._top_quotient(top, b, n, p), rq)
+
+    def test_doubling_transforms_g_once_at_one_length(self):
+        # quotient length 1000 at p=7 doubles 128 -> 256 -> 512 -> 1000
+        # through the FFT: each doubling transforms g, f and the residual
+        # once and inverts two products, all at the length of its target.
+        # The dividend is half padding, so the final product is formed
+        # at the length of its nonzero part times g
+        p, n = 7, 1000
+        a, b = _division_case(p, n, 600, True, seed=3)
+        f = b[::-1]
+        q, log = transforms(lambda: _floordiv_arrays(a, b, p))
+        assert np.array_equal(q, schoolbook_divmod(a, b, p)[0])
+        doublings = _newton_doublings(n)
+        assert len(doublings) == 3 and len(log) == 5 * len(doublings) + 3
+        unit = np.ones(1, dtype=np.int64)
+        for i, (k, k2) in enumerate(doublings):
+            block = log[5 * i : 5 * i + 5]
+            assert [kind for kind, _, _ in block] == ["f", "f", "i", "f", "i"]
+            assert {size for _, size, _ in block} == {algebra._fft_length(k2)}
+            g = algebra._top_quotient(unit, b, k, p)[::-1]
+            inputs = [x for kind, _, x in block if kind == "f"]
+            assert inputs.count(algebra._balanced(g, p).tobytes()) == 1
+            assert inputs[1] == algebra._balanced(f[:k2], p).tobytes()
+        nonzero = n - n // 2
+        assert [kind for kind, _, _ in log[-3:]] == ["f", "f", "i"]
+        assert {size for _, size, _ in log[-3:]} == {algebra._fft_length(nonzero + n - 1)}
+
+    @pytest.mark.parametrize("inverse", (0, 1, 2, 3))
+    def test_failed_rounding_check_falls_back_to_products(self, monkeypatch, inverse):
+        # the first or second inverse transform of the first or second
+        # FFT doubling fails its check: that doubling forms its two
+        # products by _mul_arrays instead, and the quotient is unchanged
+        p, n = 7, 1000
+        a, b = _division_case(p, n, 600, True, seed=4)
+        expected = _floordiv_arrays(a, b, p)
+        real_inverse, real_mul, inverses, products = algebra._from_spectrum, _mul_arrays, [], []
+
+        def failing(spectrum, size, n, p):
+            inverses.append(size)
+            return None if len(inverses) == inverse + 1 else real_inverse(spectrum, size, n, p)
+
+        def counted(x, y, p, *addend):
+            products.append((x.size, y.size))
+            return real_mul(x, y, p, *addend)
+
+        monkeypatch.setattr(algebra, "_from_spectrum", failing)
+        monkeypatch.setattr(algebra, "_mul_arrays", counted)
+        q = _floordiv_arrays(a, b, p)
+        assert q.tobytes() == expected.tobytes()
+        # 2 products for each of the doublings 16 -> 32 -> 64 -> 128, 1
+        # for the final one, and the failed doubling's two
+        assert len(products) == 2 * 3 + 1 + 2
+        k, k2 = _newton_doublings(n)[inverse // 2]
+        assert products[6:8] == [(k2, k), (k2 - k, k2 - k)]
+
+    def test_large_modulus_makes_no_transform(self):
+        # at p = 65521 a product of 128 terms may pass _FFT_EXACT_BOUND,
+        # so neither a doubling nor the final product is transformed
+        p, n = 65521, 1000
+        a, b = _division_case(p, n, 600, True, seed=5)
+        assert ((p - 1) // 2) ** 2 * algebra._FFT_MIN_LEN > algebra._FFT_EXACT_BOUND
+        q, log = transforms(lambda: _floordiv_arrays(a, b, p))
+        assert log == [] and np.array_equal(q, schoolbook_divmod(a, b, p)[0])
 
 
 #: the small fields and the largest admitted modulus, 2^31 - 1

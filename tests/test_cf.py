@@ -25,7 +25,7 @@ from hypercf import (
     series_from_rational,
 )
 
-from conftest import FIELDS, polys, quotient_lists
+from conftest import FIELDS, polys, quotient_lists, transforms
 from hypercf.cf import prefixed_continuants
 from reference import fold_continuants, poly_dict, rcontinuants
 
@@ -73,25 +73,6 @@ def _fault_at(monkeypatch, k: int, calls: list, entry=lambda b: 0):
     monkeypatch.setattr(algebra, "_mul_arrays", faulty_mul)
     monkeypatch.setattr(algebra, "_convolve", faulty_convolve)
     monkeypatch.setattr(algebra, "_from_spectrum", faulty_inverse)
-
-
-def _transforms(run):
-    """run()'s result and its transforms in order: ("f", length, bytes of
-    the input) for a forward one and ("i", length, None) for an inverse."""
-    rfft, irfft, log = np.fft.rfft, np.fft.irfft, []
-
-    def forward(x, n):
-        log.append(("f", n, x.tobytes()))
-        return rfft(x, n)
-
-    def inverse(x, n):
-        log.append(("i", n, None))
-        return irfft(x, n)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(np.fft, "rfft", forward)
-        mp.setattr(np.fft, "irfft", inverse)
-        return run(), log
 
 
 def _assert_one_domain_nodes(log, nodes: int):
@@ -378,7 +359,7 @@ class TestContinuantChecks:
         arrays, sums = [a.coeffs for a in pqs], list(range(301))
         halves = cf._product(arrays, sums, 0, 150, p) + cf._product(arrays, sums, 150, 300, p)
         assert min(h.size for h in halves) >= algebra._FFT_MIN_LEN
-        root, log = _transforms(lambda: cf._product(arrays, sums, 0, 300, p))
+        root, log = transforms(lambda: cf._product(arrays, sums, 0, 300, p))
         _assert_one_domain_nodes(log, 1)
         operands = sorted(algebra._balanced(h, p).tobytes() for h in halves)
         assert sorted(x for kind, _, x in log if kind == "f") == operands
@@ -395,7 +376,7 @@ class TestContinuantChecks:
             Poly(K, rng.integers(0, 7, 40).tolist() + [int(rng.integers(1, 7))]) for _ in range(64)
         )
         arrays, sums = [a.coeffs for a in pqs], list(range(0, 64 * 40 + 1, 40))
-        root, log = _transforms(lambda: cf._product(arrays, sums, 0, 64, p))
+        root, log = transforms(lambda: cf._product(arrays, sums, 0, 64, p))
         _assert_one_domain_nodes(log, 15)
         assert tuple(Poly._raw(K, c) for c in root) == fold_continuants(pqs)
 

@@ -166,6 +166,21 @@ class TestExpand:
         assert f"error: {path}{message}" in err
 
     @pytest.mark.parametrize(
+        "text", ("0: 4 0 4\n1 0 1\n", "0: 4 x 4\n", "x: 1\n", "0: 1.5\n"),
+        ids=["no-colon", "bad-residue", "bad-power", "float-residue"],
+    )
+    def test_malformed_line_names_the_form(self, capsys, tmp_path, text):
+        # the message names the line form, not Python's parsing error
+        path = tmp_path / "eq.txt"
+        path.write_text(text)
+        code, _, err = run(
+            capsys, "expand", "--p", "5", "--equation-file", str(path), "--steps", "2"
+        )
+        assert code == 2
+        assert "malformed line (expected `i: c0 c1 ...`, all integers)" in err
+        assert "unpack" not in err and "invalid literal" not in err
+
+    @pytest.mark.parametrize(
         "u, message",
         (("1,2", "u must be three comma-separated residues"),
          ("1,x,2", "u components must be integers")),
