@@ -274,9 +274,13 @@ def _convolve(a: np.ndarray, b: np.ndarray, p: int, c=_EMPTY, at: int = 0) -> np
     return full.astype(np.int64)
 
 
-def _fft_length(n: int) -> int:
+def _fft_length(n: int, bound: int) -> int:
     """The least c * 2^k >= n with c in (1, 3, 5, 9, 15): pocketfft is fast
-    on these 2*3*5-smooth lengths, which overshoot n by at most 25%."""
+    on these 2*3*5-smooth lengths, which overshoot n by at most 25%; 0,
+    the one exactness test, where `bound`, on the balanced coefficients
+    of the values to transform, passes _FFT_EXACT_BOUND."""
+    if bound > _FFT_EXACT_BOUND:
+        return 0
     return min(c << ((n - 1) // c).bit_length() for c in (1, 3, 5, 9, 15))
 
 
@@ -312,23 +316,24 @@ def _from_spectrum(spectrum: np.ndarray, size: int, n: int, p: int):
 
 
 def _fft_product(a: np.ndarray, b: np.ndarray, p: int):
-    """a*b mod p from a float64 FFT, or None when its rounding check fails.
-    No name holds a transform, so each goes once read."""
+    """a*b mod p from a float64 FFT, or None where its bound or rounding
+    check fails.  No name holds a transform, so each goes once read."""
     n = a.size + b.size - 1
-    size = _fft_length(n)
+    size = _fft_length(n, ((p - 1) // 2) ** 2 * min(a.size, b.size))
+    if not size:
+        return None
     return _from_spectrum(_spectrum(a, p, size) * _spectrum(b, p, size), size, n, p)
 
 
 def _mul_arrays(a: np.ndarray, b: np.ndarray, p: int, c=_EMPTY, at: int = 0) -> np.ndarray:
     """The terms of a*b + T^at * c in F_p[T] from exponent `at` up, for c
     reduced and trimmed, trimmed: the one product kernel.  Long operands
-    go through a checked float FFT while ((p-1)/2)^2 * min(len) <=
-    _FFT_EXACT_BOUND, c added to the product; short ones, large moduli
-    and any FFT product that fails its rounding check are convolved
-    exactly, c added before the one reduction."""
+    go through `_fft_product`'s checked float FFT, c added to the product;
+    short ones and those it refuses, at large moduli or on a failed
+    rounding check, are convolved exactly, c added before the one reduction."""
     shorter = min(a.size, b.size)
     if shorter > 1:
-        if shorter >= _FFT_MIN_LEN and ((p - 1) // 2) ** 2 * shorter <= _FFT_EXACT_BOUND:
+        if shorter >= _FFT_MIN_LEN:
             out = _fft_product(a, b, p)
             if out is not None:
                 return _trim(_plus(out[at:], c) % p if c.size else out[at:])
@@ -392,8 +397,8 @@ def _top_quotient(a: np.ndarray, b: np.ndarray, n: int, p: int) -> np.ndarray:
     g = np.array(_series_quotient([1], f[:k].tolist(), k, p), dtype=np.int64)
     while k < n:
         k2, step = min(2 * k, n), None
-        if k >= _FFT_MIN_LEN and ((p - 1) // 2) ** 2 * k <= _FFT_EXACT_BOUND:
-            size = _fft_length(k2)
+        size = _fft_length(k2, ((p - 1) // 2) ** 2 * k) if k >= _FFT_MIN_LEN else 0
+        if size:
             spectrum = _spectrum(g, p, size)
             e = _from_spectrum(_spectrum(f[:k2], p, size) * spectrum, size, k2, p)
             if e is not None:

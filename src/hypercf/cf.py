@@ -14,7 +14,7 @@ from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import algebra
-from .algebra import _FFT_EXACT_BOUND, _FFT_MIN_LEN, Poly, _fft_length, _trim
+from .algebra import _FFT_MIN_LEN, Poly, _trim
 from .series import InsufficientPrecisionError, LaurentSeries, series_from_rational
 
 __all__ = [
@@ -147,8 +147,8 @@ def _product(items, sums, lo: int, hi: int, p: int):
 
     Each entry of a node is a sum u*U + v*V of two products.  While both x
     and X reach the FFT threshold and the balanced bound of such a sum,
-    2*((p-1)/2)^2 * min(len), stays within the 2^34 a lone FFT product
-    keeps, the entries are taken in one transform domain: the 8 operands
+    2*((p-1)/2)^2 * min(len), passes `algebra._fft_length`'s exactness
+    test, the entries are taken in one transform domain: the 8 operands
     are transformed once, at the length of x*X, products and sums are
     pointwise and each entry takes one inverse transform.  Otherwise, and
     for an entry that fails its rounding check, the entry is u*U with v*V
@@ -164,9 +164,8 @@ def _product(items, sums, lo: int, hi: int, p: int):
     entries = [(u, U) for U in (0, 2) for u in (0, 1)]
     n, shorter = left[0].size + right[0].size - 1, min(left[0].size, right[0].size)
     out = [None] * 4
-    if (shorter >= _FFT_MIN_LEN and 2 * ((p - 1) // 2) ** 2 * shorter <= _FFT_EXACT_BOUND
-            and min(mid - lo, hi - mid) > 1):
-        size = _fft_length(n)
+    size = algebra._fft_length(n, 2 * ((p - 1) // 2) ** 2 * shorter)
+    if shorter >= _FFT_MIN_LEN and size and min(mid - lo, hi - mid) > 1:
         f, F = ([algebra._spectrum(c, p, size) for c in half] for half in (left, right))
         out = [algebra._from_spectrum(f[u] * F[U] + f[u + 2] * F[U + 1], size, n, p)
                for u, U in entries]

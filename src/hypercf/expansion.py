@@ -45,23 +45,23 @@ steps run on the shortest; one on windows of up to 190 terms at p=7
 takes about 33 us (timeit minima of 50 steps of a 410-quotient run,
 2-vCPU host), of which its numpy calls made bare take 20.  What the
 exact map's windows leave open, a deep quotient, a constant one or a
-possibly rational root, falls to a step on it.  One test
-decides P(bar) = 0 for a constant quotient and for a run's last, which
-forms no tail: never on windows, and on an exact P by P(bar) at T = 0
-and T = 1, formed only when both vanish.  A constant non-root aborts.
+possibly rational root, falls to a step on it.  The loop takes a run's
+last quotient itself, by a division for bar that forms no tail.  One
+test decides P(bar) = 0 for a constant quotient and for that last one:
+never on windows, and on an exact P by P(bar) at T = 0 and T = 1,
+formed only when both vanish.  A constant non-root aborts.
 """
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from . import algebra
-from .algebra import (
-    _EMPTY, _FFT_EXACT_BOUND, Poly, PrimeField, _fft_length, _trim,
-)
+from .algebra import _EMPTY, Poly, PrimeField, _trim
 from .cf import PartialQuotients, continuants
 from .series import (
     InsufficientPrecisionError, LaurentSeries, Raw, _cut, _raw_add, _raw_div,
@@ -274,8 +274,9 @@ def expand(P: BiPoly, m: int) -> ExpansionResult:
     degree_sum = 0
     max_seen = base_height
     rational_value: Optional[Poly] = None
+    rounds = (zip(bars, heights) for bars, heights, _ in _run(P.field, P._raw_terms(), m))
     try:
-        for step, (bar, height) in enumerate(_quotients(P.field, P._raw_terms(), m), start=1):
+        for step, (bar, height) in enumerate(chain.from_iterable(rounds), start=1):
             if bar.degree >= 1:
                 emitted.append(bar)
                 degree_sum += int(bar.degree)
@@ -302,21 +303,6 @@ def expand(P: BiPoly, m: int) -> ExpansionResult:
     )
 
 
-def _quotients(
-    field: PrimeField, P: Dict[int, Raw], m: int
-) -> Iterator[Tuple[Poly, Optional[int]]]:
-    """The first m quotients of the root of the exact term map P, each with
-    the largest coefficient degree of the tail equation it leaves, or None
-    for a rational end: the rounds of `_run`, and then the m-th quotient,
-    which forms no tail: -1 for its height, None at a rational end."""
-    for bars, heights, P in _run(field, P, m - 1):
-        yield from zip(bars, heights)
-        if P is None:
-            return
-    bar = _bar(field, P)
-    yield bar, None if _is_root(field, P, bar) else -1
-
-
 def _run(
     field: PrimeField, P: Dict[int, Raw], budget: int
 ) -> Iterator[Tuple[List[Poly], List[Optional[int]], Optional[Dict[int, Raw]]]]:
@@ -324,13 +310,20 @@ def _run(
     rounds of (quotients, the largest coefficient degree after each, the
     tail map, None at a rational end): the loop run on P's windows and
     what they decide applied to P, or one step on P where they decide
-    none.  On windows the run ends where they cannot decide the next
-    quotient: a bar or an apply's check that reads below a floor raises
-    InsufficientPrecisionError, a constant bar aborts, and a tail with a
-    coefficient zero to its floor, P(bar) among them, ends it unyielded.
-    A window map too short to cut is not asked again: it only shortens."""
+    none.  An exact map's last quotient of the budget is its own round,
+    a division for bar that forms no tail: height -1, None at a rational
+    end, and no tail map.  On windows the run ends where they cannot
+    decide the next quotient: a bar or an apply's check that reads below
+    a floor raises InsufficientPrecisionError, a constant bar aborts, and
+    a tail with a coefficient zero to its floor, P(bar) among them, ends
+    it unyielded.  A window map too short to cut is not asked again: it
+    only shortens."""
     exact, cut = all(v is None for v, _ in P.values()), True
     while budget > 0:
+        if exact and budget == 1:
+            bar = _bar(field, P)
+            yield [bar], [None if _is_root(field, P, bar) else -1], None
+            return
         bars, heights, tail = [], [], _windows(P) if cut else None
         cut = exact or tail is not None
         try:
@@ -468,9 +461,9 @@ def _spectral(
     transform domain: every input is transformed once, at one length, a
     Frobenius image's spectrum is read off its input's, products, fused
     ones and sums are pointwise, and each output takes one inverse
-    transform.  None, for the per-product replay, when P has a
-    window, a value's balanced coefficients may pass the 2^34 a lone FFT
-    product keeps, or an output fails its rounding check."""
+    transform.  None, for the per-product replay, when P has a window,
+    a value's balanced bound fails `algebra._fft_length`'s exactness
+    test, or an output fails its rounding check."""
     inputs = [*P.values(), *z.values(), *w.values()]
     if any(v is not None for v, _ in inputs):
         return None
@@ -481,9 +474,10 @@ def _spectral(
         (sa, ba), (sb, bb), (sc, bc) = [shape[r] for r in args] + [(0, 0)] * (3 - len(args))
         shape[out] = ((max(sa + sb - 1, sc), ba * bb * min(sa, sb) + bc) if kind is _raw_mul
                       else (max(sa, sb), ba + bb) if kind is _raw_add else (p * (sa - 1) + 1, ba))
-    if max(b for _, b in shape) > _FFT_EXACT_BOUND:
+    length = algebra._fft_length(max((shape[r][0] for _, r in outputs), default=1),
+                                 max(b for _, b in shape))
+    if not length:
         return None
-    length = _fft_length(max((shape[r][0] for _, r in outputs), default=1))
     # x(T^p)'s spectrum is x's read at p*k mod length, conjugated above length/2
     k = p * np.arange(length // 2 + 1) % length
     regs: list = [None] * size

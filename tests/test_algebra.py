@@ -290,15 +290,18 @@ class TestMultiplicationPaths:
             assert out is not None
             assert np.array_equal(out, _convolve(a, a, p))
 
-    def test_rounding_error_is_caught(self):
+    def test_rounding_error_is_caught(self, monkeypatch):
         # far beyond the exactness bound (5e5 times) but with coefficients
-        # still below 2^53, the rounding residual reaches about 0.07: the
-        # check must refuse the product and the exact path must take over
+        # still below 2^53, the rounding residual reaches about 0.07: with
+        # the bound raised, so the product is transformed, the check must
+        # refuse it and the exact path must take over
         p = 4194301
         rng = np.random.default_rng(4)
         a = rng.integers(0, p, 2000).astype(np.int64)
         b = rng.integers(0, p, 2000).astype(np.int64)
-        assert _fft_product(a, b, p) is None
+        monkeypatch.setattr(algebra, "_FFT_EXACT_BOUND", 1 << 62)
+        out, log = transforms(lambda: _fft_product(a, b, p))
+        assert out is None and [kind for kind, _, _ in log] == ["f", "f", "i"]
         assert np.array_equal(_mul_arrays(a, b, p), _trim(_convolve(a, b, p)))
 
     def test_residual_tripwire_falls_back_to_convolution(self, monkeypatch):
@@ -322,7 +325,7 @@ class TestMultiplicationPaths:
         a = rng.integers(0, p, 300).astype(np.int64)
         b = rng.integers(0, p, 300).astype(np.int64)
         a[-1] = b[-1] = 1
-        monkeypatch.setattr(algebra, "_fft_product", lambda *args: pytest.fail("FFT used"))
+        monkeypatch.setattr(algebra, "_spectrum", lambda *args: pytest.fail("FFT used"))
         prod = Poly(PrimeField(p), a) * Poly(PrimeField(p), b)
         assert np.array_equal(prod.coeffs, _trim(_convolve(a, b, p)))
 
@@ -523,14 +526,14 @@ class TestLongQuotients:
         for i, (k, k2) in enumerate(doublings):
             block = log[5 * i : 5 * i + 5]
             assert [kind for kind, _, _ in block] == ["f", "f", "i", "f", "i"]
-            assert {size for _, size, _ in block} == {algebra._fft_length(k2)}
+            assert {size for _, size, _ in block} == {algebra._fft_length(k2, 0)}
             g = algebra._top_quotient(unit, b, k, p)[::-1]
             inputs = [x for kind, _, x in block if kind == "f"]
             assert inputs.count(algebra._balanced(g, p).tobytes()) == 1
             assert inputs[1] == algebra._balanced(f[:k2], p).tobytes()
         nonzero = n - n // 2
         assert [kind for kind, _, _ in log[-3:]] == ["f", "f", "i"]
-        assert {size for _, size, _ in log[-3:]} == {algebra._fft_length(nonzero + n - 1)}
+        assert {size for _, size, _ in log[-3:]} == {algebra._fft_length(nonzero + n - 1, 0)}
 
     @pytest.mark.parametrize("inverse", (0, 1, 2, 3))
     def test_failed_rounding_check_falls_back_to_products(self, monkeypatch, inverse):

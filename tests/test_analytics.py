@@ -71,6 +71,10 @@ class TestProfile:
         prof = profile_from_degrees(degs, 7)
         assert not prof.consistent
 
+    def test_names_a_degree_mismatch(self):
+        prof = profile_from_degrees(REFERENCE_DEGREES_P7[:-1] + [686], 7)
+        assert prof.mismatches == ["entry 3: degree 686, closed form 685"]
+
     def test_generated_pattern(self):
         spec = build_spec(FIELDS[3], (2, 2, 2))
         prof = profile(pattern(spec, 21), 3)

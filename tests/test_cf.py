@@ -396,7 +396,7 @@ class TestContinuantChecks:
             products = _counting_products(mp)
             _assert_reference_pair(pqs, p, algebra._FFT_MIN_LEN)
             assert len(products) == 2 * 8 + 2
-            mp.setattr(cf, "_FFT_EXACT_BOUND", 0)
+            mp.setattr(algebra, "_FFT_EXACT_BOUND", 0)
             _assert_reference_pair(pqs, p, algebra._FFT_MIN_LEN)
             assert len(products) == 2 * 8 + 2 + 3 * 8 + 2
 

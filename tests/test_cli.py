@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from hypercf import cli
+from hypercf import PartialQuotients, cli, construction
 
 GOLDEN_CFE_P7 = "cfe [2*t, 4*t, 5*t, 6*t, 6*t^13 + 2*t^11 + t^9 + 6*t^7, t, 4*t]"
 GOLDEN_DEGREES_7 = "degrees [1, 1, 1, 1, 13, 1, 1]"
@@ -257,6 +257,22 @@ class TestVerify:
         assert isinstance(payload["first_mismatch"], int)
         assert 1 <= payload["first_mismatch"] <= 4
 
+    @pytest.mark.parametrize("fmt", ("text", "json"))
+    def test_a_nonzero_residual_is_reported(self, capsys, monkeypatch, fmt):
+        # the series route dissents: the streams match, and the equation
+        # residual, one more at T^0 above its floor, is not zero
+        real = construction.eval_at_series
+        monkeypatch.setattr(construction, "eval_at_series", lambda P, s: real(P, s) + 1)
+        code, out, _ = run(
+            capsys, "verify", "--p", "7", "--u", "2,4,5", "--steps", "65", "--format", fmt
+        )
+        assert code == 1
+        if fmt == "text":
+            assert out == ["p=7 u=(2, 4, 5) steps=65: RESIDUAL NONZERO"]
+        else:
+            (payload,) = [json.loads(line) for line in out]
+            assert payload["verified"] is False and payload["match"] is True
+
     def test_json_rows_match_text_rows(self, capsys):
         argv = ("verify", "--p", "5", "--grid", "--steps", "39")
         _, text, _ = run(capsys, *argv)
@@ -422,6 +438,28 @@ class TestMeasure:
         assert payload["big_positions"] == [[1, 5, 5], [2, 10, 17], [3, 21, 53]]
         assert payload["verified"] is True
         assert cli.render_json(payload) == out[0]
+
+    @pytest.mark.parametrize("fmt", ("text", "json"))
+    def test_inconsistent_profile_exits_1(self, capsys, monkeypatch, fmt):
+        # a stream whose third large quotient is one degree too high
+        real = cli.pattern
+
+        def off(spec, count):
+            items = list(real(spec, count))
+            return PartialQuotients(items[:-1] + [items[-1] * spec.field.T])
+
+        monkeypatch.setattr(cli, "pattern", off)
+        code, out, _ = run(
+            capsys, "measure", "--p", "7", "--k", "3", "--steps", "65", "--format", fmt
+        )
+        assert code == 1
+        if fmt == "text":
+            assert out[-1] == ("observed big positions: [(1, 5, 13), (2, 14, 97), "
+                               "(3, 65, 686)] (INCONSISTENT)")
+        else:
+            payload = json.loads(out[0])
+            assert payload["verified"] is False
+            assert payload["big_positions"][-1] == [3, 65, 686]
 
     def test_triple_not_accepted(self, capsys):
         # the profile's degrees cannot depend on the triple

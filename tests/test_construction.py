@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import sys
 import time
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -30,7 +32,7 @@ from hypercf import (
     series_from_rational,
     verify_pattern,
 )
-from hypercf import cli, construction
+from hypercf import algebra, cli, construction
 
 from conftest import FIELDS
 from reference import poly_dict, rfibonacci
@@ -346,6 +348,38 @@ class TestVerifyPattern:
         assert code == 1
         assert capsys.readouterr().out.splitlines() == [
             f"p=3 u=(1, 1, 1) steps={steps}: MISMATCH (first mismatch at index {k + 1})"]
+
+    def test_a_nonzero_residual_is_not_ok(self, monkeypatch):
+        # the series route dissents: the streams match, and the equation
+        # residual, one more at T^0 above its floor, is not zero
+        real = construction.eval_at_series
+        monkeypatch.setattr(construction, "eval_at_series", lambda P, s: real(P, s) + 1)
+        report = verify_pattern(build_spec(FIELDS[7], (2, 4, 5)), 65)
+        assert report.match and not report.ok
+        assert report.tail_relation_residual.zero_to_floor
+        assert not report.equation_residual.zero_to_floor
+
+    def test_one_switch_makes_every_route_exact(self, monkeypatch):
+        # p=7 (2,4,5) through n_4 transforms at all four FFT sites; with
+        # the exactness bound at 0 it transforms at none, and reports the same
+        spec = build_spec(FIELDS[7], (2, 4, 5))
+        real, sites = algebra._spectrum, Counter()
+
+        def spectrum(*args):
+            caller = sys._getframe(1)
+            while caller.f_code.co_name.startswith("<"):  # a comprehension's frame
+                caller = caller.f_back
+            sites[caller.f_code.co_name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(algebra, "_spectrum", spectrum)
+        default = verify_pattern(spec, 410)
+        assert set(sites) == {"_fft_product", "_top_quotient", "_product", "_spectral"}
+        assert default.ok and default.tail_relation_residual.floor == -11990
+        assert default.equation_residual.floor == -11993
+        sites.clear()
+        monkeypatch.setattr(algebra, "_FFT_EXACT_BOUND", 0)
+        assert verify_pattern(spec, 410) == default and not sites
 
 
 class TestResidualIdentity:

@@ -1144,13 +1144,16 @@ class TestExpand:
         K = FIELDS[7]
         eq = pattern_equation(build_spec(K, (2, 4, 5)))
         bound = eq.max_coeff_degree() + eq.degree_x * 2  # after 2*T and 4*T
-        real = expansion._quotients
+        real = expansion._run
 
-        def tall(field, terms, m):
-            for step, (bar, height) in enumerate(real(field, terms, m), start=1):
-                yield bar, bound + excess if step == 2 else height
+        def tall(field, terms, budget):
+            step = 0
+            for bars, heights, tail in real(field, terms, budget):
+                heights = [bound + excess if step + i == 1 else h for i, h in enumerate(heights)]
+                step += len(bars)
+                yield bars, heights, tail
 
-        monkeypatch.setattr(expansion, "_quotients", tall)
+        monkeypatch.setattr(expansion, "_run", tall)
         if not excess:
             assert expand(eq, 3).max_coeff_degree == bound
             return
@@ -1197,6 +1200,19 @@ class TestLastStep:
         assert run.rational and run.rational_value == T
         assert list(run.quotients) == [T, T]
         assert _outcome(expand, eq, 2) == _outcome(stepwise_expand, eq, 2)
+
+    @pytest.mark.parametrize("budget", (2, 5))
+    def test_the_loop_ends_on_the_rational_round(self, budget):
+        # t*x - (t^2 + 1) over F_5 again: the second round is the rational
+        # end, by the last quotient's division at a budget of 2 and by a
+        # step past it, and the generator ends right after it
+        K = FIELDS[5]
+        T = K.T
+        rounds = expansion._run(K, BiPoly(K, [-(T * T + 1), T])._raw_terms(), budget)
+        (first, tops, tail), last = next(rounds), next(rounds)
+        assert first == [T] and tops == [1] and tail is not None
+        assert last == ([T], [None], None)
+        assert next(rounds, None) is None
 
     def test_probes_that_vanish_fall_back_to_the_exact_value(self, monkeypatch):
         # x^2 - T^3*x + (T^3 - T) over F_3: bar = T^3 and P(bar) = T^3 - T,
