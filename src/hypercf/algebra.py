@@ -9,9 +9,10 @@ long one by a float64 FFT whose rounding is checked, exact convolution the
 fallback.  `_top_quotient` divides: every division, of polynomials and of
 Laurent series alike, takes the top coefficients of one truncated
 power-series quotient, from the schoolbook recurrence up to 16 terms and
-by Newton inversion beyond, each long doubling in one transform domain
-(the divisor's inverse transformed once, its residual a wrap-around
-cyclic product); only divmod and % go on to form a remainder.
+beyond by Newton inversion to half its length and one Karp-Markstein
+step, each long step in one transform domain no longer than its target
+(the inverse transformed once, the residual a wrap-around cyclic
+product); only divmod and % go on to form a remainder.
 
 One rule, `_residue`, turns a value into a residue of F_p; every
 constructor and operator here and in `series` and `expansion` lifts
@@ -48,11 +49,11 @@ _FFT_EXACT_BOUND = 1 << 34
 #: which is then recomputed by the exact convolution.
 _FFT_TRIPWIRE = 2.0 ** -8
 
-#: terms of a quotient or an inverse series taken by the schoolbook
-#: recurrence before Newton doubling starts: at p=7 over a 186-term
-#: divisor (2-vCPU host) a 2-term inverse took 10-17 us against 38 us
-#: from one term, and 16 beat 8 at 9 terms (24-31 against 41-48 us) and
-#: 32 at 40 terms (66-104 against 119-150 us).
+#: terms of a quotient taken by the schoolbook recurrence, and the most
+#: an inverse is seeded with (9 to 16): at p=7 over a 186-term divisor
+#: (2-vCPU host) a 2-term inverse took 10-17 us against 38 us from one
+#: term, and 16 beat 8 at 9 terms (24-31 against 41-48 us) and 32 at 40
+#: terms (66-104 against 119-150 us).
 _NEWTON_SEED = 16
 
 # witnesses making Miller-Rabin deterministic for n < 3.3 * 10**24
@@ -376,39 +377,56 @@ def _series_quotient(a: list, b: list, k: int, p: int) -> list:
     return q
 
 
+def _newton_step(f: np.ndarray, g: np.ndarray, a, n: int, p: int) -> np.ndarray:
+    """a/f mod T^n for power series, from g = 1/f mod T^k, k = g.size >=
+    n/2, and a's first n terms, trimmed; a = None stands for 1, so that
+    the step doubles the inverse (Newton), where a dividend ends a
+    division (Karp and Markstein): q0 = a*g mod T^k, the residual r =
+    (a - f*q0)[k:n], and a/f = q0 + T^k*(g*r) mod T^n.  From where g
+    reaches the FFT threshold the products take one length L >= n, g
+    transformed once, f*q0 cyclically: its terms past L wrap onto
+    exponents below k, where a - f*q0 vanishes and nothing is read.  A
+    failed rounding check sends the products from there to _mul_arrays."""
+    k = g.size
+    size, q1 = _fft_length(n, ((p - 1) // 2) ** 2 * k) if k >= _FFT_MIN_LEN else 0, None
+    q0, high = (g, _EMPTY) if a is None else (None, a[k:])
+    if size:
+        spectrum = _spectrum(g, p, size)
+        if q0 is None:
+            q0 = _from_spectrum(_spectrum(a[:k], p, size) * spectrum, size, k, p)
+        if q0 is not None:
+            qs = spectrum if q0 is g else _spectrum(q0, p, size)  # q0 is g in a doubling
+            fq = _from_spectrum(_spectrum(f[:n], p, size) * qs, size, n, p)
+            if fq is not None:
+                r = _plus(p - fq[k:], high) % p
+                q1 = _from_spectrum(_spectrum(r, p, size) * spectrum, size, n - k, p)
+    if q0 is None:
+        q0 = _fit(_mul_arrays(a[:k], g, p), k)
+    if q1 is None:
+        r = _plus(p - _fit(_mul_arrays(f[:n], q0, p), n)[k:], high) % p
+        q1 = _fit(_mul_arrays(g[: n - k], r, p), n - k)
+    return np.concatenate([q0, q1])
+
+
 def _top_quotient(a: np.ndarray, b: np.ndarray, n: int, p: int) -> np.ndarray:
     """The top n coefficients of a/b, ascending, for b's last entry a unit:
     the one division kernel.  Reversed, a = q*b + r reads rev(a) =
     rev(q)*rev(b) mod T^n, a power-series quotient, straight from the
-    recurrence up to _NEWTON_SEED terms.  Beyond, the recurrence seeds
-    g = 1/f, f = rev(b), and Newton iteration doubles it: if f*g = 1 +
-    T^k*e mod T^2k then g - T^k*(g*e) is correct to T^2k.  From k on
-    where _mul_arrays would send a k-term product to the FFT, a doubling
-    to k2 terms transforms g once, at a length L >= k2: f*g taken
-    cyclically wraps its terms past L onto exponents below k, which are
-    not read, and g*e, under k2 terms, does not wrap.  A failed rounding
-    check forms both products by _mul_arrays.  Only the top n terms of b,
-    and the nonzero ones among the top n of a, are read."""
+    recurrence up to _NEWTON_SEED terms.  Beyond, the recurrence seeds g =
+    1/f, f = rev(b), at the foot of the ladder ceil(n/2^j), ..., ceil(n/2)
+    within the seed length, Newton steps climb it and a last step divides
+    rev(a) (see _newton_step), no transform longer than the quotient.
+    Only the top n terms of b, and the nonzero ones among the top n of a,
+    are read."""
     if n <= _NEWTON_SEED:
         q = _series_quotient(a[-n:].tolist()[::-1], b[-n:].tolist()[::-1], n, p)
         return np.array(q[::-1], dtype=np.int64)
     a, f = _trim(a[::-1][:n]), b[::-1][:n]
-    k = _NEWTON_SEED
-    g = np.array(_series_quotient([1], f[:k].tolist(), k, p), dtype=np.int64)
-    while k < n:
-        k2, step = min(2 * k, n), None
-        size = _fft_length(k2, ((p - 1) // 2) ** 2 * k) if k >= _FFT_MIN_LEN else 0
-        if size:
-            spectrum = _spectrum(g, p, size)
-            e = _from_spectrum(_spectrum(f[:k2], p, size) * spectrum, size, k2, p)
-            if e is not None:
-                step = _from_spectrum(_spectrum(e[k:], p, size) * spectrum, size, k2 - k, p)
-        if step is None:
-            e = _fit(_mul_arrays(f[:k2], g, p), k2)[k:]
-            step = _fit(_mul_arrays(g[: k2 - k], e, p), k2 - k)
-        g = np.concatenate([g, (-step) % p])
-        k = k2
-    return _fit(_mul_arrays(a, g, p), n)[::-1]
+    rungs = [-(-n >> j) for j in range(((n - 1) // _NEWTON_SEED).bit_length(), 0, -1)]
+    g = np.array(_series_quotient([1], f[: rungs[0]].tolist(), rungs[0], p), dtype=np.int64)
+    for k2 in rungs[1:]:
+        g = _newton_step(f, g, None, k2, p)
+    return _newton_step(f, g, a, n, p)[::-1]
 
 
 def _floordiv_arrays(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:

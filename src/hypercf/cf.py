@@ -38,7 +38,7 @@ class PartialQuotients:
     def __init__(self, items: Iterable[Poly] = ()):
         items = tuple(items)
         for i, a in enumerate(items):
-            if not isinstance(a, Poly) or a.is_zero or a.degree < 1:
+            if not isinstance(a, Poly) or a.coeffs.size < 2:
                 raise ValueError(
                     f"partial quotient a_{i + 1} must be a polynomial of degree >= 1"
                 )
@@ -51,8 +51,10 @@ class PartialQuotients:
         return iter(self.items)
 
     def __getitem__(self, i):
-        if isinstance(i, slice):
-            return PartialQuotients(self.items[i])
+        if isinstance(i, slice):  # of validated items, so not checked again
+            out = object.__new__(PartialQuotients)
+            out.items = self.items[i]
+            return out
         return self.items[i]
 
     def quotient(self, n: int) -> Poly:
@@ -65,7 +67,7 @@ class PartialQuotients:
         """The tail [a_start, a_start+1, ...] (1-based)."""
         if not 1 <= start <= len(self.items):
             raise IndexError(f"tail start {start} out of range")
-        return PartialQuotients(self.items[start - 1 :])
+        return self[start - 1 :]
 
     def degrees(self) -> List[int]:
         return [int(a.degree) for a in self.items]
@@ -245,10 +247,10 @@ def convergent_validity_floor(pqs: PartialQuotients) -> int:
 
     The error of x_m/y_m has degree -deg(y_m) - deg(y_{m+1}); without
     a_{m+1} the bound deg(y_{m+1}) >= deg(y_m) + 1 leaves every term of
-    exponent >= -2*deg(y_m) trustworthy.
+    exponent >= -2*deg(y_m) trustworthy, deg(y_m) = deg a_2 + ... + deg a_m.
     """
-    deg_y = sum(int(a.degree) for a in pqs.items[1:])
-    return -2 * deg_y
+    rest = pqs.items[1:]
+    return 2 * (len(rest) - sum(a.coeffs.size for a in rest))
 
 
 def cf_to_series(pqs: PartialQuotients, order: int) -> LaurentSeries:
@@ -259,7 +261,7 @@ def cf_to_series(pqs: PartialQuotients, order: int) -> LaurentSeries:
     expansion's value is `series_from_rational` of its last convergent.
     """
     x, y, _, _ = continuants(pqs)
-    floor = convergent_validity_floor(pqs)
+    floor = -2 * y.degree  # convergent_validity_floor(pqs), read off y_N
     if order < floor:
         raise InsufficientPrecisionError(
             f"insufficient partial quotients for requested order {order} "

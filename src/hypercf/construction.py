@@ -32,7 +32,6 @@ from .cf import (  # cf_to_series is read from here by bench/workloads.py
     PartialQuotients,
     cf_to_series,
     continuants,
-    convergent_validity_floor,
     prefixed_continuants,
     rational_to_cf,
 )
@@ -364,8 +363,9 @@ def verify_pattern(
     if steps >= 5:
         tail = predicted.tail(4)
         (x, y, _, _), (x4, y4, _, _) = prefixed_continuants(predicted.items[:3], tail)
-        alpha = series_from_rational(x, y, convergent_validity_floor(predicted))
-        alpha4 = series_from_rational(x4, y4, convergent_validity_floor(tail))
+        # each convergent validity floor, -2 * deg y, read off its continuant
+        alpha = series_from_rational(x, y, -2 * y.degree)
+        alpha4 = series_from_rational(x4, y4, -2 * y4.degree)
         G, H = _tail_relation(spec, spec.R)
         tail_res = ResidualSummary.of(alpha.frobenius() - alpha4 * G - H)
         if r_override is not None:

@@ -196,6 +196,12 @@ def fold_continuants(pqs) -> tuple:
     return x, y, x_prev, y_prev
 
 
+def rvalidity_floor(quotients: list) -> int:
+    """The convergent validity floor of quotient dicts a_1, ..., a_N:
+    -2 * deg y_N, deg y_N being the degree sum of a_2, ..., a_N."""
+    return -2 * sum(rdeg(a) for a in quotients[1:])
+
+
 def rfibonacci(n: int, p: int) -> list:
     """[f_0, ..., f_n] from f_0 = 1, f_1 = T, f_k = T*f_(k-1) + f_(k-2)."""
     out, prev = [{0: 1}], {}

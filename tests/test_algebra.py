@@ -453,10 +453,18 @@ class TestNewtonDivision:
 
 
 #: quotient lengths on both sides of the schoolbook seed, of the FFT
-#: threshold and of each power of two up to 2^12, where a Newton doubling
-#: ends on or just past its target
+#: threshold and of each power of two up to 2^12, where a Newton step
+#: ends on or just past its target, and the ladder's edges: the least
+#: odd lengths that seed below the seed length (2*seed + 1 and + 3), the
+#: lengths where the last step's inverse, ceil(n/2) terms, reaches the
+#: FFT threshold (2*_FFT_MIN_LEN - 1) and where a doubling first does
+#: (4*_FFT_MIN_LEN - 3), each with its neighbours
+SEED, FFT_MIN = algebra._NEWTON_SEED, algebra._FFT_MIN_LEN
 NEWTON_LENGTHS = sorted(
-    {15, 16, 17, 127, 128, 129} | {(1 << j) + d for j in range(5, 13) for d in (-1, 0, 1)})
+    {15, 16, 17, 127, 128, 129, 2 * SEED + 1, 2 * SEED + 3}
+    | {2 * FFT_MIN + d for d in (-2, -1, 0, 1)}
+    | {4 * FFT_MIN + d for d in (-4, -3, -2)}
+    | {(1 << j) + d for j in range(5, 13) for d in (-1, 0, 1)})
 
 
 def _division_case(p: int, n: int, m: int, padded: bool, seed: int):
@@ -474,14 +482,14 @@ def _division_case(p: int, n: int, m: int, padded: bool, seed: int):
 
 
 def _newton_doublings(n: int):
-    """The (k, 2k or n) pairs of a quotient of length n that double
-    through the FFT: those with k >= _FFT_MIN_LEN."""
-    k, out = algebra._NEWTON_SEED, []
-    while k < n:
-        if k >= algebra._FFT_MIN_LEN:
-            out.append((k, min(2 * k, n)))
-        k = min(2 * k, n)
-    return out
+    """The (k, k2) steps of a length-n quotient's inverse that double
+    through the FFT, in order: the inverse climbs the ladder ceil(n/2),
+    ceil(n/4), ..., from its first rung of at most _NEWTON_SEED terms to
+    ceil(n/2), and a step doubles through the FFT from k >= _FFT_MIN_LEN."""
+    ladder = [(n + 1) // 2]
+    while ladder[-1] > SEED:
+        ladder.append((ladder[-1] + 1) // 2)
+    return [(k, k2) for k2, k in zip(ladder, ladder[1:]) if k >= FFT_MIN][::-1]
 
 
 class TestLongQuotients:
@@ -509,19 +517,28 @@ class TestLongQuotients:
         top = a[m - 1 + n // 2 if padded else 0 :]
         assert np.array_equal(algebra._top_quotient(top, b, n, p), rq)
 
+    @pytest.mark.parametrize("p", (7, 65521))
+    def test_all_padding_dividend_has_a_zero_quotient(self, p):
+        # a dividend whose top n terms are all zero, as series_from_rational
+        # pads a zero numerator: n zero terms on every path
+        for n in NEWTON_LENGTHS:
+            _, b = _division_case(p, n, n // 2 + 1, False, seed=n)
+            q = algebra._top_quotient(np.zeros(n, dtype=np.int64), b, n, p)
+            assert q.dtype == np.int64 and q.tobytes() == bytes(8 * n)
+
     def test_doubling_transforms_g_once_at_one_length(self):
-        # quotient length 1000 at p=7 doubles 128 -> 256 -> 512 -> 1000
-        # through the FFT: each doubling transforms g, f and the residual
-        # once and inverts two products, all at the length of its target.
-        # The dividend is half padding, so the final product is formed
-        # at the length of its nonzero part times g
-        p, n = 7, 1000
-        a, b = _division_case(p, n, 600, True, seed=3)
+        # quotient length 2000 at p=7 climbs to its inverse of 1000 terms
+        # through the FFT as 250 -> 500 -> 1000: each doubling transforms
+        # g, f and the residual once and inverts two products, all at the
+        # length of its target
+        p, n = 7, 2000
+        a, b = _division_case(p, n, 1200, True, seed=3)
         f = b[::-1]
         q, log = transforms(lambda: _floordiv_arrays(a, b, p))
         assert np.array_equal(q, schoolbook_divmod(a, b, p)[0])
         doublings = _newton_doublings(n)
-        assert len(doublings) == 3 and len(log) == 5 * len(doublings) + 3
+        assert doublings == [(250, 500), (500, 1000)]
+        assert len(log) == 5 * len(doublings) + 8
         unit = np.ones(1, dtype=np.int64)
         for i, (k, k2) in enumerate(doublings):
             block = log[5 * i : 5 * i + 5]
@@ -531,17 +548,34 @@ class TestLongQuotients:
             inputs = [x for kind, _, x in block if kind == "f"]
             assert inputs.count(algebra._balanced(g, p).tobytes()) == 1
             assert inputs[1] == algebra._balanced(f[:k2], p).tobytes()
-        nonzero = n - n // 2
-        assert [kind for kind, _, _ in log[-3:]] == ["f", "f", "i"]
-        assert {size for _, size, _ in log[-3:]} == {algebra._fft_length(nonzero + n - 1, 0)}
+
+    @pytest.mark.parametrize("n", (2 * FFT_MIN - 1, 1000, 2001, 4097))
+    def test_last_step_runs_at_the_quotient_length(self, n):
+        # the last step takes q0 = a*g, the residual (a - f*q0)[h:n] and
+        # q1 = g*r at one length, that of n terms: g, the inverse to h =
+        # ceil(n/2) terms, is transformed once, and no transform of the
+        # division is longer
+        p = 7
+        a, b = _division_case(p, n, n, True, seed=n)
+        h, size = (n + 1) // 2, algebra._fft_length(n, 0)
+        q, log = transforms(lambda: algebra._top_quotient(a, b, n, p))
+        assert np.array_equal(q, schoolbook_divmod(a, b, p)[0])
+        assert max(length for _, length, _ in log) == size
+        block = log[-8:]
+        assert [kind for kind, _, _ in block] == ["f", "f", "i", "f", "f", "i", "f", "i"]
+        assert {length for _, length, _ in block} == {size}
+        g = algebra._top_quotient(np.ones(1, dtype=np.int64), b, h, p)[::-1]
+        inputs = [x for kind, _, x in log if kind == "f"]
+        assert inputs.count(algebra._balanced(g, p).tobytes()) == 1
+        assert block[0][2] == algebra._balanced(g, p).tobytes()
 
     @pytest.mark.parametrize("inverse", (0, 1, 2, 3))
     def test_failed_rounding_check_falls_back_to_products(self, monkeypatch, inverse):
         # the first or second inverse transform of the first or second
         # FFT doubling fails its check: that doubling forms its two
         # products by _mul_arrays instead, and the quotient is unchanged
-        p, n = 7, 1000
-        a, b = _division_case(p, n, 600, True, seed=4)
+        p, n = 7, 2000
+        a, b = _division_case(p, n, 1200, True, seed=4)
         expected = _floordiv_arrays(a, b, p)
         real_inverse, real_mul, inverses, products = algebra._from_spectrum, _mul_arrays, [], []
 
@@ -557,15 +591,51 @@ class TestLongQuotients:
         monkeypatch.setattr(algebra, "_mul_arrays", counted)
         q = _floordiv_arrays(a, b, p)
         assert q.tobytes() == expected.tobytes()
-        # 2 products for each of the doublings 16 -> 32 -> 64 -> 128, 1
-        # for the final one, and the failed doubling's two
-        assert len(products) == 2 * 3 + 1 + 2
+        # 2 products for each of the doublings 16 -> 32 -> 63 -> 125 ->
+        # 250 and the failed doubling's two
+        assert len(products) == 2 * 4 + 2
         k, k2 = _newton_doublings(n)[inverse // 2]
-        assert products[6:8] == [(k2, k), (k2 - k, k2 - k)]
+        assert products[8:] == [(k2, k), (k2 - k, k2 - k)]
+
+    @pytest.mark.parametrize("inverse", (0, 1, 2))
+    def test_failed_last_step_falls_back_to_products(self, monkeypatch, inverse):
+        # q0 = a*g, f*q0 or g*r of the last step fails its rounding check:
+        # the step forms that product and those after it by _mul_arrays
+        # (q0 stays as checked when a later one fails), and the quotient
+        # is unchanged
+        p, n = 7, 2000
+        a, b = _division_case(p, n, 1200, True, seed=5)
+        expected = _floordiv_arrays(a, b, p)
+        assert np.array_equal(expected, schoolbook_divmod(a, b, p)[0])
+        real_inverse, real_mul, inverses, products = algebra._from_spectrum, _mul_arrays, [], []
+        doubling_inverses = 2 * len(_newton_doublings(n))
+
+        def failing(spectrum, size, n, p):
+            inverses.append(size)
+            if len(inverses) == doubling_inverses + inverse + 1:
+                return None
+            return real_inverse(spectrum, size, n, p)
+
+        def counted(x, y, p, *addend):
+            products.append((x.size, y.size))
+            return real_mul(x, y, p, *addend)
+
+        monkeypatch.setattr(algebra, "_from_spectrum", failing)
+        monkeypatch.setattr(algebra, "_mul_arrays", counted)
+        q = _floordiv_arrays(a, b, p)
+        assert q.tobytes() == expected.tobytes()
+        # the failed inverse was the last step's, at the quotient's length
+        assert inverses[doubling_inverses + inverse] == algebra._fft_length(n, 0)
+        # the 8 products below the FFT doublings, then the last step's:
+        # a's nonzero top terms by g, if q0 failed, f by q0 and g's first
+        # n - h terms by the residual
+        h, top = (n + 1) // 2, _trim(a[::-1][:n]).size
+        last = [(top, h), (b.size, h), (n - h, n - h)]
+        assert products[8:] == (last if inverse == 0 else last[1:])
 
     def test_large_modulus_makes_no_transform(self):
         # at p = 65521 a product of 128 terms may pass _FFT_EXACT_BOUND,
-        # so neither a doubling nor the final product is transformed
+        # so no step of the division, doubling or last, is transformed
         p, n = 65521, 1000
         a, b = _division_case(p, n, 600, True, seed=5)
         assert ((p - 1) // 2) ** 2 * algebra._FFT_MIN_LEN > algebra._FFT_EXACT_BOUND

@@ -27,7 +27,7 @@ from hypercf import (
 
 from conftest import FIELDS, polys, quotient_lists, transforms
 from hypercf.cf import prefixed_continuants
-from reference import fold_continuants, poly_dict, rcontinuants
+from reference import fold_continuants, poly_dict, rcontinuants, rvalidity_floor
 
 
 def _fault_at(monkeypatch, k: int, calls: list, entry=lambda b: 0):
@@ -112,6 +112,44 @@ class TestPartialQuotients:
             PartialQuotients([K.T, Poly(K, (2,))])
         with pytest.raises(ValueError, match="degree >= 1"):
             PartialQuotients([Poly(K, ())])
+
+    @pytest.mark.parametrize("bad", ("constant", "zero", "not a Poly"))
+    def test_rejection_names_the_position(self, bad):
+        K = FIELDS[5]
+        item = {"constant": Poly(K, (2,)), "zero": Poly(K, ()), "not a Poly": 2}[bad]
+        for i in range(3):
+            items = [K.T] * 3
+            items[i] = item
+            with pytest.raises(ValueError) as raised:
+                PartialQuotients(items)
+            assert str(raised.value) == (
+                f"partial quotient a_{i + 1} must be a polynomial of degree >= 1")
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_validity_floor_is_the_continuant_degree(self, data):
+        # -2 * deg y_N from the continuants, convergent_validity_floor and
+        # the degree-sum oracle agree on every list, on each of its tails
+        # and slices (built without validating again) and in the floor
+        # that cf_to_series enforces
+        p = data.draw(st.sampled_from((3, 5, 7)))
+        pqs = data.draw(quotient_lists(p, max_len=8, max_degree=4))
+        floor = convergent_validity_floor(pqs)
+        assert floor == -2 * continuants(pqs)[1].degree
+        assert floor == rvalidity_floor([poly_dict(a) for a in pqs])
+        for start in range(1, len(pqs) + 1):
+            for part in (pqs.tail(start), pqs[start - 1 :], pqs[:start]):
+                assert isinstance(part, PartialQuotients) and len(part)
+                assert convergent_validity_floor(part) == rvalidity_floor(
+                    [poly_dict(a) for a in part])
+        assert pqs[len(pqs):] == PartialQuotients()
+        assert convergent_validity_floor(PartialQuotients()) == 0
+        cf_to_series(pqs, floor)
+        with pytest.raises(InsufficientPrecisionError) as raised:
+            cf_to_series(pqs, floor - 1)
+        assert str(raised.value) == (
+            f"insufficient partial quotients for requested order {floor - 1} "
+            f"(floor is {floor})")
 
     def test_one_based_access(self):
         K = FIELDS[5]

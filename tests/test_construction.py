@@ -374,7 +374,7 @@ class TestVerifyPattern:
 
         monkeypatch.setattr(algebra, "_spectrum", spectrum)
         default = verify_pattern(spec, 410)
-        assert set(sites) == {"_fft_product", "_top_quotient", "_product", "_spectral"}
+        assert set(sites) == {"_fft_product", "_newton_step", "_product", "_spectral"}
         assert default.ok and default.tail_relation_residual.floor == -11990
         assert default.equation_residual.floor == -11993
         sites.clear()
