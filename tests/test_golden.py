@@ -4,10 +4,11 @@ Each run goes through `cli.main` in process; its stdout and stderr are
 pinned by sha256 and its exit code as is, so any change to a quotient
 stream, a JSON field, a text line or an exit code shows here.  The runs
 cover the engine with and without jumps, certification at the sweep and
-at deep depths, the `tp` negative control, the identities and the
-pattern alone, and the two kinds of equation no pattern describes: the
-all-linear family and a dense equation read from a file, and a rational
-root reached at a run's last quotient.  The root test's four exits are
+at deep depths (one run printing two text rows), the `tp` negative
+control, the identities, the degree measure and the pattern alone, each
+in text and in JSON, and the two kinds of equation no pattern describes:
+the all-linear family and a dense equation read from a file, and a
+rational root reached at a run's last quotient.  The root test's four exits are
 pinned too: a constant root and a constant quotient that aborts, each at
 a run's last quotient and at an earlier step.
 
@@ -60,6 +61,15 @@ RUNS = {
                         "--format", "json"],
     "identities_p3": ["identities", "--p", "3", "--fib-count", "800"],
     "pattern_p5": ["pattern", "--p", "5", "--u", "1,3,2", "--steps", "40"],
+    "pattern_p5_json": ["pattern", "--p", "5", "--u", "1,3,2", "--steps", "40",
+                        "--format", "json"],
+    "identities_p7_json": ["identities", "--p", "7", "--format", "json"],
+    "measure_p7": ["measure", "--p", "7", "--k", "3", "--steps", "65"],
+    "measure_p7_json": ["measure", "--p", "7", "--k", "3", "--steps", "65",
+                        "--format", "json"],
+    "measure_p5": ["measure", "--p", "5", "--k", "2"],
+    "verify_two_rows": ["verify", "--p", "7", "--u", "2,4,5", "--u", "5,2,2",
+                        "--steps", "65"],
     "expand_all_linear": ["expand", "--p", "7", "--u1", "2", "--steps", "300"],
     "expand_dense_file": ["expand", "--p", "5", "--equation-file", "{dense}",
                           "--steps", "400"],
@@ -97,6 +107,18 @@ GOLDEN = {
                       "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "pattern_p5": (0, "3a909cced03f97dd0a6ca9c5ea4c4f90ea2ef24f066210312ef7ef879ccc1e7d",
                    "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "pattern_p5_json": (0, "52df403959fd80711e16595bbdc0bc5e05b337799de1cc7249224425e74ff908",
+                        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "identities_p7_json": (0, "c4d7f0ef1166d5e21fe61cb79ec69cc5889ed154e45584427e03dbe159ea56eb",
+                           "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "measure_p7": (0, "bc3623d44247a3dcc85fabb2c4a00611c8c678b0efd4438459337e1ef044bc75",
+                   "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "measure_p7_json": (0, "1ce0ba48039d2fcbf31816c487fbb2b5f2753e646b35d42620e274995b032ce7",
+                        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "measure_p5": (0, "3c626bcffdbe2e81fd35e745ebab8bc291357210d284a52fec366ba1ecb36c8f",
+                   "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "verify_two_rows": (0, "af9d586e53ded0e065af37fc1b35fc25a5e25c7221eb065defef26a09c0d3de2",
+                        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "expand_all_linear": (0, "360618467214c06e0cf29b12fa89096386e3e564340ff87fe7e21fc1374bf18d",
                           "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "expand_dense_file": (0, "62c42e4d4b79f08cc81d5fcb0087a9d7b90310502cd816bd0140e0a7d85e0cea",
