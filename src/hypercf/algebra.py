@@ -386,26 +386,25 @@ def _newton_step(f: np.ndarray, g: np.ndarray, a, n: int, p: int) -> np.ndarray:
     reaches the FFT threshold the products take one length L >= n, g
     transformed once, f*q0 cyclically: its terms past L wrap onto
     exponents below k, where a - f*q0 vanishes and nothing is read.  A
-    failed rounding check sends the products from there to _mul_arrays."""
+    product whose length is refused or whose rounding check fails is
+    formed alone by _mul_arrays."""
     k = g.size
-    size, q1 = _fft_length(n, ((p - 1) // 2) ** 2 * k) if k >= _FFT_MIN_LEN else 0, None
-    q0, high = (g, _EMPTY) if a is None else (None, a[k:])
-    if size:
-        spectrum = _spectrum(g, p, size)
-        if q0 is None:
-            q0 = _from_spectrum(_spectrum(a[:k], p, size) * spectrum, size, k, p)
-        if q0 is not None:
-            qs = spectrum if q0 is g else _spectrum(q0, p, size)  # q0 is g in a doubling
-            fq = _from_spectrum(_spectrum(f[:n], p, size) * qs, size, n, p)
-            if fq is not None:
-                r = _plus(p - fq[k:], high) % p
-                q1 = _from_spectrum(_spectrum(r, p, size) * spectrum, size, n - k, p)
-    if q0 is None:
-        q0 = _fit(_mul_arrays(a[:k], g, p), k)
-    if q1 is None:
-        r = _plus(p - _fit(_mul_arrays(f[:n], q0, p), n)[k:], high) % p
-        q1 = _fit(_mul_arrays(g[: n - k], r, p), n - k)
-    return np.concatenate([q0, q1])
+    size = _fft_length(n, ((p - 1) // 2) ** 2 * k) if k >= _FFT_MIN_LEN else 0
+    spectrum = _spectrum(g, p, size) if size else None
+
+    def product(x, y, m, y_spectrum=None):
+        """x*y mod T^m, y's transform passed where it is at hand."""
+        if size:
+            y_spectrum = _spectrum(y, p, size) if y_spectrum is None else y_spectrum
+            out = _from_spectrum(_spectrum(x, p, size) * y_spectrum, size, m, p)
+            if out is not None:
+                return out
+        return _fit(_mul_arrays(x, y, p), m)
+
+    q0, high = (g, _EMPTY) if a is None else (product(a[:k], g, k, spectrum), a[k:])
+    # q0 is g in a doubling, whose transform is then at hand
+    r = _plus(p - product(f[:n], q0, n, spectrum if q0 is g else None)[k:], high) % p
+    return np.concatenate([q0, product(r, g[: n - k], n - k, spectrum)])
 
 
 def _top_quotient(a: np.ndarray, b: np.ndarray, n: int, p: int) -> np.ndarray:

@@ -1,6 +1,10 @@
 """Command-line surface: expansion, pattern generation, verification,
 identity checks, and degree analytics, with text or JSON output.
 
+Each command builds its JSON records and its text lines from the same
+values and hands both to `_emit`, the one writer to stdout and the one
+reader of `--format`.
+
 Exit codes: 0 success / verified, 1 verification mismatch, 2 usage or
 parameter error.
 """
@@ -8,10 +12,11 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import os
 import sys
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterable, Optional, Sequence, Tuple
 
 from .algebra import Poly, PrimeField
 from .analytics import closed_forms, irrationality_report, nu, profile
@@ -48,9 +53,8 @@ def _validate_args(args) -> None:
     if getattr(args, "fib_count", 1) < 1:
         raise ValueError("fib-count must be >= 1")
     u = getattr(args, "u", None)
-    if isinstance(u, list):  # verify accumulates triples; validate each
-        for triple in u:
-            Triple.from_ints(field, triple)
+    if isinstance(u, list):  # verify accumulates triples
+        args.u = [Triple.from_ints(field, triple).as_ints() for triple in u]
     elif u is not None:
         args.u = Triple.from_ints(field, u).as_ints()
     u1 = getattr(args, "u1", None)
@@ -71,21 +75,26 @@ def render_json(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True, separators=(", ", ": "))
 
 
-def _print_quotients(args, u: Sequence[int], pqs: PartialQuotients) -> None:
-    """The quotients as one JSON object, or as the three reference lines:
+def _emit(args, records: Iterable[dict], lines: Iterable[str]) -> None:
+    """The one writer: each record as a JSON line, or the text lines,
+    which are read only on a text run."""
+    for line in map(render_json, records) if args.format == "json" else lines:
+        print(line)
+
+
+def _emit_quotients(args, u: Sequence[int], pqs: PartialQuotients) -> None:
+    """The quotients as one JSON record, or as the three reference lines:
     quotients, degrees, leading coefficients."""
-    if args.format == "json":
-        print(render_json({
-            "p": args.p,
-            "u": list(u),
-            "partial_quotients": [{"coeffs": a.coeffs.tolist()} for a in pqs],
-            "degrees": pqs.degrees(),
-            "leading_coefficients": pqs.leading_coefficients(),
-        }))
-    else:
-        print(f"cfe [{', '.join(str(a) for a in pqs)}]")
-        print(f"degrees {pqs.degrees()}")
-        print(f"lead.coef. {pqs.leading_coefficients()}")
+    record = {
+        "p": args.p,
+        "u": list(u),
+        "partial_quotients": [{"coeffs": a.coeffs.tolist()} for a in pqs],
+        "degrees": pqs.degrees(),
+        "leading_coefficients": pqs.leading_coefficients(),
+    }
+    heads = (("cfe", pqs), ("degrees", record["degrees"]),
+             ("lead.coef.", record["leading_coefficients"]))
+    _emit(args, [record], (f"{head} {value}" for head, value in heads))
 
 
 def parse_equation_file(field: PrimeField, path: str) -> BiPoly:
@@ -144,14 +153,25 @@ def _cmd_expand(args) -> int:
             f"rational root reached after {len(result.quotients)} quotients",
             file=sys.stderr,
         )
-    _print_quotients(args, u, result.quotients)
+    _emit_quotients(args, u, result.quotients)
     return 0
 
 
 def _cmd_pattern(args) -> int:
     spec = build_spec(PrimeField(args.p), args.u)
-    _print_quotients(args, args.u, pattern(spec, args.steps))
+    _emit_quotients(args, args.u, pattern(spec, args.steps))
     return 0
+
+
+def _verify_line(row: dict) -> str:
+    """A verify record as its text line."""
+    if row["verified"]:
+        verdict = f"verified, residuals zero to order {row['residual_order']}"
+    elif not row["match"]:
+        verdict = f"MISMATCH (first mismatch at index {row['first_mismatch']})"
+    else:
+        verdict = "RESIDUAL NONZERO"
+    return f"p={row['p']} u={tuple(row['u'])} steps={row['steps']}: {verdict}"
 
 
 def _verify_one(job: Tuple[int, Tuple[int, int, int], int, str]) -> dict:
@@ -178,13 +198,9 @@ def _verify_one(job: Tuple[int, Tuple[int, int, int], int, str]) -> dict:
 
 
 def _cmd_verify(args) -> int:
-    triples: List[Tuple[int, int, int]] = []
-    if args.grid:
-        if args.p not in VERIFICATION_TRIPLES:
-            raise ValueError(f"no committed grid for p={args.p}")
-        triples.extend(VERIFICATION_TRIPLES[args.p])
-    if args.u:
-        triples.extend(args.u)
+    if args.grid and args.p not in VERIFICATION_TRIPLES:
+        raise ValueError(f"no committed grid for p={args.p}")
+    triples = [*VERIFICATION_TRIPLES[args.p], *args.u] if args.grid else args.u
     if not triples:
         raise ValueError("verify needs --u or --grid")
     jobs = [(args.p, u, args.steps, args.r_convention) for u in triples]
@@ -198,54 +214,23 @@ def _cmd_verify(args) -> int:
             results = list(pool.map(_verify_one, jobs))
     else:
         results = [_verify_one(job) for job in jobs]
-    all_ok = all(r["verified"] for r in results)
-    if args.format == "json":
-        for r in results:
-            print(render_json(r))
-    else:
-        for r in results:
-            u = tuple(r["u"])
-            if r["verified"]:
-                print(
-                    f"p={r['p']} u={u} steps={r['steps']}: verified, "
-                    f"residuals zero to order {r['residual_order']}"
-                )
-            elif not r["match"]:
-                print(
-                    f"p={r['p']} u={u} steps={r['steps']}: "
-                    f"MISMATCH (first mismatch at index {r['first_mismatch']})"
-                )
-            else:
-                print(f"p={r['p']} u={u} steps={r['steps']}: RESIDUAL NONZERO")
-    return 0 if all_ok else 1
+    _emit(args, results, map(_verify_line, results))
+    return 0 if all(r["verified"] for r in results) else 1
 
 
 def _cmd_identities(args) -> int:
-    field = PrimeField(args.p)
-    report = check_identities(field, fib_cf_limit=args.fib_count)
-    if args.format == "json":
-        print(
-            render_json(
-                {
-                    "p": args.p,
-                    "verified": report.all_ok,
-                    "f_pm1_equals_F": report.f_pm1_equals_F,
-                    "f_p_plus_f_pm2_equals_Tp": report.f_p_plus_f_pm2_equals_Tp,
-                    "R_equals_2_f_pm2": report.R_equals_2_f_pm2,
-                    "fibonacci_cf_all_T": report.fibonacci_cf_all_T,
-                }
-            )
-        )
-    else:
-        flag = lambda ok: "ok" if ok else "FAILED"
-        print(f"p={args.p}")
-        print(f"f_(p-1) = (t^2+4)^((p-1)/2): {flag(report.f_pm1_equals_F)}")
-        print(f"f_p + f_(p-2) = t^p: {flag(report.f_p_plus_f_pm2_equals_Tp)}")
-        print(f"remainder of t^p by F = 2*f_(p-2): {flag(report.R_equals_2_f_pm2)}")
-        print(
-            f"cf(f_n/f_(n-1)) = [t]*n for n <= {report.fibonacci_cf_checked_through}: "
-            f"{flag(report.fibonacci_cf_all_T)}"
-        )
+    report = check_identities(PrimeField(args.p), fib_cf_limit=args.fib_count)
+    labels = {
+        "f_pm1_equals_F": "f_(p-1) = (t^2+4)^((p-1)/2)",
+        "f_p_plus_f_pm2_equals_Tp": "f_p + f_(p-2) = t^p",
+        "R_equals_2_f_pm2": "remainder of t^p by F = 2*f_(p-2)",
+        "fibonacci_cf_all_T":
+            f"cf(f_n/f_(n-1)) = [t]*n for n <= {report.fibonacci_cf_checked_through}",
+    }
+    record = {"p": args.p, "verified": report.all_ok}
+    record.update((key, getattr(report, key)) for key in labels)
+    lines = (f"{label}: {'ok' if record[key] else 'FAILED'}" for key, label in labels.items())
+    _emit(args, [record], itertools.chain([f"p={args.p}"], lines))
     return 0 if report.all_ok else 1
 
 
@@ -263,23 +248,20 @@ def _cmd_measure(args) -> int:
         prof = profile(pattern(spec, args.steps), field)
         payload["big_positions"] = [list(entry) for entry in prof.big_positions]
         payload["verified"] = prof.consistent
-    if args.format == "json":
-        print(render_json(payload))
-    else:
-        print(f"p={args.p}")
+
+    def lines():
+        yield f"p={args.p}"
         for k in range(1, args.k + 1):
             n_k, s_k = closed_forms(field, k)
-            print(f"k={k}: position n_k={n_k}, degree {pattern_degree(args.p, k)}, partial sum s_k={s_k}")
+            yield f"k={k}: position n_k={n_k}, degree {pattern_degree(args.p, k)}, partial sum s_k={s_k}"
         report = irrationality_report(field, kmax=args.k, degree_profile=prof)
-        print(f"nu = {measure} (bounds: 2 < nu <= degree <= {report.liouville_upper})")
+        yield f"nu = {measure} (bounds: 2 < nu <= degree <= {report.liouville_upper})"
         if prof is not None:
-            print(
-                f"observed big positions: {prof.big_positions} "
-                f"({'consistent' if prof.consistent else 'INCONSISTENT'})"
-            )
-    if prof is not None and not prof.consistent:
-        return 1
-    return 0
+            yield (f"observed big positions: {prof.big_positions} "
+                   f"({'consistent' if prof.consistent else 'INCONSISTENT'})")
+
+    _emit(args, [payload], lines())
+    return 0 if prof is None or prof.consistent else 1
 
 
 @functools.lru_cache(maxsize=None)  # parsing leaves the parser as it was

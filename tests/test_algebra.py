@@ -572,8 +572,8 @@ class TestLongQuotients:
     @pytest.mark.parametrize("inverse", (0, 1, 2, 3))
     def test_failed_rounding_check_falls_back_to_products(self, monkeypatch, inverse):
         # the first or second inverse transform of the first or second
-        # FFT doubling fails its check: that doubling forms its two
-        # products by _mul_arrays instead, and the quotient is unchanged
+        # FFT doubling fails its check: that doubling forms the failed
+        # product alone by _mul_arrays, and the quotient is unchanged
         p, n = 7, 2000
         a, b = _division_case(p, n, 1200, True, seed=4)
         expected = _floordiv_arrays(a, b, p)
@@ -592,17 +592,15 @@ class TestLongQuotients:
         q = _floordiv_arrays(a, b, p)
         assert q.tobytes() == expected.tobytes()
         # 2 products for each of the doublings 16 -> 32 -> 63 -> 125 ->
-        # 250 and the failed doubling's two
-        assert len(products) == 2 * 4 + 2
+        # 250, then f*g or g*r of the failed doubling
         k, k2 = _newton_doublings(n)[inverse // 2]
-        assert products[8:] == [(k2, k), (k2 - k, k2 - k)]
+        assert products[8:] == [[(k2, k)], [(k2 - k, k2 - k)]][inverse % 2]
 
     @pytest.mark.parametrize("inverse", (0, 1, 2))
     def test_failed_last_step_falls_back_to_products(self, monkeypatch, inverse):
         # q0 = a*g, f*q0 or g*r of the last step fails its rounding check:
-        # the step forms that product and those after it by _mul_arrays
-        # (q0 stays as checked when a later one fails), and the quotient
-        # is unchanged
+        # the step forms that product alone by _mul_arrays, and the
+        # quotient is unchanged
         p, n = 7, 2000
         a, b = _division_case(p, n, 1200, True, seed=5)
         expected = _floordiv_arrays(a, b, p)
@@ -626,12 +624,12 @@ class TestLongQuotients:
         assert q.tobytes() == expected.tobytes()
         # the failed inverse was the last step's, at the quotient's length
         assert inverses[doubling_inverses + inverse] == algebra._fft_length(n, 0)
-        # the 8 products below the FFT doublings, then the last step's:
-        # a's nonzero top terms by g, if q0 failed, f by q0 and g's first
-        # n - h terms by the residual
+        # the 8 products below the FFT doublings, then the last step's
+        # failed one: a's nonzero top terms by g, f by q0, or the residual
+        # by g's first n - h terms
         h, top = (n + 1) // 2, _trim(a[::-1][:n]).size
         last = [(top, h), (b.size, h), (n - h, n - h)]
-        assert products[8:] == (last if inverse == 0 else last[1:])
+        assert products[8:] == [last[inverse]]
 
     def test_large_modulus_makes_no_transform(self):
         # at p = 65521 a product of 128 terms may pass _FFT_EXACT_BOUND,

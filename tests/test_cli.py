@@ -213,6 +213,13 @@ class TestVerify:
         assert code == 0
         assert "verified" in out[0]
 
+    @pytest.mark.parametrize("fmt", ("text", "json"))
+    def test_triples_are_reported_as_residues(self, capsys, fmt):
+        # as expand and pattern do: 9,4,12 is 2,4,5 mod 7
+        argv = ("verify", "--p", "7", "--steps", "30", "--format", fmt)
+        typed = run(capsys, *argv, "--u", "9,4,12")
+        assert typed[0] == 0 and typed == run(capsys, *argv, "--u", "2,4,5")
+
     def test_deep_p11_run_through_n4(self, capsys):
         # 1476 quotients, the last of degree 29281
         code, out, _ = run(

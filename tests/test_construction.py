@@ -367,7 +367,9 @@ class TestVerifyPattern:
 
         def spectrum(*args):
             caller = sys._getframe(1)
-            while caller.f_code.co_name.startswith("<"):  # a comprehension's frame
+            # a comprehension's or a nested helper's frame: the site is
+            # the module-level function around it
+            while caller.f_code.co_name not in caller.f_globals:
                 caller = caller.f_back
             sites[caller.f_code.co_name] += 1
             return real(*args)
