@@ -68,6 +68,9 @@ RUNS = {
     "measure_p7_json": ["measure", "--p", "7", "--k", "3", "--steps", "65",
                         "--format", "json"],
     "measure_p5": ["measure", "--p", "5", "--k", "2"],
+    "measure_p11_json": ["measure", "--p", "11", "--k", "3", "--steps", "141",
+                         "--format", "json"],
+    "measure_p13": ["measure", "--p", "13", "--k", "2", "--steps", "191"],
     "verify_two_rows": ["verify", "--p", "7", "--u", "2,4,5", "--u", "5,2,2",
                         "--steps", "65"],
     "expand_all_linear": ["expand", "--p", "7", "--u1", "2", "--steps", "300"],
@@ -117,6 +120,10 @@ GOLDEN = {
                         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "measure_p5": (0, "3c626bcffdbe2e81fd35e745ebab8bc291357210d284a52fec366ba1ecb36c8f",
                    "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "measure_p11_json": (0, "0788f9da140be5399d063b171ed8cf2461ef9e07977b50dd09f7dec4055c3021",
+                         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "measure_p13": (0, "496edae4a1c557055274bc20174f1a61cd834fa6062b877c7302f1ae203eecb3",
+                    "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "verify_two_rows": (0, "af9d586e53ded0e065af37fc1b35fc25a5e25c7221eb065defef26a09c0d3de2",
                         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "expand_all_linear": (0, "360618467214c06e0cf29b12fa89096386e3e564340ff87fe7e21fc1374bf18d",
