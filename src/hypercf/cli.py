@@ -1,5 +1,5 @@
 """Command-line surface: expansion, pattern generation, verification,
-identity checks, and degree analytics, with text or JSON output.
+identity checks, and the degree measure, with text or JSON output.
 
 Each command builds its JSON records and its text lines from the same
 values and hands both to `_emit`, the one writer to stdout and the one
@@ -19,17 +19,20 @@ import sys
 from typing import Iterable, Optional, Sequence, Tuple
 
 from .algebra import Poly, PrimeField
-from .analytics import closed_forms, irrationality_report, nu, profile
 from .cf import PartialQuotients
 from .construction import (
     Triple,
     build_spec,
     check_identities,
+    closed_forms,
+    irrationality_report,
     mills_robbins_equation,
     mills_robbins_u2,
+    nu,
     pattern,
     pattern_degree,
     pattern_equation,
+    profile,
     verify_pattern,
 )
 from .expansion import BiPoly, NoAdmissibleQuotientError, expand
@@ -235,27 +238,27 @@ def _cmd_identities(args) -> int:
 
 
 def _cmd_measure(args) -> int:
-    field = PrimeField(args.p)
-    measure = nu(field)
+    measure = nu(args.p)
     payload = {
         "p": args.p,
         "nu": {"num": measure.numerator, "den": measure.denominator},
     }
     prof = None
     if args.steps is not None:
-        # entries are units times T or P_n: no triple changes the degrees
-        spec = build_spec(field, (1, 1, 1))
-        prof = profile(pattern(spec, args.steps), field)
+        # the engine's stream, checked against the closed forms: entries
+        # are units times T or P_n, so no triple changes the degrees
+        spec = build_spec(PrimeField(args.p), (1, 1, 1))
+        prof = profile(expand(pattern_equation(spec), args.steps).quotients, args.p)
         payload["big_positions"] = [list(entry) for entry in prof.big_positions]
         payload["verified"] = prof.consistent
 
     def lines():
         yield f"p={args.p}"
         for k in range(1, args.k + 1):
-            n_k, s_k = closed_forms(field, k)
+            n_k, s_k = closed_forms(args.p, k)
             yield f"k={k}: position n_k={n_k}, degree {pattern_degree(args.p, k)}, partial sum s_k={s_k}"
-        report = irrationality_report(field, kmax=args.k, degree_profile=prof)
-        yield f"nu = {measure} (bounds: 2 < nu <= degree <= {report.liouville_upper})"
+        upper = irrationality_report(args.p, kmax=args.k).liouville_upper
+        yield f"nu = {measure} (bounds: 2 < nu <= degree <= {upper})"
         if prof is not None:
             yield (f"observed big positions: {prof.big_positions} "
                    f"({'consistent' if prof.consistent else 'INCONSISTENT'})")
@@ -320,7 +323,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(handler=_cmd_measure)
     add_common(sp, steps_required=False)
     sp.add_argument("--k", type=int, default=4)
-    sp.add_argument("--steps", type=int, help="also profile a generated pattern")
+    sp.add_argument("--steps", type=int, help="also profile the engine's expansion")
 
     return parser
 

@@ -20,11 +20,20 @@ f_(n-2)).  Both families are built for p below 2^16 only, as building
 and checking F and R costs O(p^2).  Everything here is checkable:
 verify_pattern compares the predicted stream against the extraction
 engine and measures both residuals.
+
+The k-th high-degree entry sits at position n_k = `pattern_position(p, k)`
+with degree d_k = `pattern_degree(p, k)`, and the degrees before it sum to
+
+    s_k = 3*(p^k - 1)/(p - 1) + 1 = 3*(n_k - 2k - 2) + 1.
+
+The irrationality measure nu = 2 + lim_k d_k/s_k = 2 + 2*(p - 1)/3 is kept
+as an exact rational throughout.
 """
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
+from fractions import Fraction
 from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 from .algebra import FieldElement, Poly, PrimeField
@@ -46,6 +55,13 @@ __all__ = [
     "pattern",
     "pattern_position",
     "pattern_degree",
+    "closed_forms",
+    "nu",
+    "DegreeProfile",
+    "profile",
+    "profile_from_degrees",
+    "IrrationalityReport",
+    "irrationality_report",
     "pattern_equation",
     "mills_robbins_u2",
     "mills_robbins_equation",
@@ -134,6 +150,100 @@ def pattern_position(p: int, k: int) -> int:
 def pattern_degree(p: int, k: int) -> int:
     """Degree of P_k, which is the degree of the k-th high-degree entry."""
     return 2 * p ** k - 1
+
+
+def closed_forms(p: int, k: int) -> Tuple[int, int]:
+    """(n_k, s_k) as exact integers, k >= 1."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    n_k = pattern_position(p, k)
+    return n_k, 3 * (n_k - 2 * k - 2) + 1
+
+
+def nu(p: int) -> Fraction:
+    """The irrationality measure 2 + 2*(p-1)/3 as an exact rational."""
+    value = Fraction(2) + Fraction(2 * (p - 1), 3)
+    if not Fraction(2) < value <= Fraction(p + 1):
+        raise RuntimeError(f"nu = {value} must lie in (2, p + 1]")
+    return value
+
+
+@dataclass
+class DegreeProfile:
+    """Empirical view of a degree sequence: where the non-linear entries
+    sit, the degree sums in front of them, and how that squares with the
+    closed forms."""
+
+    p: int
+    degrees: List[int]
+    big_positions: List[Tuple[int, int, int]]  # (k, position, degree), 1-based
+    partial_sums: List[Tuple[int, int]]        # (k, sum of degrees before position)
+    mismatches: List[str] = dataclass_field(default_factory=list)
+
+    @property
+    def consistent(self) -> bool:
+        return not self.mismatches
+
+
+def profile_from_degrees(degrees: Sequence[int], p: int) -> DegreeProfile:
+    degrees = [int(d) for d in degrees]
+    big: List[Tuple[int, int, int]] = []
+    sums: List[Tuple[int, int]] = []
+    mismatches: List[str] = []
+    running = 0
+    k = 0
+    for pos, d in enumerate(degrees, start=1):
+        if d > 1:
+            k += 1
+            big.append((k, pos, d))
+            sums.append((k, running))
+            n_k, s_k = closed_forms(p, k)
+            if pos != n_k:
+                mismatches.append(f"entry {k}: position {pos}, closed form {n_k}")
+            d_k = pattern_degree(p, k)
+            if d != d_k:
+                mismatches.append(f"entry {k}: degree {d}, closed form {d_k}")
+            if running != s_k:
+                mismatches.append(f"entry {k}: partial sum {running}, closed form {s_k}")
+        running += d
+    return DegreeProfile(p=p, degrees=degrees, big_positions=big,
+                         partial_sums=sums, mismatches=mismatches)
+
+
+def profile(pqs: PartialQuotients, p: int) -> DegreeProfile:
+    return profile_from_degrees(pqs.degrees(), p)
+
+
+@dataclass
+class IrrationalityReport:
+    """nu and its Liouville-Mahler frame 2 < nu <= d <= p+1, with the
+    finite ratio samples (2*p^k - 1)/s_k that approach nu - 2 from below.
+    The samples are finite evidence, not the limit itself."""
+
+    p: int
+    nu: Fraction
+    liouville_upper: int
+    ratio_samples: List[Tuple[int, Fraction]]
+    empirical_max_ratio: Optional[Fraction]
+
+
+def irrationality_report(
+    p: int,
+    kmax: int = 6,
+    degree_profile: Optional[DegreeProfile] = None,
+) -> IrrationalityReport:
+    samples = [(k, Fraction(pattern_degree(p, k), closed_forms(p, k)[1]))
+               for k in range(1, kmax + 1)]
+    observed = [] if degree_profile is None else zip(
+        degree_profile.big_positions, degree_profile.partial_sums)
+    ratios = [Fraction(d, s_obs) for (_, _, d), (_, s_obs) in observed if s_obs > 0]
+    return IrrationalityReport(
+        p=p,
+        nu=nu(p),
+        liouville_upper=p + 1,
+        ratio_samples=samples,
+        empirical_max_ratio=max(ratios, default=None),
+    )
 
 
 def _tower(spec: PatternSpec) -> Iterator[Poly]:

@@ -7,9 +7,12 @@ import pytest
 from hypercf import (
     build_spec,
     closed_forms,
+    expand,
     irrationality_report,
     nu,
     pattern,
+    pattern_equation,
+    pattern_position,
     profile,
     profile_from_degrees,
 )
@@ -80,6 +83,21 @@ class TestProfile:
         prof = profile(pattern(spec, 21), 3)
         assert prof.big_positions == [(1, 5, 5), (2, 10, 17), (3, 21, 53)]
         assert prof.consistent
+
+
+class TestAgainstTheEngine:
+    @pytest.mark.parametrize("p, k", [(3, 3), (5, 3), (7, 3), (11, 3), (13, 3),
+                                      (3, 4), (5, 4), (7, 4)])
+    def test_engine_profile_equals_the_pattern_profile(self, p, k):
+        # (1,1,1) is in no committed grid at p = 7, 11 or 13
+        spec = build_spec(FIELDS[p], (1, 1, 1))
+        steps = pattern_position(p, k)
+        engine = profile(expand(pattern_equation(spec), steps).quotients, p)
+        predicted = profile(pattern(spec, steps), p)
+        assert engine.consistent and predicted.consistent
+        assert len(engine.big_positions) == k
+        assert engine.big_positions == predicted.big_positions
+        assert engine.partial_sums == predicted.partial_sums
 
 
 class TestIrrationalityReport:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import concurrent.futures
+import dataclasses
 import json
 import os
 import re
@@ -448,14 +449,16 @@ class TestMeasure:
 
     @pytest.mark.parametrize("fmt", ("text", "json"))
     def test_inconsistent_profile_exits_1(self, capsys, monkeypatch, fmt):
-        # a stream whose third large quotient is one degree too high
-        real = cli.pattern
+        # an engine run whose third large quotient is one degree too high
+        real = cli.expand
 
-        def off(spec, count):
-            items = list(real(spec, count))
-            return PartialQuotients(items[:-1] + [items[-1] * spec.field.T])
+        def off(equation, steps):
+            run = real(equation, steps)
+            items = list(run.quotients)
+            items[-1] = items[-1] * equation.field.T
+            return dataclasses.replace(run, quotients=PartialQuotients(items))
 
-        monkeypatch.setattr(cli, "pattern", off)
+        monkeypatch.setattr(cli, "expand", off)
         code, out, _ = run(
             capsys, "measure", "--p", "7", "--k", "3", "--steps", "65", "--format", fmt
         )
