@@ -224,26 +224,12 @@ class IrrationalityReport:
     nu: Fraction
     liouville_upper: int
     ratio_samples: List[Tuple[int, Fraction]]
-    empirical_max_ratio: Optional[Fraction]
 
 
-def irrationality_report(
-    p: int,
-    kmax: int = 6,
-    degree_profile: Optional[DegreeProfile] = None,
-) -> IrrationalityReport:
+def irrationality_report(p: int, kmax: int = 6) -> IrrationalityReport:
     samples = [(k, Fraction(pattern_degree(p, k), closed_forms(p, k)[1]))
                for k in range(1, kmax + 1)]
-    observed = [] if degree_profile is None else zip(
-        degree_profile.big_positions, degree_profile.partial_sums)
-    ratios = [Fraction(d, s_obs) for (_, _, d), (_, s_obs) in observed if s_obs > 0]
-    return IrrationalityReport(
-        p=p,
-        nu=nu(p),
-        liouville_upper=p + 1,
-        ratio_samples=samples,
-        empirical_max_ratio=max(ratios, default=None),
-    )
+    return IrrationalityReport(p=p, nu=nu(p), liouville_upper=p + 1, ratio_samples=samples)
 
 
 def _tower(spec: PatternSpec) -> Iterator[Poly]:

@@ -6,67 +6,56 @@ equation y^n * P(bar + 1/y) of the tail 1/(alpha - bar).  Iterating
 yields the partial quotients one at a time, with no correctness theorem
 here: outputs are validated a posteriori through eval_at_series.
 
-k steps compose into one Moebius map: with the continuants of their
-quotients, the tail equation is sum of c_e * N^e * D^(n-e) for
-N = x_k*y + x_(k-1), D = y_k*y + y_(k-1); one step is N = bar*y + 1, D = y,
-and P at a polynomial or a series is D = 1.  One Frobenius-split Horner on
-term maps, y-exponent to coefficient, takes them all.  N^p and D^p are
+A step, and P at a polynomial or a series, is one Frobenius-split Horner
+on term maps, y-exponent to coefficient: sum of c_e * N^e * D^(n-e) for
+N = bar*y + 1 and D = y, or N the value and D = 1.  N^p and D^p are
 Frobenius images, so A*x^(p+1) + B*x^p + C*x + D goes to
 N^p*(A*N + B*D) + D^p*(C*N + D*D), and with the unit a marker of this
 module never multiplied, a step makes just the 4 coefficient products of
-that form, each added to something at once.
+that form, each added to something at once.  The Horner runs once per
+shape of the equation and of N and D, on placeholder slots, and traces
+a straight-line schedule of products, sums and Frobenius images, a
+product that only a sum reads fused into it as a*b + c: a step is 1
+Frobenius image and 4 such calls.  Every evaluation replays the schedule
+of its shape on raw values, (floor, array) pairs, by the rules of
+`series`, where an exact value has no floor, each value dropped after
+its last use.
 
-The Horner runs once per shape of the equation and of N and D, on
-placeholder slots, and traces a straight-line schedule of products,
-sums and Frobenius images, a product that only a sum reads fused into
-it as a*b + c: a step is 1 Frobenius image and 4 such calls.  Every
-evaluation replays the schedule of its shape on raw values, (floor,
-array) pairs, by the rules of `series`, where an exact value has no
-floor, each value dropped after its last use.  A composite map of exact
-values replays it in one transform domain: each input is transformed
-once, at one length, a Frobenius image's spectrum is read off its
-input's, products and sums are pointwise and each output takes one
-inverse transform.  Where a bound on the values' coefficients or a
-rounding check fails, and for every other evaluation, the products are
-formed one by one.
-
-`expand` works on raw term maps, x-exponent to raw value, from its
-input's coefficient arrays to the quotients it emits: no BiPoly and no
-LaurentSeries is made in between.  One loop extracts in jumps at every
-level.  A quotient reads only the tops of P[n] and P[n-1], so a round
-runs the loop on top windows of P's coefficients, views cut at one
-floor, whose floors track what they still determine, for as long as
-they decide each quotient, its degree >= 1, P(bar) nonzero and every
-tail coefficient's degree, and applies the composite map of what they
-decide to P once: each coefficient cut at its window's floor must equal
-the window.  Where they decide nothing, the round steps on P itself.
-Windows are cut from windows while they stay four windows high, so the
-steps run on the shortest; one on windows of up to 190 terms at p=7
-takes about 33 us (timeit minima of 50 steps of a 410-quotient run,
-2-vCPU host), of which its numpy calls made bare take 20.  What the
-exact map's windows leave open, a deep quotient, a constant one or a
-possibly rational root, falls to a step on it.  The loop takes a run's
-last quotient itself, by a division for bar that forms no tail.  One
-test decides P(bar) = 0 for a constant quotient and for that last one:
-never on windows, and on an exact P by P(bar) at T = 0 and T = 1,
-formed only when both vanish.  A constant non-root aborts.
+`expand` works on raw arrays from its input's coefficients to the
+quotients it emits: no BiPoly and no LaurentSeries is made in between.
+An equation of x-degree p+1 on the support {0, 1, p, p+1} runs a
+homographic machine (Gosper, HAKMEM item 101): with x = alpha^p, alpha =
+(a*x + b)/(c*x + d) for the state (a, b; c, d) = (-B, -D; A, C), and the
+continued fraction of x is [a_1^p, a_2^p, ...], the Frobenius images of
+alpha's own quotients.  The machine emits r = a // c, moving to (c, d;
+a - r*c, b - r*d), where r is alpha's next quotient for every x of
+degree at least delta: deg d and deg(b - r*d) below deg c + delta,
+deg r >= 1 and the new row nonzero; otherwise it reads the image q of
+the next emitted quotient not yet read, x = q + 1/x', moving to
+(a*q + b, a; c*q + d, c).  delta is p*deg a_j for the next quotient a_j
+to read once it is emitted, and p before.  Where nothing is left to
+read, the state is the tail's equation c*y^(p+1) - a*y^p + d*y - b up to
+sign, c zero at a rational end, and the machine stalls into one step on
+it, which keeps the step's rule, aborts and rational ends.  Each emit
+and read negates the determinant ad - bc, and a run ends by checking it.
+Every other equation runs a step per quotient.  Either way a run's last
+quotient forms no tail: the machine's is confirmed by the next emit or
+stall, the step loop's is a division for bar.  One test decides P(bar) =
+0 for a constant quotient and for that last one, on P by P(bar) at T = 0
+and T = 1, formed only when both vanish.  A constant non-root aborts.
 """
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from . import algebra
-from .algebra import _EMPTY, Poly, PrimeField, _trim
-from .cf import PartialQuotients, continuants
-from .series import (
-    InsufficientPrecisionError, LaurentSeries, Raw, _cut, _raw_add, _raw_div,
-    _raw_frobenius, _raw_mul,
-)
+from .algebra import _EMPTY, Poly, PrimeField
+from .cf import PartialQuotients
+from .series import LaurentSeries, Raw, _raw_add, _raw_frobenius, _raw_mul
 
 __all__ = [
     "BiPoly",
@@ -75,15 +64,6 @@ __all__ = [
     "expand",
     "eval_at_series",
 ]
-
-#: least number of coefficients a map's windows hold below its height;
-#: from spans of 32 times that on they hold span // 32, the span being the
-#: height above the map's highest floor (an exact map's height), and a
-#: map less than four windows high is stepped on itself.  A linear
-#: quotient uses up about two of them, so a round decides up to about
-#: half as many quotients for the cost of one composite map, which
-#: multiplies the map's coefficients by continuants of about that degree.
-_WINDOW_MIN_LEN = 64
 
 
 class _Unit:
@@ -213,8 +193,9 @@ class ExpansionResult:
     `rational` marks that the equation turned out to have the last
     emitted quotient as an exact (rational) root, ending the expansion.
     `max_coeff_degree` is the largest T-degree seen among the working
-    equation's coefficients; `coeff_degree_bound` is the a-priori bound
-    it was checked against after every step.
+    equation's coefficients, on the machine the entries of its state, the
+    coefficients of the equation linking y to x; `coeff_degree_bound` is
+    the a-priori bound it was checked against after every step.
     """
 
     quotients: PartialQuotients
@@ -225,8 +206,8 @@ class ExpansionResult:
 
 
 def _step(field: PrimeField, P: Dict[int, Raw]) -> Tuple[Poly, Optional[Dict[int, Raw]]]:
-    """One step on a raw term map, exact or of windows, with the tail's
-    map; a window's InsufficientPrecisionError says it cannot decide bar."""
+    """One step on an exact raw term map: bar and the tail's map, None at
+    a rational end."""
     p, n, bar = field.p, max(P), _bar(field, P)
     if bar.degree < 1 and _is_root(field, P, bar):  # the root, or `_is_root` aborts
         return bar, None
@@ -239,18 +220,18 @@ _STEP = (((1, False), (0, True)), ((1, True),))
 
 
 def _bar(field: PrimeField, P: Mapping[int, Raw]) -> Poly:
-    """The quotient -(P[n-1] // P[n]) of a raw term map, n = max(P): the
-    top of a trimmed dividend leaves the quotient trimmed."""
+    """The quotient -(P[n-1] // P[n]) of an exact raw term map, n = max(P)."""
     p, n = field.p, max(P)
-    return Poly._raw(field, -_raw_div(P.get(n - 1, (None, _EMPTY)), P[n], p, 0)[1] % p)
+    top = P.get(n - 1, (None, _EMPTY))[1]
+    return Poly._raw(field, -algebra._floordiv_arrays(top, P[n][1], p) % p)
 
 
 def _is_root(field: PrimeField, P: Mapping[int, Raw], bar: Poly) -> bool:
     """Whether P's quotient bar is its root, P(bar) = 0: a rational end.
-    Windows are never known to be zero; on an exact P, P(bar) is read at
-    T = 0 and T = 1, from each array's first entry and its sum, and formed
-    only when both vanish.  A constant non-root aborts: no tail follows."""
-    p, root = field.p, all(v is None for v, _ in P.values())
+    P(bar) is read at T = 0 and T = 1, from each array's first entry and
+    its sum, and formed only when both vanish.  A constant non-root
+    aborts: no tail follows."""
+    p, root = field.p, True
     for read in (lambda c: c[:1].sum(), np.sum):  # P(bar) at T = 0, then at T = 1
         b = int(read(bar.coeffs))
         root = root and not sum(int(read(c)) * pow(b, e, p) for e, (_, c) in P.items()) % p
@@ -274,9 +255,11 @@ def expand(P: BiPoly, m: int) -> ExpansionResult:
     degree_sum = 0
     max_seen = base_height
     rational_value: Optional[Poly] = None
-    rounds = (zip(bars, heights) for bars, heights, _ in _run(P.field, P._raw_terms(), m))
+    p, terms = P.field.p, P._raw_terms()
+    hyperquadratic = max(terms) == p + 1 and terms.keys() <= {0, 1, p, p + 1}
     try:
-        for step, (bar, height) in enumerate(chain.from_iterable(rounds), start=1):
+        for step, (bar, height, _) in enumerate(
+                (_machine if hyperquadratic else _run)(P.field, terms, m), start=1):
             if bar.degree >= 1:
                 emitted.append(bar)
                 degree_sum += int(bar.degree)
@@ -303,92 +286,92 @@ def expand(P: BiPoly, m: int) -> ExpansionResult:
     )
 
 
-def _run(
-    field: PrimeField, P: Dict[int, Raw], budget: int
-) -> Iterator[Tuple[List[Poly], List[Optional[int]], Optional[Dict[int, Raw]]]]:
-    """Up to `budget` quotients of the term map P, exact or of windows, in
-    rounds of (quotients, the largest coefficient degree after each, the
-    tail map, None at a rational end): the loop run on P's windows and
-    what they decide applied to P, or one step on P where they decide
-    none.  An exact map's last quotient of the budget is its own round,
-    a division for bar that forms no tail: height -1, None at a rational
-    end, and no tail map.  On windows the run ends where they cannot
-    decide the next quotient: a bar or an apply's check that reads below
-    a floor raises InsufficientPrecisionError, a constant bar aborts, and
-    a tail with a coefficient zero to its floor, P(bar) among them, ends
-    it unyielded.  A window map too short to cut is not asked again: it
-    only shortens."""
-    exact, cut = all(v is None for v, _ in P.values()), True
-    while budget > 0:
-        if exact and budget == 1:
+#: a run's quotients: (quotient, height after it, the tail's map or None);
+#: height None at a rational end, the quotient the root
+_Quotients = Iterator[Tuple[Poly, Optional[int], Optional[Dict[int, Raw]]]]
+
+
+def _run(field: PrimeField, P: Dict[int, Raw], budget: int) -> _Quotients:
+    """Up to `budget` quotients of the exact term map P, one `_step` each,
+    with the largest coefficient degree of its tail.  The budget's last
+    quotient is a division for bar that forms no tail: height -1, None at
+    a rational end, and no tail map."""
+    for left in range(budget, 0, -1):
+        if left == 1:
             bar = _bar(field, P)
-            yield [bar], [None if _is_root(field, P, bar) else -1], None
+            yield bar, (None if _is_root(field, P, bar) else -1), None
             return
-        bars, heights, tail = [], [], _windows(P) if cut else None
-        cut = exact or tail is not None
-        try:
-            for more, tops, tail in () if tail is None else _run(field, tail, budget):
-                bars += more
-                heights += tops
-        except (InsufficientPrecisionError, NoAdmissibleQuotientError):
-            pass  # raised on windows: the rounds before it stand
-        if bars:
-            P = _apply(field.p, P, bars, tail)
-        else:
-            bar, P = _step(field, P)
-            if P is not None and not all(c.size for _, c in P.values()):
-                return
-            bars, heights = [bar], [None if P is None else _height(P)]
-        yield bars, heights, P
+        bar, P = _step(field, P)
+        yield bar, (None if P is None else _height(P)), P
         if P is None:
             return
-        budget -= len(bars)
 
 
 def _height(P: Mapping[int, Raw]) -> int:
-    """The largest coefficient degree of a raw term map, read from the
-    array sizes (an exact array starts at degree 0)."""
-    return max((v or 0) + c.size for v, c in P.values()) - 1
+    """The largest coefficient degree of an exact raw term map."""
+    return max(c.size for _, c in P.values()) - 1
 
 
-def _windows(P: Mapping[int, Raw]) -> Optional[Dict[int, Raw]]:
-    """P's coefficients as top windows at one floor below its height, or
-    None when P is less than four windows high above its highest floor (0
-    for an exact map): a step on it then costs about as much as on its
-    windows, and running on them gains nothing."""
-    height = _height(P)
-    span = height - max(v or 0 for v, _ in P.values())
-    length = max(_WINDOW_MIN_LEN, span // 32)
-    if span < 4 * length:
-        return None
-    floor = height - length
-    return {e: (floor, _cut(c, floor)) for e, c in P.items()}
+def _machine(field: PrimeField, P: Dict[int, Raw], budget: int) -> _Quotients:
+    """Up to `budget` quotients of A*x^(p+1) + B*x^p + C*x + D, the exact
+    term map P, by the homographic machine on its state (a, b; c, d),
+    with the largest entry degree after each.  An emitted quotient is
+    held back until the next emit shows it is not the root, or a stall
+    with c zero that it is; a stall steps on the tail's equation and takes
+    its tail as the state, an emit and a read.  RuntimeError where the
+    run's determinant is not (-1)^(emits + reads) * (AD - BC)."""
+    p = field.p
+    A, B, C, D = (P[e][1] if e in P else _EMPTY for e in (p + 1, p, 1, 0))
+    state, updates, held = [-B % p, -D % p, A, C], 0, None
+    det = _determinant(p, *state)
+    emitted: List[np.ndarray] = []
+    read = 0
+    while True:
+        a, b, c, d = state
+        delta = p * (emitted[read].size - 1) if read < len(emitted) else p
+        if c.size and a.size > c.size and d.size < c.size + delta:  # deg r >= 1
+            r = algebra._floordiv_arrays(a, c, p)
+            low = algebra._mul_arrays(-r % p, d, p, b)  # b - r*d
+            high = algebra._mul_arrays(-r % p, c, p, a) if low.size < c.size + delta else None
+            if high is not None and (high.size or low.size):
+                if len(emitted) == budget:
+                    break
+                if held:
+                    yield held
+                state, updates = [c, d, high, low], updates + 1
+                emitted.append(r)
+                held = (Poly._raw(field, r), max(v.size for v in state) - 1, None)
+                continue
+        if read < len(emitted):
+            q = algebra._frobenius_array(emitted[read], p)
+            state = [algebra._mul_arrays(a, q, p, b), a, algebra._mul_arrays(c, q, p, d), c]
+            read, updates = read + 1, updates + 1
+            continue
+        if not c.size:  # the held quotient is the root
+            held = (held[0], None, None)
+            break
+        if held:
+            if len(emitted) == budget:
+                break
+            yield held
+        tail = {e: (None, v) for e, v in zip((p + 1, p, 1, 0), (c, -a % p, d, -b % p)) if v.size}
+        bar, height, tail = held = next(_run(field, tail, budget - len(emitted)))
+        if tail is None:
+            break
+        A, B, C, D = (tail[e][1] if e in tail else _EMPTY for e in (p + 1, p, 1, 0))
+        state, updates = [-B % p, -D % p, A, C], updates + 2
+        emitted.append(bar.coeffs)
+        read = len(emitted)
+        yield held
+        held = None
+    if not np.array_equal(_determinant(p, *state), -det % p if updates % 2 else det):
+        raise RuntimeError(f"the machine's determinant identity failed after {updates} updates")
+    yield held
 
 
-def _apply(
-    p: int, P: Dict[int, Raw], bars: List[Poly], windows: Dict[int, Raw]
-) -> Dict[int, Raw]:
-    """The tail of P after `bars`, by their composite map, checked against
-    the windowed tail: each coefficient cut at its window's floor must
-    equal the window."""
-    tail = _mobius(p, P, *(c.coeffs for c in continuants(PartialQuotients(bars))))
-    if tail.keys() != windows.keys() or not all(
-        np.array_equal(_cut(tail[e], v), w) for e, (v, w) in windows.items()
-    ):
-        raise RuntimeError(
-            f"a jump of {len(bars)} quotients disagrees with its windows"
-        )
-    return tail
-
-
-def _mobius(p: int, P: Mapping[int, Raw], x, y, x_prev, y_prev) -> Dict[int, Raw]:
-    """P's tail equation after quotients with continuant arrays (x, y) and
-    predecessors (x_prev, y_prev): sum of c_e * N^e * D^(n-e) for
-    N = x*y' + x_prev and D = y*y' + y_prev in the new variable y'."""
-    z, w = ({e: (None, c) for e, c in ((1, a), (0, b)) if c.size}
-            for a, b in ((x, x_prev), (y, y_prev)))
-    tail = _spectral(p, P, z, w)
-    return _evaluate(p, P, z, w) if tail is None else tail
+def _determinant(p: int, a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """ad - bc."""
+    return algebra._mul_arrays(a, d, p, -algebra._mul_arrays(b, c, p) % p)
 
 
 def eval_at_series(P: BiPoly, s: LaurentSeries) -> LaurentSeries:
@@ -441,7 +424,7 @@ def _evaluate(
     regs += [None] * (size - len(regs))
     for kind, args, out, dead in steps:
         # operands by position: a list of them unpacked into the call made
-        # a windowed step about 7% slower (52 against 48 us at p=7)
+        # a step about 7% slower (52 against 48 us at p=7)
         if len(args) == 3:
             i, j, k = args
             regs[out] = kind(regs[i], regs[j], p, regs[k])
@@ -452,51 +435,6 @@ def _evaluate(
         for r in dead:
             regs[r] = None
     return {e: regs[r] for e, r in outputs if regs[r][0] is not None or regs[r][1].size}
-
-
-def _spectral(
-    p: int, P: Mapping[int, Raw], z: Mapping[int, Raw], w: Mapping[int, Raw]
-) -> Optional[Dict[int, Raw]]:
-    """`_evaluate` for z and w of exact values, none the unit, in one
-    transform domain: every input is transformed once, at one length, a
-    Frobenius image's spectrum is read off its input's, products, fused
-    ones and sums are pointwise, and each output takes one inverse
-    transform.  None, for the per-product replay, when P has a window,
-    a value's balanced bound fails `algebra._fft_length`'s exactness
-    test, or an output fails its rounding check."""
-    inputs = [*P.values(), *z.values(), *w.values()]
-    if any(v is not None for v, _ in inputs):
-        return None
-    steps, outputs, size = _schedule(p, P, z, w)
-    # each value's size and a bound on its balanced coefficients
-    shape = [(c.size, (p - 1) // 2) for _, c in inputs] + [(0, 0)] * (size - len(inputs))
-    for kind, args, out, _ in steps:
-        (sa, ba), (sb, bb), (sc, bc) = [shape[r] for r in args] + [(0, 0)] * (3 - len(args))
-        shape[out] = ((max(sa + sb - 1, sc), ba * bb * min(sa, sb) + bc) if kind is _raw_mul
-                      else (max(sa, sb), ba + bb) if kind is _raw_add else (p * (sa - 1) + 1, ba))
-    length = algebra._fft_length(max((shape[r][0] for _, r in outputs), default=1),
-                                 max(b for _, b in shape))
-    if not length:
-        return None
-    # x(T^p)'s spectrum is x's read at p*k mod length, conjugated above length/2
-    k = p * np.arange(length // 2 + 1) % length
-    regs: list = [None] * size
-    for kind, args, out, dead in steps:
-        for r in args:
-            if regs[r] is None:  # an input, transformed at its first read
-                regs[r] = algebra._spectrum(inputs[r][1], p, length)
-        a, *b = (regs[r] for r in args)
-        if kind is _raw_frobenius:  # of an input
-            a = regs[out] = a[np.minimum(k, length - k)]
-            a.imag[k > length - k] *= -1
-        else:
-            regs[out] = a + b[0] if kind is _raw_add else sum(b[1:], a * b[0])
-        for r in dead:
-            regs[r] = None
-    tail = [(e, algebra._from_spectrum(regs[r], length, shape[r][0], p)) for e, r in outputs]
-    if any(c is None for _, c in tail):
-        return None
-    return {e: (None, c) for e, c in ((e, _trim(c)) for e, c in tail) if c.size}
 
 
 def _schedule(p: int, P: Mapping[int, Raw], z: Mapping, w: Mapping,

@@ -19,8 +19,6 @@ Precision rules (window of a runs [V_a, top_a], similarly for b):
              operand's term left out (the second bounds the leakage of
              b's unknown tail through the quotient)
 * frobenius: V = p*(V - 1) + 1
-* a // b:    a/b's terms from 0 up, the polynomial part, defined while
-             a/b's floor is <= 0
 
 The window is stored in the Poly layout shifted to the floor, ascending
 from V and trimmed at the top, so a series is T^V times a Poly-layout
@@ -28,12 +26,10 @@ array and its arithmetic runs on the polynomial kernels.  A series that
 is zero everywhere above its floor is stored with an empty window; for
 the precision rules its nominal top degree is taken to be V - 1.
 
-The rules of +, -, *, /, // and Frobenius are written once, in functions
-on raw values, (floor, array) pairs: a series is (V, window) and an
-exact polynomial (None, coeffs), with no floor.  The methods below and
-the extraction engine's steps both call them; `/` and `//` are one
-function, `_raw_div`, and only the engine's steps take `//`: a series
-has no `//` operator.
+The rules of +, -, *, / and Frobenius are written once, in functions on
+raw values, (floor, array) pairs: a series is (V, window) and an exact
+polynomial (None, coeffs), with no floor.  The methods below and the
+extraction engine's evaluations both call them.
 """
 from __future__ import annotations
 
@@ -42,9 +38,8 @@ from typing import Dict, Iterable, Optional, Tuple
 import numpy as np
 
 from .algebra import (
-    _EMPTY, FieldElement, Poly, PrimeField, _add_arrays, _fit, _floordiv_arrays,
-    _frobenius_array, _frozen, _mul_arrays, _render, _residue, _residues, _top_quotient,
-    _trim,
+    _EMPTY, FieldElement, Poly, PrimeField, _add_arrays, _fit, _frobenius_array, _frozen,
+    _mul_arrays, _render, _residue, _residues, _top_quotient, _trim,
 )
 
 __all__ = ["LaurentSeries", "series_from_rational", "InsufficientPrecisionError"]
@@ -122,25 +117,17 @@ def _raw_frobenius(a: Raw, p: int) -> Raw:
     return p * (v - 1) + 1, _frobenius_array(x, p, p - 1)
 
 
-def _raw_div(a: Raw, b: Raw, p: int, low: Optional[int] = None) -> Raw:
-    """a/b from its floor V = max(V_a - top_b, V_b + top_a - 2*top_b), an
-    exact operand's term left out, or, given `low`, its terms from
-    exponent low up, InsufficientPrecisionError while V > low: low = 0
-    is a // b, the polynomial part.  A divisor zero to its floor, of
-    unknown degree, is refused too; an exact zero dividend has no terms,
-    and exact by exact is polynomial //."""
+def _raw_div(a: Raw, b: Raw, p: int) -> Raw:
+    """a/b from its floor V = max(V_a - top_b, V_b + top_a - 2*top_b), for
+    a or b a series, an exact operand's term left out.  A divisor zero to
+    its floor, of unknown degree, is refused; an exact zero dividend has
+    no terms."""
     (v_a, x), (v_b, y) = a, b
-    if v_a is None and v_b is None:
-        return None, _floordiv_arrays(x, y, p)
     if y.size == 0:
         raise InsufficientPrecisionError("the divisor's degree is below its floor")
     top_a, top_b = (v_a or 0) + x.size - 1, (v_b or 0) + y.size - 1
     v = (v_a - top_b if v_b is None else v_b + top_a - 2 * top_b if v_a is None
          else max(v_a - top_b, v_b + top_a - 2 * top_b))
-    if low is not None:
-        if v > low and (v_a is not None or x.size):
-            raise InsufficientPrecisionError(f"a quotient known from {v} is cut at {low}")
-        v = low
     n = top_a - top_b - v + 1
     return v, (_top_quotient(x, y, n, p) if x.size and n > 0 else _EMPTY)
 

@@ -108,6 +108,7 @@ class TestIrrationalityReport:
             ratios = [r for _, r in report.ratio_samples]
             assert all(a < b for a, b in zip(ratios, ratios[1:]))
             assert all(r < limit for r in ratios)
+            assert 2 < report.nu <= report.liouville_upper == p + 1
 
     def test_k4_within_one_percent(self):
         for p in (3, 5, 7, 11, 13):
@@ -115,9 +116,3 @@ class TestIrrationalityReport:
             ratio = Fraction(2 * p ** 4 - 1, s4)
             limit = Fraction(2 * (p - 1), 3)
             assert abs(ratio - limit) < limit / 100
-
-    def test_empirical_ratio_from_profile(self):
-        prof = profile_from_degrees(REFERENCE_DEGREES_P7, 7)
-        report = irrationality_report(7, kmax=3, degree_profile=prof)
-        assert report.empirical_max_ratio == Fraction(685, 172)
-        assert 2 < report.nu <= report.liouville_upper

@@ -360,7 +360,7 @@ class TestVerifyPattern:
         assert not report.equation_residual.zero_to_floor
 
     def test_one_switch_makes_every_route_exact(self, monkeypatch):
-        # p=7 (2,4,5) through n_4 transforms at all four FFT sites; with
+        # p=7 (2,4,5) through n_4 transforms at all three FFT sites; with
         # the exactness bound at 0 it transforms at none, and reports the same
         spec = build_spec(FIELDS[7], (2, 4, 5))
         real, sites = algebra._spectrum, Counter()
@@ -376,7 +376,7 @@ class TestVerifyPattern:
 
         monkeypatch.setattr(algebra, "_spectrum", spectrum)
         default = verify_pattern(spec, 410)
-        assert set(sites) == {"_fft_product", "_newton_step", "_product", "_spectral"}
+        assert set(sites) == {"_fft_product", "_newton_step", "_product"}
         assert default.ok and default.tail_relation_residual.floor == -11990
         assert default.equation_residual.floor == -11993
         sites.clear()

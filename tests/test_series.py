@@ -281,70 +281,15 @@ class TestPrecisionRules:
 
 
 class TestPolynomialPart:
-    """The engine's `//` on raw windows, `_raw_div` from exponent 0 up: the
-    polynomial part of a quotient, or InsufficientPrecisionError while
-    the quotient's floor is above 0."""
-
-    @settings(max_examples=200, deadline=None)
-    @given(data=st.data())
-    def test_matches_polynomial_division_or_refuses(self, data):
-        p = data.draw(st.sampled_from((3, 5, 7)))
-        a = data.draw(polys(p, 0, 12))
-        b = data.draw(polys(p, 0, 8))
-        floor_a, floor_b = data.draw(st.integers(-3, 13)), data.draw(st.integers(-3, 9))
-        wa, wb = ((v, series._cut((None, c.coeffs), v)) for c, v in ((a, floor_a), (b, floor_b)))
-        qlen = int(a.degree) - int(b.degree) + 1
-        decided = (
-            qlen <= 0 and floor_a <= b.degree
-            or qlen > 0 and floor_a <= b.degree and floor_b <= 2 * b.degree - a.degree
-        ) and floor_b <= b.degree
-        if decided:
-            want = (a // b).coeffs
-            assert np.array_equal(series._raw_div(wa, wb, p, 0)[1], want)
-            # an exact dividend
-            assert np.array_equal(series._raw_div((None, a.coeffs), wb, p, 0)[1], want)
-        else:
-            with pytest.raises(InsufficientPrecisionError):
-                series._raw_div(wa, wb, p, 0)
-
-    @settings(max_examples=200, deadline=None)
-    @given(data=st.data())
-    def test_raw_floordiv_matches_the_dict_oracle(self, data):
-        # the engine's steps divide raw (floor, array) values; an exact one
-        # has no floor and is taken at the other's.  Decided, the quotient
-        # is the polynomial part of the windows' quotient by the dict
-        # oracle; undecided, it refuses
-        p = data.draw(st.sampled_from((3, 5, 7)))
-        K = FIELDS[p]
-        top_a, top_b = data.draw(st.integers(-6, 12)), data.draw(st.integers(-6, 8))
-        a = _random_series(data, K, top_a, top_a - data.draw(st.integers(-1, 14)))
-        b = _random_series(data, K, top_b, top_b - data.draw(st.integers(-1, 10)))
-        exact = data.draw(st.one_of(polys(p, 0, 10), st.just(Poly(K, ()))))
-        at_b = LaurentSeries.from_poly(exact, b.valid_order)
-        for raw, window in (((a.valid_order, a.coeffs), a), ((None, exact.coeffs), at_b)):
-            v_a, v_b = window.valid_order, b.valid_order
-            qlen = (v_a + window.coeffs.size) - (v_b + b.coeffs.size) + 1
-            shorter = min(window.coeffs.size, b.coeffs.size)
-            decided = b.coeffs.size and (qlen <= 0 or shorter >= qlen)
-            if not decided:
-                with pytest.raises(InsufficientPrecisionError):
-                    series._raw_div(raw, (v_b, b.coeffs), p, 0)
-                continue
-            got = series._raw_div(raw, (v_b, b.coeffs), p, 0)[1]
-            num = {e - v_a: c for e, c in window.terms().items()}
-            den = {e - v_b: c for e, c in b.terms().items()}
-            oracle = rseries(num, den, p, v_b - v_a)
-            assert poly_dict(Poly._raw(K, got)) == {e + v_a - v_b: c for e, c in oracle.items()}
+    """`_raw_div` at its edges: a quotient with no terms, and a divisor of
+    unknown degree."""
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
-    def test_floordiv_is_the_quotient_from_zero_up(self, data):
-        # one rule for / and //: a/b from its floor is the dict oracle's
-        # quotient of the operands with any terms below their floors, and
-        # a // b is its terms from exponent 0 up, refused exactly when
-        # that floor is above 0 (an exact zero dividend has no terms at
-        # any floor).  Two series, an exact dividend, zero included, or
-        # an exact divisor
+    def test_division_is_the_quotient_from_its_floor(self, data):
+        # a/b from its floor is the dict oracle's quotient of the operands
+        # with any terms below their floors: two series, an exact
+        # dividend, zero included, or an exact divisor
         p = data.draw(st.sampled_from((3, 5, 7)))
         K = FIELDS[p]
         kind = data.draw(st.sampled_from(("series", "exact dividend", "exact divisor")))
@@ -365,38 +310,26 @@ class TestPolynomialPart:
             exact = data.draw(polys(p, 0, 8))
             den, raw_b = poly_dict(exact), (None, exact.coeffs)
         if not raw_b[1].size:
-            for low in (None, 0):
-                with pytest.raises(InsufficientPrecisionError):
-                    series._raw_div(raw_a, raw_b, p, low)
+            with pytest.raises(InsufficientPrecisionError):
+                series._raw_div(raw_a, raw_b, p)
             return
         v, q = series._raw_div(raw_a, raw_b, p)
         quotient = {v + i: int(c) for i, c in enumerate(q) if c}
         assert quotient == rseries(num, den, p, v)
-        if v > 0 and (raw_a[0] is not None or num):
-            with pytest.raises(InsufficientPrecisionError):
-                series._raw_div(raw_a, raw_b, p, 0)
-        else:
-            low, part = series._raw_div(raw_a, raw_b, p, 0)
-            assert low == 0
-            assert poly_dict(Poly._raw(K, part)) == {e: c for e, c in quotient.items() if e >= 0}
 
     def test_exact_zero_over_a_window_below_zero_is_zero(self):
-        # 0 // (1*T^-2 known from -2): 0/b's floor reads 1 from the rule,
-        # yet an exact zero has no terms to refuse
+        # 0 / (1*T^-2 known from -2): an exact zero has no terms
         K = FIELDS[5]
         one = np.ones(1, dtype=np.int64)
         assert series._raw_div((None, Poly(K, ()).coeffs), (-2, one), 5)[1].size == 0
-        assert series._raw_div((None, Poly(K, ()).coeffs), (-2, one), 5, 0)[1].size == 0
-        with pytest.raises(InsufficientPrecisionError):
-            series._raw_div((None, one), (-2, one), 5, 0)
 
     def test_zero_window_divisor_is_undecided(self):
         K = FIELDS[5]
         with pytest.raises(InsufficientPrecisionError):
             series._raw_div(
-                (-3, series._cut((None, K.T.coeffs), -3)), (-2, np.zeros(0, dtype=np.int64)), 5, 0
+                (-3, series._cut((None, K.T.coeffs), -3)), (-2, np.zeros(0, dtype=np.int64)), 5
             )
-        assert series._raw_div((None, Poly(K, ()).coeffs), (0, K.T.coeffs), 5, 0)[1].size == 0
+        assert series._raw_div((None, Poly(K, ()).coeffs), (0, K.T.coeffs), 5)[1].size == 0
 
 
 class TestAgainstReference:
