@@ -6,20 +6,18 @@ equation y^n * P(bar + 1/y) of the tail 1/(alpha - bar).  Iterating
 yields the partial quotients one at a time, with no correctness theorem
 here: outputs are validated a posteriori through eval_at_series.
 
-A step, and P at a polynomial or a series, is one Frobenius-split Horner
-on term maps, y-exponent to coefficient: sum of c_e * N^e * D^(n-e) for
-N = bar*y + 1 and D = y, or N the value and D = 1.  N^p and D^p are
-Frobenius images, so A*x^(p+1) + B*x^p + C*x + D goes to
-N^p*(A*N + B*D) + D^p*(C*N + D*D), and with the unit a marker of this
-module never multiplied, a step makes just the 4 coefficient products of
-that form, each added to something at once.  The Horner runs once per
-shape of the equation and of N and D, on placeholder slots, and traces
-a straight-line schedule of products, sums and Frobenius images, a
-product that only a sum reads fused into it as a*b + c: a step is 1
-Frobenius image and 4 such calls.  Every evaluation replays the schedule
-of its shape on raw values, (floor, array) pairs, by the rules of
-`series`, where an exact value has no floor, each value dropped after
-its last use.
+Both a step and P at a value are Horner schemes split by the Frobenius
+identity (x + bar)^p = x^p + bar^p, e = p*(e // p) + e % p.  P(v), for a
+polynomial or a series v, is Horner in v^p over e // p of Horner in v
+over e % p, on raw values, (floor, array) pairs, by the rules of
+`series`, each step one fused product acc*v + c: on the support
+{0, 1, p, p+1}, v^p*(A*v + B) + (C*v + D), 3 products.  A step's tail is
+the Taylor shift Q(x) = P(x + bar), tail[n-e] = Q[e], on exact arrays:
+Horner in x^p + bar^p over e // p of Horner in x + bar over e % p, each
+step f*(x^k + g) + c, c of degree below k, one fused product
+f[e]*g + (f[e-k] or c[e]) per term of f.  On {0, 1, p, p+1} it is
+A' = bar^p*(A*bar + B) + C*bar + D, B' = A*bar^p + C, C' = A*bar + B,
+D' = A: 4 products.
 
 `expand` works on raw arrays from its input's coefficients to the
 quotients it emits: no BiPoly and no LaurentSeries is made in between.
@@ -46,7 +44,6 @@ and T = 1, formed only when both vanish.  A constant non-root aborts.
 """
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -55,7 +52,7 @@ import numpy as np
 from . import algebra
 from .algebra import _EMPTY, Poly, PrimeField
 from .cf import PartialQuotients
-from .series import LaurentSeries, Raw, _raw_add, _raw_frobenius, _raw_mul
+from .series import LaurentSeries, Raw, _raw_frobenius, _raw_mul
 
 __all__ = [
     "BiPoly",
@@ -64,17 +61,6 @@ __all__ = [
     "expand",
     "eval_at_series",
 ]
-
-
-class _Unit:
-    """The unit coefficient of a term map: a product by it is the other
-    factor, not formed, and it is its own Frobenius image."""
-
-    def frobenius(self) -> "_Unit":
-        return self
-
-
-_UNIT = _Unit()
 
 
 class NoAdmissibleQuotientError(RuntimeError):
@@ -161,31 +147,6 @@ def _terms(field: PrimeField, items) -> Dict[int, Poly]:
     return terms
 
 
-def _plus(f: Mapping[int, object], items) -> Dict[int, object]:
-    """f plus (exponent, coefficient) items: the sum of slots is a slot,
-    kept even if its value will be zero."""
-    out = dict(f)
-    for e, c in items:
-        out[e] = out[e] + c if e in out else c
-    return out
-
-
-def _times(f: Mapping[int, object], g: Mapping[int, object]) -> Dict[int, object]:
-    """The product of two term maps of slots and the unit marker.  A
-    product by the unit is the other factor, not formed."""
-    items = []
-    for e1, c1 in f.items():
-        for e2, c2 in g.items():
-            if c1 is _UNIT:
-                c = c2
-            elif c2 is _UNIT:
-                c = c1
-            else:
-                c = _Slot(c1.ops, _raw_mul, (c1.index, c2.index))
-            items.append((e1 + e2, c))
-    return _plus({}, items)
-
-
 @dataclass
 class ExpansionResult:
     """Outcome of an expansion run.
@@ -211,12 +172,10 @@ def _step(field: PrimeField, P: Dict[int, Raw]) -> Tuple[Poly, Optional[Dict[int
     p, n, bar = field.p, max(P), _bar(field, P)
     if bar.degree < 1 and _is_root(field, P, bar):  # the root, or `_is_root` aborts
         return bar, None
-    tail = _evaluate(p, P, {1: (None, bar.coeffs), 0: _UNIT}, {1: _UNIT}, _STEP)
+    # y^n * P(bar + 1/y) = sum of Q[e] * y^(n-e) for Q(x) = P(x + bar)
+    Q = _shift(p, {e: c for e, (_, c) in P.items()}, bar.coeffs)
+    tail = {n - e: (None, c) for e, c in Q.items() if c.size}
     return bar, (tail if n in tail else None)  # tail[n] is P(bar)
-
-
-#: the shape of z and w in a step, x = bar + 1/y: z = bar*y + 1 and w = y
-_STEP = (((1, False), (0, True)), ((1, True),))
 
 
 def _bar(field: PrimeField, P: Mapping[int, Raw]) -> Poly:
@@ -382,137 +341,48 @@ def eval_at_series(P: BiPoly, s: LaurentSeries) -> LaurentSeries:
 
 
 def _value(p: int, P: Mapping[int, Raw], v: Raw) -> Raw:
-    """P(v) for a raw value v, exact or a series, zero as (None, _EMPTY)."""
-    return _evaluate(p, P, {0: v}, {0: _UNIT}).get(0, (None, _EMPTY))
-
-
-class _Slot:
-    """A placeholder coefficient: the Horner run on slots traces a
-    schedule.  Each slot is one entry of `ops`, (operation, operand slot
-    numbers), an input's operation None."""
-
-    __slots__ = ("ops", "index")
-
-    def __init__(self, ops: list, kind=None, args=()):
-        self.ops, self.index = ops, len(ops)
-        ops.append((kind, args))
-
-    def __add__(self, other: "_Slot") -> "_Slot":
-        return _Slot(self.ops, _raw_add, (self.index, other.index))
-
-    def frobenius(self) -> "_Slot":
-        return _Slot(self.ops, _raw_frobenius, (self.index,))
-
-
-#: the schedule of each shape traced so far, by `_evaluate`'s key
-_SCHEDULES: Dict[tuple, tuple] = {}
-
-
-def _evaluate(
-    p: int, P: Mapping[int, Raw], z: Mapping[int, object], w: Mapping[int, object],
-    shape: Optional[tuple] = None,
-) -> Dict[int, Raw]:
-    """sum of c_e * z^e * w^(n-e) over the terms c_e*x^e of P, n = deg P,
-    as a term map in y, for term maps z and w of raw values and the unit;
-    P(z) when w is {0: unit}.  An exact zero is left out of the result.
-    It replays the schedule of the shape of P, z and w, the latter's
-    given as `shape` where the caller knows it, one operation at a time,
-    each product with its own transforms, a fused one, a*b + c, as the
-    one call kind(a, b, p, c)."""
-    steps, outputs, size = _schedule(p, P, z, w, shape)
-    regs = [*P.values(), *[c for t in (z, w) for c in t.values() if c is not _UNIT]]
-    regs += [None] * (size - len(regs))
-    for kind, args, out, dead in steps:
-        # operands by position: a list of them unpacked into the call made
-        # a step about 7% slower (52 against 48 us at p=7)
-        if len(args) == 3:
-            i, j, k = args
-            regs[out] = kind(regs[i], regs[j], p, regs[k])
-        elif len(args) == 2:
-            regs[out] = kind(regs[args[0]], regs[args[1]], p)
-        else:
-            regs[out] = kind(regs[args[0]], p)
-        for r in dead:
-            regs[r] = None
-    return {e: regs[r] for e, r in outputs if regs[r][0] is not None or regs[r][1].size}
-
-
-def _schedule(p: int, P: Mapping[int, Raw], z: Mapping, w: Mapping,
-              shape: Optional[tuple] = None) -> tuple:
-    """The schedule of the shape of P, z and w, traced when it first comes;
-    z's and w's shape, read off them unless given, are their exponents,
-    each with a flag for the unit."""
-    key = (p, tuple(P), *(shape or [tuple([(e, c is _UNIT) for e, c in t.items()])
-                                    for t in (z, w)]))
-    return _SCHEDULES.get(key) or _SCHEDULES.setdefault(key, _trace(*key))
-
-
-def _trace(p: int, P: tuple, z: tuple, w: tuple) -> tuple:
-    """The schedule of one shape: p, P's exponents, and z's and w's, each
-    with a flag for the unit.  It runs `_split_horner` on slots, drops
-    what the result does not need, fuses each product that only a sum
-    reads into that sum, and marks after each step the slots read there
-    last.  Returns (steps, outputs, number of slots); a step is one
-    operation, (operation, operand slots, result slot, slots to drop), a
-    fused product `_raw_mul` on three operand slots (a, b, c)."""
-    ops: list = []
-    P, z, w = ({e: _Slot(ops) for e in P}, *(
-        {e: _UNIT if unit else _Slot(ops) for e, unit in t} for t in (z, w)))
-    outputs = tuple((e, c.index) for e, c in _split_horner(p, P, z, w).items())
-    reads = Counter([r for _, args in ops for r in args] + [r for _, r in outputs])
-    # backwards: a slot is needed if an output reads it, and the first
-    # needed step met that reads it is the one after which it is dropped;
-    # a sum formed from a product it alone reads takes that product's
-    # factors, a*b + c in one kernel call, and the product is not formed
-    need, steps = {r for _, r in outputs}, []
-    for i in range(len(ops) - 1, -1, -1):
-        kind, args = ops[i]
-        if kind is None or i not in need:
-            continue
-        if kind is _raw_add:
-            fused = [(*ops[j][1], c) for j, c in (args, args[::-1])
-                     if ops[j][0] is _raw_mul and reads[j] == 1]
-            kind, args = (_raw_mul, fused[0]) if fused else (kind, args)
-        dead = tuple(set(args) - need)
-        need.update(dead)
-        steps.append((kind, args, i, dead))
-    return tuple(steps[::-1]), outputs, len(ops)
-
-
-def _horner(terms: Mapping[int, Mapping], z, w, top: int):
-    """sum of terms[k] * z^k * w^(top - k) over k <= top, by Horner over k
-    from the top down, for term maps terms[k], z and w."""
-    acc = wk = None  # wk is w^(top - k), None for 1
-    for k in range(top, -1, -1):
-        if acc is not None:
-            acc = _times(acc, z)
-        if k < top:
-            wk = w if wk is None else _times(wk, w)
-        if k in terms:
-            t = terms[k] if wk is None else _times(wk, terms[k])
-            acc = t if acc is None else _plus(acc, t.items())
+    """P(v) for a raw value v, exact or a series, zero as (None, _EMPTY):
+    Horner in v^p over e // p of Horner in v over e % p, each step one
+    fused product acc*v + c."""
+    vp = _raw_frobenius(v, p) if max(P) >= p else None  # read where e // p > 0
+    acc = None
+    for group in _groups(p, P):
+        inner = None
+        for r in range(max(group, default=-1), -1, -1):
+            c = group.get(r, (None, _EMPTY))
+            inner = c if inner is None else _raw_mul(inner, v, p, c)
+        acc = inner if acc is None else _raw_mul(acc, vp, p, inner or (None, _EMPTY))
     return acc
 
 
-def _split_horner(p: int, P: Mapping[int, object], z, w) -> Dict[int, object]:
-    """sum of c_e * z^e * w^(n-e) over the terms c_e of P, n = max(P).
+def _shift(p: int, P: Mapping[int, np.ndarray], bar: np.ndarray) -> Dict[int, np.ndarray]:
+    """The Taylor shift P(x + bar) of an exact term map, zeros kept:
+    Horner in x^p + bar^p over e // p of Horner in x + bar over e % p."""
+    barp = algebra._frobenius_array(bar, p) if max(P) >= p else None  # read where e // p > 0
+    acc = {}
+    for group in _groups(p, P):
+        inner = {}
+        for r in range(max(group, default=-1), -1, -1):
+            inner = _times_plus(p, inner, 1, bar, {0: group[r]} if r in group else {})
+        acc = _times_plus(p, acc, p, barp, inner)
+    return acc
 
-    With e = p*q + r and r < p, z^e = (z^p)^q * z^r, and z^p is a
-    Frobenius image: the sum is Horner in (z^p, w^p) over q of Horner in
-    (z, w) over r, of inner degree n mod p.  A homogeneous term with
-    r > n mod p needs p more inner degree; those terms make a second such
-    sum, one outer degree lower.
-    """
-    n = max(P)
-    low = n % p
-    parts: Dict[int, Dict[int, Dict[int, object]]] = {}
+
+def _groups(p: int, P: Mapping[int, object]) -> Iterator[Dict[int, object]]:
+    """P's terms by e // p from the top down, each keyed by e % p, empty
+    where no term has that e // p."""
+    groups: Dict[int, Dict[int, object]] = {}
     for e, c in P.items():
-        q, r = divmod(e, p)
-        parts.setdefault(int(r > low), {}).setdefault(q, {})[r] = {0: c}
-    zp, wp = ({p * e: c.frobenius() for e, c in t.items()} for t in (z, w))
-    total = None
-    for high, groups in parts.items():
-        inner = {q: _horner(rs, z, w, low + p * high) for q, rs in groups.items()}
-        part = _horner(inner, zp, wp, n // p - high)
-        total = part if total is None else _plus(total, part.items())
-    return total
+        groups.setdefault(e // p, {})[e % p] = c
+    return (groups.get(q, {}) for q in range(max(groups), -1, -1))
+
+
+def _times_plus(p: int, f: Mapping[int, np.ndarray], k: int, g: np.ndarray,
+                c: Mapping[int, np.ndarray]) -> Dict[int, np.ndarray]:
+    """f*(x^k + g) + c for term maps f and c of exact arrays, c of degree
+    below k, so that f*x^k and c share no term: one fused product
+    f[e]*g + (f[e-k] or c[e]) per term of f."""
+    out = {**c, **{e + k: a for e, a in f.items()}}
+    for e, a in f.items():
+        out[e] = algebra._mul_arrays(a, g, p, out.get(e, _EMPTY))
+    return out

@@ -16,7 +16,7 @@ Precision rules (window of a runs [V_a, top_a], similarly for b):
              nonzero, has V = V_a - deg c; an operand that is neither
              a series nor exact raises TypeError, as Poly's do
 * div a/b:   V = max(V_a - top_b, V_b + top_a - 2*top_b), an exact
-             operand's term left out (the second bounds the leakage of
+             divisor's term left out (the second bounds the leakage of
              b's unknown tail through the quotient)
 * frobenius: V = p*(V - 1) + 1
 
@@ -119,15 +119,13 @@ def _raw_frobenius(a: Raw, p: int) -> Raw:
 
 def _raw_div(a: Raw, b: Raw, p: int) -> Raw:
     """a/b from its floor V = max(V_a - top_b, V_b + top_a - 2*top_b), for
-    a or b a series, an exact operand's term left out.  A divisor zero to
-    its floor, of unknown degree, is refused; an exact zero dividend has
-    no terms."""
+    a series a, an exact divisor's term left out.  A divisor zero to its
+    floor, of unknown degree, is refused."""
     (v_a, x), (v_b, y) = a, b
     if y.size == 0:
         raise InsufficientPrecisionError("the divisor's degree is below its floor")
-    top_a, top_b = (v_a or 0) + x.size - 1, (v_b or 0) + y.size - 1
-    v = (v_a - top_b if v_b is None else v_b + top_a - 2 * top_b if v_a is None
-         else max(v_a - top_b, v_b + top_a - 2 * top_b))
+    top_a, top_b = v_a + x.size - 1, (v_b or 0) + y.size - 1
+    v = v_a - top_b if v_b is None else max(v_a - top_b, v_b + top_a - 2 * top_b)
     n = top_a - top_b - v + 1
     return v, (_top_quotient(x, y, n, p) if x.size and n > 0 else _EMPTY)
 

@@ -14,11 +14,12 @@ multiplies whole windows on the package's kernel and is the oracle for
 the product that trims its factors first, and `horner_eval_at_series`,
 the package's former evaluation of an equation at a series, one Horner
 product per x-degree with every coefficient padded to a deep floor, the
-oracle for the Frobenius-split evaluation, and `next_step`, one step of
-the package's engine on a BiPoly, and `stepwise_expand`, the package's
-former extraction loop, one `next_step` on the full equation per
-quotient, the oracle for the jumps that decide quotients on top windows
-and apply their composite map once, and `fold_continuants`, the
+oracle for the Frobenius-split Horner of `expansion._value`, and
+`next_step`, one step of the package's engine on a BiPoly, its tail the
+Taylor shift that `rhomogeneous` checks, and `stepwise_expand`, the
+package's former extraction loop, one `next_step` on the full equation
+per quotient, the oracle for the homographic machine and for the run
+that takes its last quotient without a tail, and `fold_continuants`, the
 package's former continuant loop, one left fold over the quotients on
 Poly, the oracle for the product tree.
 """

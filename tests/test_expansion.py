@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import sys
-from collections import Counter
 from unittest import mock
 
 import numpy as np
@@ -129,20 +128,6 @@ class TestBiPoly:
         with pytest.raises(TypeError):
             eq(s)
 
-    def test_only_the_unit_is_left_unmultiplied(self):
-        # a product by the unit marker is the other factor itself; a
-        # product of two slots is a new slot, one traced product
-        ops = []
-        a, b = expansion._Slot(ops), expansion._Slot(ops)
-        unit = expansion._UNIT
-        assert expansion._times({0: unit}, {1: a})[1] is a
-        assert expansion._times({1: a}, {0: unit})[1] is a
-        assert expansion._times({0: unit}, {0: unit})[0] is unit
-        assert len(ops) == 2
-        ab = expansion._times({1: a}, {2: b})[3]
-        assert ab.__class__ is expansion._Slot and ab not in (a, b)
-        assert len(ops) == 3 and ops[ab.index][:2] == (expansion._raw_mul, (0, 1))
-
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())
     def test_evaluation_matches_reference(self, data):
@@ -199,10 +184,11 @@ class TestNextStep:
 
 
 class TestLeanStep:
-    """The one evaluator skips products by the unit, so that a step on the
-    support {0, 1, p, p+1} is the closed form A' = bar^p*(A*bar + B) +
-    C*bar + D, B' = A*bar^p + C, C' = A*bar + B, D' = A; the same
-    evaluator takes an equation to a whole Moebius map's tail."""
+    """A step's tail is the Taylor shift Q(x) = P(x + bar), y^n * P(bar +
+    1/y) = sum of Q[e] * y^(n-e), by Horner in x^p + bar^p over e // p of
+    Horner in x + bar over e % p.  On the support {0, 1, p, p+1} it is
+    the closed form A' = bar^p*(A*bar + B) + C*bar + D, B' = A*bar^p + C,
+    C' = A*bar + B, D' = A: 4 fused products."""
 
     @staticmethod
     def _tall_equation(steps: int) -> BiPoly:
@@ -212,223 +198,54 @@ class TestLeanStep:
         return eq
 
     def test_full_size_step_makes_four_products(self, monkeypatch):
+        # the products `expansion` itself asks for, each with an addend;
+        # the division for bar makes its own inside `algebra`
         full = self._tall_equation(60)
-        pairs = []
-        real = series._mul_arrays
+        calls = []
+        real = algebra._mul_arrays
 
-        def counting(a, b, p, *addend):
-            pairs.append((a.size, b.size))
-            return real(a, b, p, *addend)
+        def counting(a, b, p, *rest):
+            if sys._getframe(1).f_globals["__name__"] == expansion.__name__:
+                calls.append((a.size, b.size, rest[0].size if rest else 0))
+            return real(a, b, p, *rest)
 
-        monkeypatch.setattr(series, "_mul_arrays", counting)
+        monkeypatch.setattr(algebra, "_mul_arrays", counting)
         next_step(full)
-        assert len(pairs) == 4 and all(min(sizes) > 1 for sizes in pairs)
-
-    @settings(max_examples=80, deadline=None)
-    @given(data=st.data())
-    def test_mobius_matches_reference(self, data):
-        p = data.draw(st.sampled_from((3, 5, 7, 11)))
-        K = FIELDS[p]
-        P = data.draw(_equations(p, 2 * p + 2))
-        entry = st.one_of(
-            st.sampled_from((0, 1, Poly(K, ()), Poly(K, (1,)))), polys(p, 0, 3)
-        )
-        x, y, x_prev, y_prev = (data.draw(entry) for _ in range(4))
-        v = poly_dict(data.draw(polys(p, 0, 2)))
-
-        def poly(c):
-            return c if isinstance(c, Poly) else Poly(K, (c,))
-
-        arrays = tuple(poly(c).coeffs for c in (x, y, x_prev, y_prev))
-        tail = expansion._evaluate(p, P._raw_terms(), *_mobius_maps(*arrays))
-        assert all(floor is None and c.size for floor, c in tail.values())
-        _assert_mobius_matches_reference(P, tail, arrays, v)
-
-
-def _mobius_maps(x, y, x_prev, y_prev) -> tuple:
-    """z and w of the tail map after quotients with continuant arrays
-    (x, y) and predecessors (x_prev, y_prev): N = x*y' + x_prev and
-    D = y*y' + y_prev in the new variable y'."""
-    return tuple({e: (None, c) for e, c in ((1, a), (0, b)) if c.size}
-                 for a, b in ((x, x_prev), (y, y_prev)))
-
-
-def _assert_mobius_matches_reference(P: BiPoly, tail: dict, arrays, v: dict):
-    """tail, a term map in y', at y' = v against the homogeneous form."""
-    p = P.field.p
-    num, den = (radd(rmul(_array_dict(a), v, p), _array_dict(b), p)
-                for a, b in ((arrays[0], arrays[2]), (arrays[1], arrays[3])))
-    terms = {e: poly_dict(c) for e, c in P.terms.items()}
-    want = rhomogeneous(terms, P.degree_x, num, den, p)
-    assert reval({e: _array_dict(c) for e, (_, c) in tail.items()}, v, p) == want
-
-
-#: where a z/w entry is the unit marker; w keeps one non-unit entry,
-#: since w's powers would add two units
-UNIT_PLACES = st.sets(st.sampled_from(("z1", "z0", "w1", "w0"))).filter(
-    lambda places: not {"w1", "w0"} <= places
-)
-
-
-def _raw_value(c) -> tuple:
-    """A Poly or a LaurentSeries as a raw value."""
-    return (c.valid_order, c.coeffs) if isinstance(c, LaurentSeries) else (None, c.coeffs)
-
-
-def _raw_map(terms) -> dict:
-    return {e: c if c is expansion._UNIT else _raw_value(c) for e, c in terms.items()}
-
-
-def _array_dict(arr) -> dict:
-    return {i: int(c) for i, c in enumerate(arr) if c}
-
-
-class TestSchedule:
-    """`_evaluate` replays one straight-line schedule per shape, traced
-    from the Frobenius-split Horner on placeholder slots, on raw
-    (floor, array) values."""
-
-    @staticmethod
-    def _maps(data, p: int, entry):
-        """z and w, {1: ., 0: .} each, an entry the unit, absent or drawn."""
-        units = data.draw(UNIT_PLACES)
-        maps = []
-        for name in ("z", "w"):
-            terms = {}
-            for e in (1, 0):
-                if f"{name}{e}" in units:
-                    terms[e] = expansion._UNIT
-                elif data.draw(st.booleans()):
-                    terms[e] = data.draw(entry)
-            maps.append(terms)
-        return maps
+        assert len(calls) == 4
+        assert all(min(a, b) > 1 and addend for a, b, addend in calls)
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
     def test_matches_reference_on_polys(self, data):
-        # y -> T^K, K above every coefficient degree, maps the result
-        # one-to-one to a polynomial in T: the whole term map is checked
+        # P's coefficient at x^(n-1) is set so that bar = -(P[n-1] // P[n])
+        # is drawn; y -> T^gap, gap above every coefficient degree of the
+        # tail, maps it one-to-one to a polynomial in T: the whole term
+        # map is checked.  Dense and gapped supports both bring terms
+        # with e % p > n % p
         p = data.draw(st.sampled_from((3, 5, 7, 11)))
-        P = data.draw(_equations(p, 2 * p + 2))
+        K = FIELDS[p]
+        P = data.draw(st.one_of(_equations(p, 2 * p + 2), _hyperquadratic(p)))
+        n = P.degree_x
+        bar = data.draw(polys(p, 1, 3))
+        rem = data.draw(polys(p, 0, 3)) % P.terms[n]
+        P = BiPoly(K, {**P.terms, n - 1: rem - bar * P.terms[n]})
+        got, tail = expansion._step(K, P._raw_terms())
+        assert got == bar
         terms = {e: poly_dict(c) for e, c in P.terms.items()}
-        z, w = self._maps(data, p, polys(p, 0, 3))
-        value = data.draw(st.booleans())
-        if value:  # P(z[0]), the unit or a Poly or zero
-            z, w = {e: c for e, c in z.items() if e == 0}, {0: expansion._UNIT}
-        got = expansion._evaluate(p, _raw_map(P.terms), _raw_map(z), _raw_map(w))
-        assert all(v is None and c.size for v, c in got.values())
-        K = 4 + 4 * P.degree_x
-
-        def at_y(t):
-            out = {}
-            for e, c in t.items():
-                c = {0: 1} if c is expansion._UNIT else poly_dict(c)
-                out = radd(out, rmul(c, {K * e: 1}, p), p)
-            return out
-
+        if tail is None:
+            assert reval(terms, poly_dict(bar), p) == {}
+            return
+        assert all(v is None and c.size for v, c in tail.values())
+        gap = 4 + 4 * n
         flat = {}
-        for e, (_, c) in got.items():
-            flat = radd(flat, rmul(_array_dict(c), {K * e: 1}, p), p)
-        assert flat == rhomogeneous(terms, P.degree_x, at_y(z), at_y(w), p)
-        if value:
-            assert got.keys() <= {0}
-            want = reval(terms, at_y(z), p)
-            assert (_array_dict(got[0][1]) if got else {}) == want
+        for e, (_, c) in tail.items():
+            flat = radd(flat, rmul(_array_dict(c), {gap * e: 1}, p), p)
+        num = radd(rmul(poly_dict(bar), {gap: 1}, p), {0: 1}, p)
+        assert flat == rhomogeneous(terms, n, num, {gap: 1}, p)
 
-    @settings(max_examples=150, deadline=None)
-    @given(data=st.data())
-    def test_windows_are_exact_above_their_floors(self, data):
-        # coefficients cut to windows at drawn floors: each value the
-        # replay returns equals the exact one cut at its floor
-        p = data.draw(st.sampled_from((3, 5, 7, 11)))
-        K = FIELDS[p]
-        P = data.draw(_equations(p, 2 * p + 2))
-        z, w = self._maps(data, p, polys(p, 0, 3))
-        exact = expansion._evaluate(p, _raw_map(P.terms), _raw_map(z), _raw_map(w))
 
-        def cut(terms):
-            out = {}
-            for e, c in terms.items():
-                if c is not expansion._UNIT and data.draw(st.booleans()):
-                    c = LaurentSeries.from_poly(c, data.draw(st.integers(-2, 4)))
-                out[e] = c
-            return out
-
-        windows = expansion._evaluate(
-            p, *(_raw_map(cut(t)) for t in (P.terms, z, w))
-        )
-        assert exact.keys() <= windows.keys()
-        for e, (v, c) in windows.items():
-            want = Poly._raw(K, exact[e][1]) if e in exact else Poly(K, ())
-            if v is None:
-                assert np.array_equal(c, want.coeffs)
-            else:
-                assert LaurentSeries._raw(K, v, c) == LaurentSeries.from_poly(want, v)
-
-    @settings(max_examples=100, deadline=None)
-    @given(data=st.data())
-    def test_matches_horner_at_a_series(self, data):
-        p = data.draw(st.sampled_from((3, 5, 7, 11)))
-        K = FIELDS[p]
-        P = data.draw(_equations(p, 2 * p + 2))
-        top = data.draw(st.integers(-3, 3))
-        size = data.draw(st.integers(0, 30))
-        coeffs = data.draw(st.lists(st.integers(0, p - 1), min_size=size, max_size=size))
-        s = LaurentSeries(K, top, coeffs, top - size + 1)
-        (v, c), = expansion._evaluate(
-            p, _raw_map(P.terms), {0: _raw_value(s)}, {0: expansion._UNIT}
-        ).values()
-        want = horner_eval_at_series(P, s)
-        assert v <= want.valid_order
-        assert LaurentSeries._raw(K, v, c).truncated(want.valid_order) == want
-
-    def test_each_shape_is_traced_once(self, monkeypatch):
-        keys = []
-        real = expansion._trace
-
-        def trace(*key):
-            keys.append(key)
-            return real(*key)
-
-        monkeypatch.setattr(expansion, "_SCHEDULES", {})
-        monkeypatch.setattr(expansion, "_trace", trace)
-        # steps on the support {0, 1, p, p+1} and on a dense equation
-        K = FIELDS[7]
-        eq = pattern_equation(build_spec(K, (2, 4, 5)))
-        m = pattern_position(7, 3)
-        run = stepwise_expand(eq, m)
-        assert expand(TRIPLING, 8).quotients
-        first = len(keys)
-        assert 0 < first == len(set(keys)) <= 6
-        assert stepwise_expand(eq, m).quotients == run.quotients
-        assert stepwise_expand(pattern_equation(build_spec(K, (3, 1, 6))), m).quotients
-        assert expand(TRIPLING, 8).quotients
-        assert len(keys) == first
-        # every slot read and not returned is dropped after its last read,
-        # a fused product's three operands included; a step reads only
-        # inputs and slots formed before it, and no sum is left reading a
-        # product that nothing else reads
-        arities = []
-        for (_, P, z, w), (steps, outputs, size) in expansion._SCHEDULES.items():
-            returned = {r for _, r in outputs}
-            formed = set(range(len(P) + sum(not unit for _, unit in z + w)))
-            reads = Counter([r for _, args, _, _ in steps for r in args] + list(returned))
-            products = {out for kind, args, out, _ in steps
-                        if kind is expansion._raw_mul and len(args) == 2 and reads[out] == 1}
-            last = {}
-            for k, (kind, args, out, _) in enumerate(steps):
-                assert set(args) <= formed and len(args) in (
-                    (1,) if kind is expansion._raw_frobenius else
-                    (2,) if kind is expansion._raw_add else (2, 3))
-                assert kind is not expansion._raw_add or not products & set(args)
-                formed.add(out)
-                arities.append(len(args))
-                for r in args:
-                    last[r] = k
-            for k, (_, _, _, dead) in enumerate(steps):
-                assert sorted(dead) == sorted(r for r, at in last.items()
-                                              if at == k and r not in returned)
-        assert arities.count(3) >= 4
+def _array_dict(arr) -> dict:
+    return {i: int(c) for i, c in enumerate(arr) if c}
 
 
 def _outcome(engine, equation: BiPoly, m: int) -> tuple:
@@ -750,23 +567,21 @@ class TestLastStep:
         K = FIELDS[3]
         T = K.T
         eq = BiPoly(K, [T ** 3 - T, -(T ** 3), 1])
-        real, calls = expansion._evaluate, []
+        real, calls = expansion._value, []
 
-        def evaluate(p, P, z, w):
-            calls.append((z, w))
-            return real(p, P, z, w)
+        def value(p, P, v):
+            calls.append(v)
+            return real(p, P, v)
 
-        monkeypatch.setattr(expansion, "_evaluate", evaluate)
+        monkeypatch.setattr(expansion, "_value", value)
         run = expand(eq, 1)
         monkeypatch.undo()
         assert list(run.quotients) == [T ** 3] and not run.rational
         assert eq(T ** 3) == T ** 3 - T
         assert _outcome(expand, eq, 1) == _outcome(stepwise_expand, eq, 1)
         # the one evaluation is the exact P(bar)
-        [(z, w)] = calls
-        assert list(z) == [0] and z[0][0] is None
-        assert np.array_equal(z[0][1], (T ** 3).coeffs)
-        assert list(w) == [0] and w[0] is expansion._UNIT
+        [(floor, v)] = calls
+        assert floor is None and np.array_equal(v, (T ** 3).coeffs)
 
     def test_the_last_step_forms_no_power_of_bar(self, monkeypatch):
         # the tripling equation through 10 quotients ends on one of degree
@@ -983,7 +798,7 @@ class TestIsRoot:
         P = BiPoly(K, {e: Poly(K, dict_coeffs(c, p)) for e, c in terms.items()})
         value = reval({e: poly_dict(c) for e, c in P.terms.items()}, poly_dict(bar), p)
         probes_vanish = value.get(0, 0) % p == 0 and sum(value.values()) % p == 0
-        with mock.patch.object(expansion, "_evaluate", wraps=expansion._evaluate) as evaluate:
+        with mock.patch.object(expansion, "_value", wraps=expansion._value) as evaluate:
             if bar.degree < 1 and value:
                 with pytest.raises(NoAdmissibleQuotientError):
                     expansion._is_root(K, P._raw_terms(), bar)
@@ -998,7 +813,7 @@ class TestIsRoot:
         # at m = 1 bar is the run's last quotient, at m = 4 `_step` takes it
         K = FIELDS[5]
         eq = BiPoly(K, [K.T + 1, 1, 1])
-        with mock.patch.object(expansion, "_evaluate", wraps=expansion._evaluate) as evaluate:
+        with mock.patch.object(expansion, "_value", wraps=expansion._value) as evaluate:
             with pytest.raises(NoAdmissibleQuotientError) as err:
                 expand(eq, m)
         assert err.value.step == 1 and err.value.bar == Poly(K, (4,))
@@ -1033,11 +848,12 @@ class TestCertifiedOutput:
         eq = data.draw(_single_root_equations(p))
         run = expand(eq, 40)
         if run.rational:
-            # a finite expansion: its convergent is the root itself
+            # a finite expansion: its convergent x/y is the root itself, so
+            # y^n * P(x/y), P with each c_e times y^(n-e) at x, is zero
             x, y, _, _ = continuants(run.quotients)
-            one = Poly(eq.field, (1,)).coeffs
-            maps = _mobius_maps(x.coeffs, y.coeffs, one, algebra._EMPTY)
-            assert eq.degree_x not in expansion._evaluate(eq.field.p, eq._raw_terms(), *maps)
+            n = eq.degree_x
+            scaled = {e: (None, (c * y ** (n - e)).coeffs) for e, c in eq.terms.items()}
+            assert not expansion._value(eq.field.p, scaled, (None, x.coeffs))[1].size
         else:
             self._certify(eq, run.quotients)
 

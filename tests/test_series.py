@@ -288,8 +288,8 @@ class TestPolynomialPart:
     @given(data=st.data())
     def test_division_is_the_quotient_from_its_floor(self, data):
         # a/b from its floor is the dict oracle's quotient of the operands
-        # with any terms below their floors: two series, an exact
-        # dividend, zero included, or an exact divisor
+        # with any terms below their floors: two series, or an exact
+        # divisor; an exact dividend, zero included, is refused
         p = data.draw(st.sampled_from((3, 5, 7)))
         K = FIELDS[p]
         kind = data.draw(st.sampled_from(("series", "exact dividend", "exact divisor")))
@@ -305,7 +305,10 @@ class TestPolynomialPart:
         raw_a, raw_b = (a.valid_order, a.coeffs), (b.valid_order, b.coeffs)
         if kind == "exact dividend":
             exact = data.draw(st.one_of(polys(p, 0, 10), st.just(Poly(K, ()))))
-            num, raw_a = poly_dict(exact), (None, exact.coeffs)
+            error = TypeError if b.coeffs.size else InsufficientPrecisionError
+            with pytest.raises(error):
+                series._raw_div((None, exact.coeffs), raw_b, p)
+            return
         elif kind == "exact divisor":
             exact = data.draw(polys(p, 0, 8))
             den, raw_b = poly_dict(exact), (None, exact.coeffs)
@@ -317,11 +320,12 @@ class TestPolynomialPart:
         quotient = {v + i: int(c) for i, c in enumerate(q) if c}
         assert quotient == rseries(num, den, p, v)
 
-    def test_exact_zero_over_a_window_below_zero_is_zero(self):
-        # 0 / (1*T^-2 known from -2): an exact zero has no terms
+    def test_zero_over_a_window_below_zero_is_zero(self):
+        # (0 known from 0) / (1*T^-2 known from -2): no terms, from the
+        # floor max(0 + 2, -2 - 1 + 4) = 2
         K = FIELDS[5]
-        one = np.ones(1, dtype=np.int64)
-        assert series._raw_div((None, Poly(K, ()).coeffs), (-2, one), 5)[1].size == 0
+        quotient = LaurentSeries.zero(K, 0) / LaurentSeries.from_terms(K, {-2: 1}, -2)
+        assert quotient.is_zero_to_floor and quotient.valid_order == 2
 
     def test_zero_window_divisor_is_undecided(self):
         K = FIELDS[5]
@@ -329,7 +333,6 @@ class TestPolynomialPart:
             series._raw_div(
                 (-3, series._cut((None, K.T.coeffs), -3)), (-2, np.zeros(0, dtype=np.int64)), 5
             )
-        assert series._raw_div((None, Poly(K, ()).coeffs), (0, K.T.coeffs), 5)[1].size == 0
 
 
 class TestAgainstReference:
