@@ -8,11 +8,12 @@ sum with the negation.  `_mul_arrays` forms a product with its addend, a
 long one by a float64 FFT whose rounding is checked, exact convolution the
 fallback.  `_top_quotient` divides: every division, of polynomials and of
 Laurent series alike, takes the top coefficients of one truncated
-power-series quotient, from the schoolbook recurrence up to 16 terms and
-beyond by Newton inversion to half its length and one Karp-Markstein
-step, each long step in one transform domain no longer than its target
-(the inverse transformed once, the residual a wrap-around cyclic
-product); only divmod and % go on to form a remainder.
+power-series quotient: by a unit constant, a scaling of the dividend's
+top terms; else from the schoolbook recurrence up to 16 terms and beyond
+by Newton inversion to half its length and one Karp-Markstein step, each
+long step in one transform domain no longer than its target (the inverse
+transformed once, the residual a wrap-around cyclic product); only
+divmod and % go on to form a remainder.
 
 One rule, `_residue`, turns a value into a residue of F_p; every
 constructor and operator here and in `series` and `expansion` lifts
@@ -415,8 +416,13 @@ def _top_quotient(a: np.ndarray, b: np.ndarray, n: int, p: int) -> np.ndarray:
     1/f, f = rev(b), at the foot of the ladder ceil(n/2^j), ..., ceil(n/2)
     within the seed length, Newton steps climb it and a last step divides
     rev(a) (see _newton_step), no transform longer than the quotient.
+    A unit constant b = u only scales: a's top n entries times u^(p-2),
+    zero below where a is shorter, with no inverse, product or transform.
     Only the top n terms of b, and the nonzero ones among the top n of a,
     are read."""
+    if b.size == 1:
+        top = a[max(a.size - n, 0) :] * pow(int(b[0]), p - 2, p) % p
+        return np.concatenate((np.zeros(n - top.size, dtype=np.int64), top))
     if n <= _NEWTON_SEED:
         q = _series_quotient(a[-n:].tolist()[::-1], b[-n:].tolist()[::-1], n, p)
         return np.array(q[::-1], dtype=np.int64)

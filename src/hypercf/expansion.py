@@ -62,6 +62,9 @@ __all__ = [
     "eval_at_series",
 ]
 
+#: an exact term map: x-exponent to the ascending array of its coefficient
+_Terms = Dict[int, np.ndarray]
+
 
 class NoAdmissibleQuotientError(RuntimeError):
     """The step produced a quotient of degree < 1: the input equation does
@@ -113,9 +116,9 @@ class BiPoly:
         raw = (None, Poly._coerce(self.field, value).coeffs)
         return Poly._raw(self.field, _value(self.field.p, self._raw_terms(), raw)[1])
 
-    def _raw_terms(self) -> Dict[int, Raw]:
-        """The terms as an exact raw term map, the engine's equations."""
-        return {e: (None, c.coeffs) for e, c in self.terms.items()}
+    def _raw_terms(self) -> _Terms:
+        """The terms as an exact term map of arrays, the engine's equations."""
+        return {e: c.coeffs for e, c in self.terms.items()}
 
     def __eq__(self, other) -> bool:
         return (
@@ -166,26 +169,25 @@ class ExpansionResult:
     coeff_degree_bound: int
 
 
-def _step(field: PrimeField, P: Dict[int, Raw]) -> Tuple[Poly, Optional[Dict[int, Raw]]]:
-    """One step on an exact raw term map: bar and the tail's map, None at
-    a rational end."""
+def _step(field: PrimeField, P: _Terms) -> Tuple[Poly, Optional[_Terms]]:
+    """One step on an exact term map: bar and the tail's map, None at a
+    rational end."""
     p, n, bar = field.p, max(P), _bar(field, P)
     if bar.degree < 1 and _is_root(field, P, bar):  # the root, or `_is_root` aborts
         return bar, None
     # y^n * P(bar + 1/y) = sum of Q[e] * y^(n-e) for Q(x) = P(x + bar)
-    Q = _shift(p, {e: c for e, (_, c) in P.items()}, bar.coeffs)
-    tail = {n - e: (None, c) for e, c in Q.items() if c.size}
+    Q = _shift(p, P, bar.coeffs)
+    tail = {n - e: c for e, c in Q.items() if c.size}
     return bar, (tail if n in tail else None)  # tail[n] is P(bar)
 
 
-def _bar(field: PrimeField, P: Mapping[int, Raw]) -> Poly:
-    """The quotient -(P[n-1] // P[n]) of an exact raw term map, n = max(P)."""
+def _bar(field: PrimeField, P: _Terms) -> Poly:
+    """The quotient -(P[n-1] // P[n]) of an exact term map, n = max(P)."""
     p, n = field.p, max(P)
-    top = P.get(n - 1, (None, _EMPTY))[1]
-    return Poly._raw(field, -algebra._floordiv_arrays(top, P[n][1], p) % p)
+    return Poly._raw(field, -algebra._floordiv_arrays(P.get(n - 1, _EMPTY), P[n], p) % p)
 
 
-def _is_root(field: PrimeField, P: Mapping[int, Raw], bar: Poly) -> bool:
+def _is_root(field: PrimeField, P: _Terms, bar: Poly) -> bool:
     """Whether P's quotient bar is its root, P(bar) = 0: a rational end.
     P(bar) is read at T = 0 and T = 1, from each array's first entry and
     its sum, and formed only when both vanish.  A constant non-root
@@ -193,7 +195,7 @@ def _is_root(field: PrimeField, P: Mapping[int, Raw], bar: Poly) -> bool:
     p, root = field.p, True
     for read in (lambda c: c[:1].sum(), np.sum):  # P(bar) at T = 0, then at T = 1
         b = int(read(bar.coeffs))
-        root = root and not sum(int(read(c)) * pow(b, e, p) for e, (_, c) in P.items()) % p
+        root = root and not sum(int(read(c)) * pow(b, e, p) for e, c in P.items()) % p
     root = root and not _value(p, P, (None, bar.coeffs))[1].size
     if bar.degree < 1 and not root:
         raise NoAdmissibleQuotientError(1, bar, ())
@@ -247,10 +249,10 @@ def expand(P: BiPoly, m: int) -> ExpansionResult:
 
 #: a run's quotients: (quotient, height after it, the tail's map or None);
 #: height None at a rational end, the quotient the root
-_Quotients = Iterator[Tuple[Poly, Optional[int], Optional[Dict[int, Raw]]]]
+_Quotients = Iterator[Tuple[Poly, Optional[int], Optional[_Terms]]]
 
 
-def _run(field: PrimeField, P: Dict[int, Raw], budget: int) -> _Quotients:
+def _run(field: PrimeField, P: _Terms, budget: int) -> _Quotients:
     """Up to `budget` quotients of the exact term map P, one `_step` each,
     with the largest coefficient degree of its tail.  The budget's last
     quotient is a division for bar that forms no tail: height -1, None at
@@ -266,12 +268,12 @@ def _run(field: PrimeField, P: Dict[int, Raw], budget: int) -> _Quotients:
             return
 
 
-def _height(P: Mapping[int, Raw]) -> int:
-    """The largest coefficient degree of an exact raw term map."""
-    return max(c.size for _, c in P.values()) - 1
+def _height(P: _Terms) -> int:
+    """The largest coefficient degree of an exact term map."""
+    return max(c.size for c in P.values()) - 1
 
 
-def _machine(field: PrimeField, P: Dict[int, Raw], budget: int) -> _Quotients:
+def _machine(field: PrimeField, P: _Terms, budget: int) -> _Quotients:
     """Up to `budget` quotients of A*x^(p+1) + B*x^p + C*x + D, the exact
     term map P, by the homographic machine on its state (a, b; c, d),
     with the largest entry degree after each.  An emitted quotient is
@@ -280,7 +282,7 @@ def _machine(field: PrimeField, P: Dict[int, Raw], budget: int) -> _Quotients:
     its tail as the state, an emit and a read.  RuntimeError where the
     run's determinant is not (-1)^(emits + reads) * (AD - BC)."""
     p = field.p
-    A, B, C, D = (P[e][1] if e in P else _EMPTY for e in (p + 1, p, 1, 0))
+    A, B, C, D = (P.get(e, _EMPTY) for e in (p + 1, p, 1, 0))
     state, updates, held = [-B % p, -D % p, A, C], 0, None
     det = _determinant(p, *state)
     emitted: List[np.ndarray] = []
@@ -313,11 +315,11 @@ def _machine(field: PrimeField, P: Dict[int, Raw], budget: int) -> _Quotients:
             if len(emitted) == budget:
                 break
             yield held
-        tail = {e: (None, v) for e, v in zip((p + 1, p, 1, 0), (c, -a % p, d, -b % p)) if v.size}
+        tail = {e: v for e, v in zip((p + 1, p, 1, 0), (c, -a % p, d, -b % p)) if v.size}
         bar, height, tail = held = next(_run(field, tail, budget - len(emitted)))
         if tail is None:
             break
-        A, B, C, D = (tail[e][1] if e in tail else _EMPTY for e in (p + 1, p, 1, 0))
+        A, B, C, D = (tail.get(e, _EMPTY) for e in (p + 1, p, 1, 0))
         state, updates = [-B % p, -D % p, A, C], updates + 2
         emitted.append(bar.coeffs)
         read = len(emitted)
@@ -340,16 +342,16 @@ def eval_at_series(P: BiPoly, s: LaurentSeries) -> LaurentSeries:
     return LaurentSeries._raw(P.field, *value)
 
 
-def _value(p: int, P: Mapping[int, Raw], v: Raw) -> Raw:
-    """P(v) for a raw value v, exact or a series, zero as (None, _EMPTY):
-    Horner in v^p over e // p of Horner in v over e % p, each step one
-    fused product acc*v + c."""
+def _value(p: int, P: Mapping[int, np.ndarray], v: Raw) -> Raw:
+    """P(v) for an exact term map P and a raw value v, exact or a series,
+    zero as (None, _EMPTY): Horner in v^p over e // p of Horner in v over
+    e % p, each step one fused product acc*v + c."""
     vp = _raw_frobenius(v, p) if max(P) >= p else None  # read where e // p > 0
     acc = None
     for group in _groups(p, P):
         inner = None
         for r in range(max(group, default=-1), -1, -1):
-            c = group.get(r, (None, _EMPTY))
+            c = (None, group.get(r, _EMPTY))
             inner = c if inner is None else _raw_mul(inner, v, p, c)
         acc = inner if acc is None else _raw_mul(acc, vp, p, inner or (None, _EMPTY))
     return acc

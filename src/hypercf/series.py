@@ -126,8 +126,9 @@ def _raw_div(a: Raw, b: Raw, p: int) -> Raw:
         raise InsufficientPrecisionError("the divisor's degree is below its floor")
     top_a, top_b = v_a + x.size - 1, (v_b or 0) + y.size - 1
     v = v_a - top_b if v_b is None else max(v_a - top_b, v_b + top_a - 2 * top_b)
+    # v >= v_a - top_b, so n <= top_a - v_a + 1 = x.size: no terms, no quotient
     n = top_a - top_b - v + 1
-    return v, (_top_quotient(x, y, n, p) if x.size and n > 0 else _EMPTY)
+    return v, (_top_quotient(x, y, n, p) if n > 0 else _EMPTY)
 
 
 class LaurentSeries:

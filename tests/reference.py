@@ -291,14 +291,14 @@ def next_step(P):
     """One extraction step on a package BiPoly P: (bar, next equation), the
     equation None when P(bar) = 0, i.e. the root is rational and bar is its
     final quotient.  Raises NoAdmissibleQuotientError when bar has degree
-    < 1.  It is the engine's `_step` on P's exact raw term map."""
+    < 1.  It is the engine's `_step` on P's exact term map."""
     from hypercf import BiPoly, Poly
     from hypercf.expansion import _step
 
     bar, tail = _step(P.field, P._raw_terms())
     if tail is None:
         return bar, None
-    return bar, BiPoly(P.field, {e: Poly._raw(P.field, c) for e, (_, c) in tail.items()})
+    return bar, BiPoly(P.field, {e: Poly._raw(P.field, c) for e, c in tail.items()})
 
 
 def stepwise_expand(P, m: int):

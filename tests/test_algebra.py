@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from hypercf import NEG_INFINITY, Poly, PrimeField, algebra, is_prime
 from hypercf.algebra import (
-    _convolve, _divmod_arrays, _fft_product, _floordiv_arrays, _mul_arrays, _trim)
+    _EMPTY, _convolve, _divmod_arrays, _fft_product, _floordiv_arrays, _mul_arrays, _trim)
 
 from conftest import FIELDS, polys, transforms
 from reference import poly_dict, rdivmod, rmul, rsub, schoolbook_divmod
@@ -639,6 +639,32 @@ class TestLongQuotients:
         assert ((p - 1) // 2) ** 2 * algebra._FFT_MIN_LEN > algebra._FFT_EXACT_BOUND
         q, log = transforms(lambda: _floordiv_arrays(a, b, p))
         assert log == [] and np.array_equal(q, schoolbook_divmod(a, b, p)[0])
+
+    @pytest.mark.parametrize("p", (3, 7, 65521, 2147483647))
+    def test_constant_divisor_only_scales(self, monkeypatch, p):
+        # a one-term divisor u: the quotient is the dividend's top n terms
+        # times 1/u, zero below a dividend shorter than n, with no product
+        # and no transform; at 2^31 - 1 the int64 scaling meets products
+        # near 2^62
+        def forbidden(*args):
+            raise AssertionError("a constant divisor formed a product")
+
+        cases = []
+        for n in NEWTON_LENGTHS:
+            for padded in (False, True):
+                a, b = _division_case(p, n, 1, padded, seed=n)
+                rq, rr = schoolbook_divmod(a, b, p)
+                q, r = _divmod_arrays(a, b, p)
+                assert np.array_equal(q, rq) and r.size == rr.size == 0
+                cases.append((n, a, b, rq))
+                if padded:  # the nonzero part alone, shorter than n
+                    cases.append((n, a[n // 2 :], b, rq))
+        monkeypatch.setattr(algebra, "_mul_arrays", forbidden)
+        for n, a, b, rq in cases:
+            q, log = transforms(lambda: algebra._top_quotient(a, b, n, p))
+            assert log == [] and q.dtype == np.int64 and q.tobytes() == rq.tobytes()
+            q, log = transforms(lambda: algebra._top_quotient(_EMPTY, b, n, p))
+            assert log == [] and q.dtype == np.int64 and q.tobytes() == bytes(8 * n)
 
 
 #: the small fields and the largest admitted modulus, 2^31 - 1

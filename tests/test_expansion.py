@@ -31,7 +31,7 @@ from hypercf import (
 from hypercf import algebra, expansion, series
 from hypercf.grids import MILLS_ROBBINS_U1, verification_steps
 
-from conftest import FIELDS, polys
+from conftest import FIELDS, polys, transforms
 from reference import (
     dense_expand,
     dict_coeffs,
@@ -235,10 +235,10 @@ class TestLeanStep:
         if tail is None:
             assert reval(terms, poly_dict(bar), p) == {}
             return
-        assert all(v is None and c.size for v, c in tail.values())
+        assert all(c.size for c in tail.values())
         gap = 4 + 4 * n
         flat = {}
-        for e, (_, c) in tail.items():
+        for e, c in tail.items():
             flat = radd(flat, rmul(_array_dict(c), {gap * e: 1}, p), p)
         num = radd(rmul(poly_dict(bar), {gap: 1}, p), {0: 1}, p)
         assert flat == rhomogeneous(terms, n, num, {gap: 1}, p)
@@ -744,6 +744,15 @@ class TestMachine:
         monkeypatch.undo()
         assert run.quotients == pattern(spec, m)
 
+    def test_runs_through_n4_with_no_transform(self):
+        # p=7 through n_4: 410 quotients, the largest of degree 4801; each
+        # long one is emitted as a // c by a unit constant c, a scaling,
+        # and no product of the run is long enough for the FFT
+        eq, m = pattern_equation(build_spec(FIELDS[7], (2, 4, 5))), pattern_position(7, 4)
+        run, log = transforms(lambda: expand(eq, m))
+        assert log == [] and len(run.quotients) == m == 410
+        assert max(run.quotients.degrees()) == 4801
+
 
 class TestBar:
     """`_bar` is -(P[n-1] // P[n]): the negated schoolbook quotient."""
@@ -766,10 +775,10 @@ class TestBar:
 
         degree = data.draw(st.integers(0, 40), label="deg P[n]")
         A, B = coefficient(degree), np.zeros(0, dtype=np.int64)
-        P = {n: (None, A)}
+        P = {n: A}
         if data.draw(st.integers(0, 9), label="P[n-1] absent") > 0:
             B = coefficient(degree + qlen - 1)
-            P[n - 1] = (None, B)
+            P[n - 1] = B
         q, _ = rdivmod(poly_dict(Poly(K, B)), poly_dict(Poly(K, A)), p)
         assert expansion._bar(K, P) == Poly(K, dict_coeffs({e: -c for e, c in q.items()}, p))
 
@@ -852,7 +861,7 @@ class TestCertifiedOutput:
             # y^n * P(x/y), P with each c_e times y^(n-e) at x, is zero
             x, y, _, _ = continuants(run.quotients)
             n = eq.degree_x
-            scaled = {e: (None, (c * y ** (n - e)).coeffs) for e, c in eq.terms.items()}
+            scaled = {e: (c * y ** (n - e)).coeffs for e, c in eq.terms.items()}
             assert not expansion._value(eq.field.p, scaled, (None, x.coeffs))[1].size
         else:
             self._certify(eq, run.quotients)
